@@ -21,7 +21,7 @@ from ramify.errors import (
     PrecisionExhausted,
     SlopeConditionViolated,
 )
-from ramify.fields import make_field
+from ramify.fields import field_from_q
 from ramify.lft import lft_descriptor, stationary_c
 from ramify.series import LaurentSeries
 from ramify.witt import WittVector
@@ -37,13 +37,8 @@ def main() -> int:
     parser.add_argument("--source", choices=("0", "infinity"), default="0")
     args = parser.parse_args()
 
-    p = next(d for d in range(2, args.q + 1) if args.q % d == 0)
-    f = 0
-    r = args.q
-    while r % p == 0:
-        r //= p
-        f += 1
-    field = make_field(p, f)
+    field = field_from_q(args.q)
+    p = field.p
 
     print(f"q = {args.q}, source = {args.source}; "
           f"wild part t^(-n), covering t = s^d")

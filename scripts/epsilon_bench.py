@@ -16,7 +16,7 @@ import time
 from ramify.characters import AdditiveCharacter, QuasiCharacter, conductor
 from ramify.cyclo import root_of_unity
 from ramify.epsilon import epsilon0, epsilon_tate_oracle
-from ramify.fields import make_field
+from ramify.fields import field_from_q
 from ramify.series import LaurentSeries
 from ramify.witt import WittVector
 
@@ -48,13 +48,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    p = next(d for d in range(2, args.q + 1) if args.q % d == 0)
-    f = 0
-    r = args.q
-    while r % p == 0:
-        r //= p
-        f += 1
-    field = make_field(p, f)
+    field = field_from_q(args.q)
+    p = field.p
     psi = AdditiveCharacter(LaurentSeries.from_terms(field, {0: field.one}, PREC))
     rng = random.Random(args.seed)
 

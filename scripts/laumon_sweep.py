@@ -15,7 +15,7 @@ import sys
 import time
 from collections import Counter
 
-from ramify.fields import make_field
+from ramify.fields import field_from_q
 from ramify.lft import character_for_triple, random_legendre_triple, verify_laumon
 
 
@@ -31,15 +31,7 @@ def main() -> int:
                              "sum-over-cosets oracle (0 = never)")
     args = parser.parse_args()
 
-    fields = {}
-    for q in args.q:
-        p = next(d for d in range(2, q + 1) if q % d == 0)
-        f = 0
-        r = q
-        while r % p == 0:
-            r //= p
-            f += 1
-        fields[q] = make_field(p, f)
+    fields = {q: field_from_q(q) for q in args.q}
 
     branches = Counter()
     checked = 0

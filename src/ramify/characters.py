@@ -70,8 +70,13 @@ def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None,
         raise ZeroArgument("cannot pair against the zero series")
     R, w = pairing_series(z, entry_lifts=entry_lifts)
     uu = unit_lift if unit_lift is not None else map_coefficients(u, R.lift, R)
-    r = residue(w * uu.dlog())
-    return (-R.trace(r)) % R.modulus_int
+    return pair_lifted_unit(R, w, uu)
+
+
+def pair_lifted_unit(R, w, uu) -> int:
+    """-Tr_R(res(w * dlog(uu))) mod p^(m+1) for (R, w) from ``pairing_series``
+    and a unit ``uu`` already lifted to R."""
+    return (-R.trace(residue(w * uu.dlog()))) % R.modulus_int
 
 
 # -- multiplicative characters ------------------------------------------------

@@ -32,7 +32,7 @@ from .epsilon import (
     quad_gauss,
 )
 from .errors import RamifyError, SchemaError, VerificationFailure
-from .fields import FiniteField
+from .fields import FiniteField, field_from_q
 from .jsonio import DEFAULT_PREC
 from .lft import (
     DKInput,
@@ -474,13 +474,13 @@ def _op_selftest(payload):
         checks.append(name)
 
     for q in (3, 5, 9):
-        fq = _field_from_q(q)
+        fq = field_from_q(q)
         check(
             f"gauss-square-q{q}",
             lambda fq=fq: quad_gauss(fq) * quad_gauss(fq)
             == CycloNumber.from_rational(1, fq.kappa0(-fq.one) * fq.q),
         )
-    f3 = FiniteField(3, 1)
+    f3 = field_from_q(3)
     check(
         "swan-monomial-depth4",
         lambda: swan_conductor(
@@ -488,7 +488,7 @@ def _op_selftest(payload):
         )[0] == 4,
     )
     for q, m in ((3, 0), (5, 0), (3, 1)):
-        fq = _field_from_q(q)
+        fq = field_from_q(q)
 
         def laumon_ok(fq=fq, m=m):
             rng = random.Random(seed)
@@ -537,20 +537,6 @@ def run(job: JobSpec):
 # -- argument parsing ------------------------------------------------------------
 
 
-def _field_from_q(q: int) -> FiniteField:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                f += 1
-            if r != 1:
-                raise SchemaError(f"q = {q} is not a prime power")
-            return FiniteField(p, f)
-    raise SchemaError(f"q = {q} is not a prime power")
-
-
 def _json_flag(text, what):
     try:
         return json.loads(text)
@@ -560,7 +546,7 @@ def _json_flag(text, what):
 
 def _field_payload(args) -> dict:
     if getattr(args, "q", None) is not None:
-        fld = _field_from_q(args.q)
+        fld = field_from_q(args.q)
         return {"p": fld.p, "f": fld.f}
     if getattr(args, "p", None) is None:
         raise SchemaError("specify the residue field with --p/--f or --q")

@@ -88,7 +88,7 @@ def _reduction_rows(N: int):
 
 
 def _reduce_mod_phi(coeffs, N):
-    """Reduce an arbitrary-degree Fraction list mod Phi_N (long division)."""
+    """Reduce an arbitrary-degree int or Fraction list mod Phi_N (long division)."""
     phi_poly = cyclotomic_poly(N)
     deg = len(phi_poly) - 1
     coeffs = list(coeffs)
@@ -128,10 +128,11 @@ class CycloNumber:
 
     @staticmethod
     def from_monomials(N: int, terms) -> "CycloNumber":
-        """sum of c * X^k for (k, c) in terms, k arbitrary integers mod N."""
-        buf = [Fraction(0)] * N
+        """sum of c * X^k for (k, c) in terms, k arbitrary integers mod N;
+        integer counts stay ints until the reduction mod Phi_N is done."""
+        buf = [0] * N
         for k, c in terms:
-            buf[k % N] += Fraction(c)
+            buf[k % N] += c
         return CycloNumber(N, _reduce_mod_phi(buf, N))
 
     # -- ring ops ----------------------------------------------------------

@@ -10,12 +10,16 @@ shells with the Haar measure normalized by vol(O) = 1.  Within one shell of
 valuation v the integrand is constant on cosets of 1 + m^A once A is at
 least max(a(chi), -ord(psi) - v), so the shell sum at that depth is the
 exact value of the shell integral, and every shell except v0 = -a - d must
-vanish; the oracle asserts this instead of assuming it.
+vanish; the oracle asserts this instead of assuming it.  The cosets are walked
+in multiplicative coordinates u = u0 * prod_{0<j<A} (1 + x_j t^j): the wild
+exponent is v [a, t) plus one pairing [a, 1 + x t^j) per factor, tabulated
+once per call by the library's residue pairing; the tame exponent reads
+dlog u0 and the psi exponent the additive digits of u.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
 
 from .characters import (
     AdditiveCharacter,
@@ -24,23 +28,21 @@ from .characters import (
     conductor,
     gauge,
     hilbert_symbol,
-    kummer_char,
+    pair_lifted_unit,
     pairing_series,
     psi_eval,
-    witt_pairing,
 )
-from .cyclo import CycloNumber, root_of_unity
+from .cyclo import CycloNumber
 from .errors import (
     CapExceeded,
     InseparableInput,
-    PrecisionExhausted,
     TameInput,
     UnramifiedInput,
     VerificationFailure,
     WildInput,
     ZeroInput,
 )
-from .series import LaurentSeries, decompose_over_base
+from .series import LaurentSeries, decompose_over_base, map_coefficients
 from .witt import fil_level, witt_differential
 
 DEFAULT_COSET_CAP = 300_000
@@ -53,24 +55,15 @@ def gauss_sum(field, j: int) -> CycloNumber:
     chi_j(x) = zeta_{q-1}^(j * dlog x) and psi_k = psi_0 o Tr."""
     q, p = field.q, field.p
     j = j % (q - 1)
-    level = (q - 1) * p
-    acc = CycloNumber.zero(level)
-    for idx in range(1, q):
-        x = field.from_index(idx)
-        ed = (-j * field.dlog(x)) % (q - 1)
-        ew = field.trace_to_prime(x) % p
-        acc = acc + root_of_unity(level, ed * p + ew * (q - 1))
-    return -acc
+    terms = ((((-j * field.log[i]) % (q - 1)) * p
+              + field.trace_to_prime(field.from_index(i)) * (q - 1), 1) for i in range(1, q))
+    return -CycloNumber.from_monomials((q - 1) * p, terms)
 
 
 def quad_gauss(field) -> CycloNumber:
     """G = sum_{x in k} psi_k(x^2)."""
-    p = field.p
-    acc = CycloNumber.zero(p)
-    for idx in range(field.q):
-        x = field.from_index(idx)
-        acc = acc + root_of_unity(p, field.trace_to_prime(x * x))
-    return acc
+    terms = ((field.trace_to_prime(x * x), 1) for x in field.elements())
+    return CycloNumber.from_monomials(field.p, terms)
 
 
 def quad_gauss_power(field, k: int) -> CycloNumber:
@@ -174,84 +167,74 @@ def epsilon0(chi: QuasiCharacter, psi: AdditiveCharacter) -> EpsilonResult:
 
 # -- brute-force Tate oracle -----------------------------------------------------
 
-def _shell_sum(chi, psi, v, depth):
-    """Exact integral of chi^{-1} psi over the shell ord = v, as a coset sum
-    at the given depth (each coset has measure q^(-v-depth))."""
+def _unit_pairings(chi, depth):
+    """(pair_t, P) with pair_t = [a, t) and P[j][x] = [a, 1 + x t^j) for
+    1 <= j < depth, a the reduced wild part; (0, None) for a tame chi."""
+    if not chi.has_wild_part() or chi.reduced_wild()[0].is_zero():
+        return 0, None
     field = chi.field
-    p, q = field.p, field.q
-    e = chi.tame_exponent
-    m = chi.m
-    mod = p ** (m + 1)
-    omega = psi.omega
+    R, w = pairing_series(chi.reduced_wild()[0])
+    prec = max(depth, 2 - w.valuation(), 2)  # dlog coefficients reach w's poles
 
-    # psi(u t^v) = psi_k(sum_j u_j * gamma_j): per-digit trace tables
-    psi_tab = []
-    for j in range(depth):
-        gj = omega.coefficient(-1 - v - j)
-        psi_tab.append([field.trace_to_prime(field.from_index(i) * gj) for i in range(q)])
+    def pair(terms):
+        u = LaurentSeries.from_terms(field, terms, prec)
+        return pair_lifted_unit(R, w, map_coefficients(u, R.lift, R))
 
-    dlog_tab = [0] * q
-    for idx in range(1, q):
-        dlog_tab[idx] = field.dlog(field.from_index(idx))
+    return pair({1: field.one}), [None] + [
+        [pair({0: field.one, j: field.from_index(x)}) for x in range(field.q)]
+        for j in range(1, depth)]
 
-    wild = False
-    if chi.has_wild_part():
-        red, _ = chi.reduced_wild()
-        if not red.is_zero():
-            wild = True
-            R, w = pairing_series(red)
-            kmax = max(0, -w.valuation())  # dlog coeffs 0..kmax-1 reach w's poles
-            W = [w.coefficient(-1 - k) for k in range(kmax)]
-            pair_t = witt_pairing(red, LaurentSeries.t_power(field, 1, max(2, kmax + 2)))
-            lift_tab = [R.lift(field.from_index(i)) for i in range(q)]
-            pm_trace = R.trace
 
-    hist = [0] * ((q - 1) * mod)
-    ranges = [range(1, q)] + [range(q)] * (depth - 1)
-    for digits in _iproduct(*ranges):
-        ew = 0
-        for j in range(depth):
-            ew += psi_tab[j][digits[j]]
-        ew = (ew % p) * (mod // p)  # zeta_p^x = zeta_mod^(p^m x)
-        dd = (-e * dlog_tab[digits[0]]) % (q - 1)
-        if wild:
-            # res(w * dlog u~) for the polynomial lift u~ of u
-            ub = [lift_tab[i] for i in digits]
-            b0 = ub[0].inverse() if kmax else None
-            binv = [b0]
-            for k in range(1, kmax):
-                acc = None
-                for j in range(1, min(k, depth - 1) + 1):
-                    term = ub[j] * binv[k - j]
-                    acc = term if acc is None else acc + term
-                binv.append(-(b0 * acc) if acc is not None else R.zero)
-            res = None
-            for k in range(kmax):
-                ck = None  # coefficient k of u~' * u~^{-1}
-                for j in range(min(k, depth - 2) + 1):
-                    term = R.from_int(j + 1) * ub[j + 1] * binv[k - j]
-                    ck = term if ck is None else ck + term
-                if ck is not None:
-                    term = W[k] * ck
-                    res = term if res is None else res + term
-            pairing = (-pm_trace(res) if res is not None else 0) % mod
-            pairing = (pairing + v * pair_t) % mod
-            # chi^{-1} contributes +pairing (char value used -pairing)
-            ew = (ew + pairing) % mod
-        hist[dd * mod + ew] += 1
+def _shell_sum(chi, psi, v, depth, unit_pairings):
+    """Exact integral of chi^{-1} psi over the shell ord = v, as a coset sum
+    at the given depth (each coset has measure q^(-v-depth)).
 
+    The walk over u = u0 * prod_{0<j<depth} (1 + x_j t^j) keeps the additive
+    digits of u as field indices.  Choosing x_j moves only the digits from j
+    on, and the last factor only moves digit depth-1 by x u0, so the q leaves
+    under one node are one histogram per u0, shifted by the node's exponent.
+    """
+    field = chi.field
+    q, p, exp, log = field.q, field.p, field.exp, field.log
+    mod = p ** (chi.m + 1)
     level = (q - 1) * mod
-    acc = CycloNumber.zero(level)
-    for dd in range(q - 1):
-        for ww in range(mod):
-            cnt = hist[dd * mod + ww]
-            if cnt:
-                acc = acc + root_of_unity(level, dd * mod + ww * (q - 1)) * cnt
-    scale = Fraction(q) ** (-(v + depth))
-    out = acc * scale
-    if v:
+    pair_t, P = unit_pairings
+    # all exponents are of zeta_level: zeta_{q-1} = zeta_level^mod, zeta_mod = zeta_level^(q-1)
+    wild = [None] + [[x * (q - 1) for x in (P[j] if P else [0] * q)] for j in range(1, depth)]
+    T = []  # T[k][i]: psi exponent of the digit i at t^(v+k)
+    for k in range(depth):
+        g = psi.omega.coefficient(-1 - v - k)
+        T.append([field.trace_to_prime(field.from_index(i) * g) * (level // p) for i in range(q)])
+
+    def mul(a, b):
+        return exp[(log[a] + log[b]) % (q - 1)] if a and b else 0
+
+    hist = [0] * level
+    last = depth - 1
+
+    def walk(j, c, s, leaves):
+        if j >= last:
+            for key, cnt in leaves.items():
+                hist[(s + key) % level] += cnt
+            return
+        for x in range(q):
+            moved = [mul(x, c[k - j]) for k in range(j, depth)]
+            step = sum(T[k][dk] for k, dk in zip(range(j, depth), moved))
+            digits = c[:j] + [field.add_idx(c[k], dk) for k, dk in zip(range(j, depth), moved)] \
+                if j + 1 < last else c  # the leaf level reads no digits
+            walk(j + 1, digits, (s + step + wild[j][x]) % level, leaves)
+
+    for u0 in range(1, q):
+        s = ((-chi.tame_exponent * log[u0]) % (q - 1) * mod + T[0][u0]
+             + v * pair_t * (q - 1)) % level
+        leaves = Counter((T[last][mul(x, u0)] + wild[last][x]) % level
+                         for x in range(q)) if last else {0: 1}
+        walk(1, [u0] + [0] * last, s, leaves)
+
+    out = CycloNumber.from_monomials(level, enumerate(hist))
+    if v and not out.is_zero():  # guard shells vanish: skip chi(t)^(-v)
         out = out * chi.uniformizer_value ** (-v)
-    return out
+    return out * Fraction(q) ** (-(v + depth))
 
 
 def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
@@ -269,7 +252,7 @@ def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
     field = chi.field
     d = psi.ord
     v0 = -a - d
-    result = None
+    shells = []
     for v in range(v0 - 2, -d + 3):
         depth = max(a, -d - v, 1)
         if field.q ** depth > coset_cap:
@@ -278,7 +261,11 @@ def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
                     f"q^{depth} = {field.q ** depth} cosets exceed the cap {coset_cap}"
                 )
             continue  # optional guard shell, too big to brute-force
-        s = _shell_sum(chi, psi, v, depth)
+        shells.append((v, depth))
+    unit_pairings = _unit_pairings(chi, max(depth for _, depth in shells))
+    result = None
+    for v, depth in shells:
+        s = _shell_sum(chi, psi, v, depth, unit_pairings)
         if v == v0:
             result = s
         elif not s.is_zero():

@@ -17,6 +17,7 @@ from .errors import (
     EvenCharacteristic,
     NotASquare,
     NotPrime,
+    SchemaError,
     ZeroInput,
 )
 
@@ -309,6 +310,8 @@ class FiniteField:
     # -- element-level services ------------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
+        if self.f == 1:
+            return (a + b) % self.p
         da, db = self.digit_table[a], self.digit_table[b]
         p = self.p
         return sum(((x + y) % p) * w for x, y, w in zip(da, db, self._pow_p))
@@ -591,3 +594,14 @@ def make_field(p: int, f: int, cap: int = DEFAULT_Q_CAP) -> FiniteField:
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FiniteField(p, f, cap=cap)
     return _FIELD_CACHE[key]
+
+
+def field_from_q(q: int) -> FiniteField:
+    """The interned F_q for a prime power q; SchemaError for any other q."""
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    f, r = 0, q
+    while p and r % p == 0:
+        r, f = r // p, f + 1
+    if p is None or r != 1:
+        raise SchemaError(f"q = {q} is not a prime power")
+    return make_field(p, f)

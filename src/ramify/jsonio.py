@@ -30,7 +30,7 @@ from fractions import Fraction
 from .characters import AdditiveCharacter, QuasiCharacter
 from .cyclo import CycloNumber, pretty, root_of_unity
 from .errors import SchemaError
-from .fields import FiniteField
+from .fields import FiniteField, make_field
 from .series import LaurentSeries
 from .witt import WittVector
 
@@ -70,7 +70,7 @@ def field_from_json(obj) -> FiniteField:
     check_keys(obj, "field", required=("p",), optional=("f",))
     p = strict_int(obj["p"], "field.p")
     f = strict_int(obj.get("f", 1), "field.f")
-    return FiniteField(p, f)
+    return make_field(p, f)
 
 
 def field_to_json(field: FiniteField) -> dict:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 
 from .errors import (
@@ -171,19 +172,23 @@ class UniversalWittTable:
         path = self._cache_path(self.p, self.length)
         if path is None:
             return
+        pack = lambda ts: [[c, list(ex), list(ey)] for c, ex, ey in ts]
+        blob = {"p": self.p, "length": self.length,
+                "sum": [pack(ts) for ts in self._sum],
+                "twist": [pack(ts) for ts in self._twist]}
         try:
+            # write a temporary file beside the target and rename it into
+            # place, so a reader never sees a half-written table
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            pack = lambda ts: [[c, list(ex), list(ey)] for c, ex, ey in ts]
-            with open(path, "w") as fh:
-                json.dump(
-                    {
-                        "p": self.p,
-                        "length": self.length,
-                        "sum": [pack(ts) for ts in self._sum],
-                        "twist": [pack(ts) for ts in self._twist],
-                    },
-                    fh,
-                )
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+            try:
+                os.chmod(tmp, 0o644)  # as readable as a plain open() would leave it
+                with os.fdopen(fd, "w") as fh:
+                    json.dump(blob, fh)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
         except OSError:
             pass
 

@@ -1,7 +1,9 @@
 """Gauss sums, epsilon factors (closed forms against the Tate integral),
 lambda factors, and norm/trace/discriminant bookkeeping for tot. ram. exts."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,14 +13,19 @@ from ramify.characters import (
     AdditiveCharacter,
     QuasiCharacter,
     char_eval,
+    char_eval_exponents,
     conductor,
     hilbert_symbol,
     kummer_char,
     psi_eval,
+    psi_eval_exponent,
+    witt_pairing,
 )
 from ramify.cyclo import CycloNumber, root_of_unity
 from ramify.epsilon import (
     EpsilonResult,
+    _shell_sum,
+    _unit_pairings,
     TotallyRamifiedExt,
     discriminant_class,
     epsilon0,
@@ -314,6 +321,78 @@ def test_oracle_cap_on_central_shell():
     chi = QuasiCharacter(F9, 1, one())
     with pytest.raises(CapExceeded):
         epsilon_tate_oracle(chi, psi_dt(F9), coset_cap=3)
+
+
+def reference_shell_sum(chi, psi, v, depth):
+    """Test-only shell sum: walk the additive digit tuples of the cosets
+    x = sum_j u_j t^(v+j) and evaluate chi^{-1} psi on each one through the
+    public char_eval_exponents and psi_eval_exponent."""
+    field = chi.field
+    q, p = field.q, field.p
+    mod = p ** (chi.m + 1)
+    level = (q - 1) * mod
+    hist = Counter()
+    for digits in itertools.product(range(1, q), *[range(q)] * (depth - 1)):
+        terms = {v + j: field.from_index(i) for j, i in enumerate(digits)}
+        x = LaurentSeries.from_terms(field, terms, v + depth + 6)
+        _v, d, w = char_eval_exponents(chi, x)
+        hist[(-d * mod - w * (q - 1) + psi_eval_exponent(psi, x) * (level // p)) % level] += 1
+    total = CycloNumber.zero(level)
+    for k, cnt in hist.items():
+        total = total + root_of_unity(level, k) * cnt
+    return total * Fraction(q) ** (-(v + depth)) * chi.uniformizer_value ** (-v)
+
+
+def _oracle_cases():
+    """One character per (q, m): wild where the shells stay small enough to
+    enumerate digit by digit, and for q = 9, m = 1 a Witt constant that only
+    twists chi(t) (sw = 0, but [a, t) != 0)."""
+    t = lambda field, e, c=1, prec=12: LaurentSeries.monomial(field, field.from_index(c), e, prec)
+    return [
+        (QuasiCharacter(F3, 1, root_of_unity(4, 1), WittVector(0, (poly(F3, [(-4, 1), (-2, 2), (0, 1)]),))),
+         AdditiveCharacter(poly(F3, [(-1, 2), (0, 1)], 30))),
+        (QuasiCharacter(F3, 0, one(), WittVector(1, (t(F3, -1), t(F3, -2, 2)))),
+         psi_dt(F3)),
+        (QuasiCharacter(F5, 3, root_of_unity(8, 3), WittVector(0, (poly(F5, [(-2, 3), (-1, 1)]),))),
+         AdditiveCharacter(poly(F5, [(1, 2)], 30))),
+        (QuasiCharacter(F5, 2, one(), WittVector(1, (LaurentSeries.zero(F5, 12), t(F5, -1, 4)))),
+         psi_dt(F5)),
+        (QuasiCharacter(F9, 5, root_of_unity(16, 3), WittVector(0, (t(F9, -1, 7),))),
+         AdditiveCharacter(poly(F9, [(0, 1), (1, 2)], 30))),
+        (QuasiCharacter(F9, 3, one(), WittVector(1, (LaurentSeries.zero(F9, 12), t(F9, 0, 1)))),
+         AdditiveCharacter(LaurentSeries.monomial(F9, F9.from_index(4), -1, 30))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_shell_sum_matches_digit_enumeration(case):
+    chi, psi = _oracle_cases()[case]
+    a, _sw = conductor(chi)
+    d = psi.ord
+    v0 = -a - d
+    shells = [(v, max(a, -d - v, 1)) for v in range(v0 - 2, -d + 3)]
+    tables = _unit_pairings(chi, max(depth for _, depth in shells))
+    for v, depth in shells:
+        ref = reference_shell_sum(chi, psi, v, depth)
+        assert _shell_sum(chi, psi, v, depth, tables) == ref, (case, v, depth)
+        assert ref.is_zero() == (v != v0), (case, v, v0)
+
+
+@pytest.mark.parametrize("field,m,seed", [(F3, 0, 1), (F3, 1, 2), (F5, 1, 3), (F9, 0, 4), (F9, 1, 5)])
+def test_pairing_additive_over_unit_factors(field, m, seed):
+    # [a, u0 prod_j (1 + x_j t^j)) = sum_j [a, 1 + x_j t^j): the identity the
+    # oracle's table of unit pairings rests on (u0 constant pairs to 0)
+    rng = random.Random(seed)
+    z = WittVector(m, tuple(rng_series(field, rng, -3 + i, 24) for i in range(m + 1)))
+    prec = 40
+    u0 = LaurentSeries.monomial(field, field.from_index(rng.randrange(1, field.q)), 0, prec)
+    u, expected = u0, witt_pairing(z, u0)
+    for j in range(1, 6):
+        factor = poly(field, [(0, 1)], prec) + LaurentSeries.monomial(
+            field, field.from_index(rng.randrange(field.q)), j, prec)
+        u = u * factor
+        expected += witt_pairing(z, factor)
+    assert witt_pairing(z, u) == expected % field.p ** (m + 1)
 
 
 # -- lambda factors -----------------------------------------------------------------

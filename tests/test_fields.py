@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from ramify.errors import CapExceeded, EvenCharacteristic, NotASquare, NotPrime, ZeroInput
-from ramify.fields import FiniteField, WittCoeffRing, make_field
+from ramify import jsonio
+from ramify.errors import (
+    CapExceeded, EvenCharacteristic, NotASquare, NotPrime, SchemaError, ZeroInput,
+)
+from ramify.fields import FiniteField, WittCoeffRing, field_from_q, make_field
+from ramify.series import LaurentSeries
 
 
 def brute_order(x, one, cap):
@@ -44,6 +48,32 @@ def test_not_prime_rejected():
 def test_cap():
     with pytest.raises(CapExceeded):
         FiniteField(3, 2, cap=5)
+
+
+def test_decoded_fields_are_interned():
+    # ring checks compare fields with `is`: every decode path must hand back
+    # the one interned field, so elements of two decodes mix freely
+    first = jsonio.field_from_json({"p": 3, "f": 2})
+    second = jsonio.field_from_json({"p": 3, "f": 2})
+    assert first is second is make_field(3, 2) is field_from_q(9)
+    x = jsonio.element_from_json(first, 5, "x")
+    y = jsonio.element_from_json(second, 7, "y")
+    assert (x * y) * y.inverse() == x
+    s = LaurentSeries.from_terms(first, {-1: x}, 4)
+    u = LaurentSeries.from_terms(second, {0: y}, 4)
+    assert (s * u).leading_coefficient() == x * y
+
+
+@pytest.mark.parametrize("q,pf", [(3, (3, 1)), (25, (5, 2)), (243, (3, 5))])
+def test_field_from_q(q, pf):
+    F = field_from_q(q)
+    assert (F.p, F.f) == pf
+
+
+@pytest.mark.parametrize("q", [0, 1, 12, 45])
+def test_field_from_q_rejects_non_prime_powers(q):
+    with pytest.raises(SchemaError):
+        field_from_q(q)
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3), (11, 1)])

@@ -23,7 +23,10 @@ F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 
 
-def fq_series(field, min_val=-6, max_val=6, max_len=10, min_len=1):
+def fq_series(field, min_val=-6, max_val=6, max_len=10, min_len=1, unit_lead=False):
+    """Series on a window of min_len..max_len coefficients from val.  Leading
+    zeros are stripped, so only ``unit_lead=True`` (a nonzero first digit)
+    makes min_len bound the window that is left after the valuation."""
     @st.composite
     def build(draw):
         val = draw(st.integers(min_val, max_val))
@@ -31,6 +34,8 @@ def fq_series(field, min_val=-6, max_val=6, max_len=10, min_len=1):
         idxs = draw(
             st.lists(st.integers(0, field.q - 1), min_size=length, max_size=length)
         )
+        if unit_lead:
+            idxs[0] = draw(st.integers(1, field.q - 1))
         return LaurentSeries.make(
             field, val, [field.from_index(i) for i in idxs], val + length
         )
@@ -263,16 +268,24 @@ def test_substitute_dilated_is_ring_hom(a, r, theta_idx):
 
 
 @settings(max_examples=40, deadline=None)
-@given(fq_series(F5, min_val=-5, max_val=5, max_len=8, min_len=4),
+@given(fq_series(F5, min_val=-5, max_val=5, max_len=8, min_len=4, unit_lead=True),
        st.integers(1, 3), st.integers(1, 4))
 def test_dilation_ratio_has_positive_depth(s, r, theta_idx):
     # u(s)/s - 1 vanishes to order >= r
-    if s.is_zero():
-        return
     theta = F5.from_index(theta_idx)
     ratio = substitute_dilated(s, r, theta) * s.inverse()
     one = LaurentSeries.t_power(F5, 0, ratio.prec)
     assert (ratio - one).has_ord_at_least(r)
+
+
+def test_dilation_ratio_on_a_short_window_cannot_certify_depth():
+    # s = t^3 + O(t^4) leaves one known coefficient, so u(s)/s - 1 is known
+    # only mod t: ord >= 2 cannot be certified, and the library says so
+    s = poly(F5, [(3, 1)], 4)
+    ratio = substitute_dilated(s, 2, F5.from_index(1)) * s.inverse()
+    one = LaurentSeries.t_power(F5, 0, ratio.prec)
+    with pytest.raises(PrecisionExhausted):
+        (ratio - one).has_ord_at_least(2)
 
 
 def test_dilation_taylor_expansion():

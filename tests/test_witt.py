@@ -1,5 +1,6 @@
 """Witt-vector group law, filtration, differential, and reduction."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -147,6 +148,27 @@ def test_table_disk_cache(tmp_path, monkeypatch):
     second = UniversalWittTable.get(3, 2)
     assert second.sum_terms(1) == first.sum_terms(1)
     assert second.twist_terms(1) == first.twist_terms(1)
+
+
+def test_table_disk_cache_write_is_atomic(tmp_path, monkeypatch):
+    # a store that fails halfway through the write leaves no truncated
+    # table behind for the next process to load
+    import ramify.witt as wmod
+
+    def half_dump(obj, fh):
+        fh.write(json.dumps(obj)[:40])
+        raise OSError("disk full")
+
+    table = UniversalWittTable.get(3, 2)
+    monkeypatch.setenv(wmod.CACHE_ENV, str(tmp_path))
+    monkeypatch.setattr(wmod.json, "dump", half_dump)
+    table._store_to_disk()
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setenv(wmod.CACHE_ENV, str(tmp_path))
+    table._store_to_disk()
+    assert [f.name for f in tmp_path.iterdir()] == ["witt-p3-len2.json"]
+    assert wmod.UniversalWittTable._load_from_disk(3, 2).sum_terms(1) == table.sum_terms(1)
 
 
 # -- group law -----------------------------------------------------------------
