@@ -61,6 +61,12 @@ def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None,
     of w_m(z)).  Optional ``entry_lifts`` / ``unit_lift`` replace the default
     coefficient-wise lifts; any choice gives the same answer mod p^(m+1),
     which the test suite checks by perturbing them.
+
+    The residue of w * dlog(u~) reads dlog(u~) up to t^(-1-ord w), hence u~
+    only up to t^(ord u - ord w).  Without ``unit_lift``, u is cut to that
+    window (never shorter than its leading coefficient) before it is lifted,
+    so a long unit costs no more than a short one; the value is exact for
+    any representative z, reduced or not.
     """
     if m is not None and m != z.m:
         raise LengthMismatch(f"pairing level {m} != Witt length {z.m + 1} - 1")
@@ -69,14 +75,10 @@ def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None,
     if u.is_zero():
         raise ZeroArgument("cannot pair against the zero series")
     R, w = pairing_series(z, entry_lifts=entry_lifts)
-    uu = unit_lift if unit_lift is not None else map_coefficients(u, R.lift, R)
-    return pair_lifted_unit(R, w, uu)
-
-
-def pair_lifted_unit(R, w, uu) -> int:
-    """-Tr_R(res(w * dlog(uu))) mod p^(m+1) for (R, w) from ``pairing_series``
-    and a unit ``uu`` already lifted to R."""
-    return (-R.trace(residue(w * uu.dlog()))) % R.modulus_int
+    if unit_lift is None:
+        u = u.truncate(u.valuation() + max(1, 1 - w.ord_lower_bound()))
+        unit_lift = map_coefficients(u, R.lift, R)
+    return (-R.trace(residue(w * unit_lift.dlog()))) % R.modulus_int
 
 
 # -- multiplicative characters ------------------------------------------------

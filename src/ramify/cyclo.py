@@ -100,7 +100,7 @@ def _reduce_mod_phi(coeffs, N):
         # top coefficient is now zero
     out = coeffs[:deg]
     out += [Fraction(0)] * (deg - len(out))
-    return tuple(Fraction(c) for c in out)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in out)
 
 
 class CycloNumber:
@@ -111,7 +111,7 @@ class CycloNumber:
     def __init__(self, N: int, coeffs):
         self.N = N
         deg = euler_phi(N)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         assert len(coeffs) == deg, (len(coeffs), deg)
         self.coeffs = coeffs
 

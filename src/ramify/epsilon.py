@@ -2,8 +2,9 @@
 
 Everything is exact: values are cyclotomic numbers, scalars are Fractions.
 The quadratic Gauss sum G satisfies G^2 = kappa0(-1) * q, so inverse powers
-of G reduce to rational scalings of 1 or G -- no generic cyclotomic
-inversion happens in the evaluation loops.
+of G reduce to rational scalings of 1 or G, and chi^{-1}(c) is built from the
+negated exponents of chi(c) -- no generic cyclotomic inversion happens in the
+evaluation loops, only chi(t) is ever inverted.
 
 The brute-force Tate-integral oracle sums chi^{-1}(x) psi(x) over valuation
 shells with the Haar measure normalized by vol(O) = 1.  Within one shell of
@@ -13,8 +14,9 @@ exact value of the shell integral, and every shell except v0 = -a - d must
 vanish; the oracle asserts this instead of assuming it.  The cosets are walked
 in multiplicative coordinates u = u0 * prod_{0<j<A} (1 + x_j t^j): the wild
 exponent is v [a, t) plus one pairing [a, 1 + x t^j) per factor, tabulated
-once per call by the library's residue pairing; the tame exponent reads
-dlog u0 and the psi exponent the additive digits of u.
+once per call from the logarithm series of 1 + x t^j against w_m(a) (no
+series division); the tame exponent reads dlog u0 and the psi exponent the
+additive digits of u.
 """
 
 from collections import Counter
@@ -25,14 +27,14 @@ from .characters import (
     AdditiveCharacter,
     QuasiCharacter,
     char_eval,
+    char_eval_exponents,
     conductor,
     gauge,
     hilbert_symbol,
-    pair_lifted_unit,
     pairing_series,
     psi_eval,
 )
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, root_of_unity
 from .errors import (
     CapExceeded,
     InseparableInput,
@@ -42,7 +44,7 @@ from .errors import (
     WildInput,
     ZeroInput,
 )
-from .series import LaurentSeries, decompose_over_base, map_coefficients
+from .series import LaurentSeries, decompose_over_base
 from .witt import fil_level, witt_differential
 
 DEFAULT_COSET_CAP = 300_000
@@ -142,7 +144,13 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
     c, n, r = _stationary_full(chi, psi)
     if c_override is not None:
         c = c_override
-    value = char_eval(chi, c) ** (-1) * psi_eval(psi, c)
+    # chi^{-1}(c) from the negated exponents: only chi(t) is ever inverted
+    v, dc, wc = char_eval_exponents(chi, c)
+    value = chi.uniformizer_value ** (-v) * psi_eval(psi, c)
+    if dc:
+        value = value * root_of_unity(field.q - 1, -dc)
+    if wc:
+        value = value * root_of_unity(field.p ** (chi.m + 1), -wc)
     value = value * Fraction(field.q) ** (-c.valuation())
     if (n * (n + 1) // 2) % 2:
         value = value * field.kappa0(-field.one)
@@ -169,20 +177,31 @@ def epsilon0(chi: QuasiCharacter, psi: AdditiveCharacter) -> EpsilonResult:
 
 def _unit_pairings(chi, depth):
     """(pair_t, P) with pair_t = [a, t) and P[j][x] = [a, 1 + x t^j) for
-    1 <= j < depth, a the reduced wild part; (0, None) for a tame chi."""
+    1 <= j < depth, a the reduced wild part; (0, None) for a tame chi.
+
+    With w = w_m(a~), dlog(1 + x t^j) = sum_{k>=1} (-1)^(k-1) j x^k t^(jk-1)
+    needs no division, so [a, 1 + x t^j) = -Tr(sum_{jk <= -ord w} (-1)^(k-1)
+    j x~^k w_{-jk}) and [a, t) = -Tr(w_0): a few ring products per entry.
+    """
     if not chi.has_wild_part() or chi.reduced_wild()[0].is_zero():
         return 0, None
     field = chi.field
     R, w = pairing_series(chi.reduced_wild()[0])
-    prec = max(depth, 2 - w.valuation(), 2)  # dlog coefficients reach w's poles
+    M = R.modulus_int
+    kmax = -w.ord_lower_bound()  # w_{-jk} = 0 once jk > kmax
+    powers = []  # powers[x][k] = x~^k
+    for x in range(field.q):
+        xt, row = R.lift(field.from_index(x)), [R.one]
+        for _ in range(kmax):
+            row.append(row[-1] * xt)
+        powers.append(row)
 
-    def pair(terms):
-        u = LaurentSeries.from_terms(field, terms, prec)
-        return pair_lifted_unit(R, w, map_coefficients(u, R.lift, R))
+    def pair(j, x):
+        return (-j * sum((-1) ** (k - 1) * R.trace(powers[x][k] * w.coefficient(-j * k))
+                         for k in range(1, kmax // j + 1))) % M
 
-    return pair({1: field.one}), [None] + [
-        [pair({0: field.one, j: field.from_index(x)}) for x in range(field.q)]
-        for j in range(1, depth)]
+    return (-R.trace(w.coefficient(0))) % M, [None] + [
+        [pair(j, x) for x in range(field.q)] for j in range(1, depth)]
 
 
 def _shell_sum(chi, psi, v, depth, unit_pairings):

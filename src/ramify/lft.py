@@ -72,6 +72,7 @@ from .errors import (
 from .series import LaurentSeries, promote, substitute_dilated
 from .witt import (
     WittVector,
+    _ceil_div,
     dilate,
     dilation_defect_sum,
     fil_level,
@@ -85,10 +86,6 @@ from .witt import (
 
 ORIGIN = "0"
 INFINITY = "infinity"
-
-
-def _ceil_div(x: int, y: int) -> int:
-    return -((-x) // y)
 
 
 def _nu(s: LaurentSeries) -> int:

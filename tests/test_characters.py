@@ -14,6 +14,7 @@ from ramify.characters import (
     gauge,
     hilbert_symbol,
     kummer_char,
+    pairing_series,
     psi_eval,
     psi_eval_exponent,
     witt_pairing,
@@ -238,6 +239,42 @@ def test_pairing_lift_independence():
                 R.from_int(p)
             )
             assert witt_pairing(z, u, unit_lift=uu * factor) == base
+
+
+def test_pairing_unit_cut_matches_full_lift():
+    # without unit_lift, u is cut to [ord u, ord u - ord w] before lifting;
+    # passing the full lift skips the cut, on unreduced z and long units
+    rng = random.Random(16)
+    for field in (F3, F5, F9):
+        for m in (0, 1):
+            R = WittCoeffRing.for_field(field, m)
+            for _ in range(6):
+                z = rng_wild(field, m, rng, min_val=-3, length=20)
+                u = rng_series(field, rng, rng.randrange(-3, 4), 40)
+                if u.is_zero():
+                    continue
+                _R, w = pairing_series(z)
+                assert u.prec > u.valuation() + 1 - w.valuation()  # the cut bites
+                full = map_coefficients(u, R.lift, R)
+                assert witt_pairing(z, u) == witt_pairing(z, u, unit_lift=full)
+
+
+def test_pairing_unit_window_is_tight():
+    # u known mod t^(ord u + 1 - ord w) pairs; one coefficient fewer raises
+    rng = random.Random(17)
+    for field, m in ((F3, 0), (F3, 1), (F5, 0), (F5, 1), (F9, 0)):
+        for _ in range(6):
+            z = rng_wild(field, m, rng, min_val=-3, length=20)
+            _R, w = pairing_series(z)
+            if w.valuation() is None or w.valuation() > -1:
+                continue
+            v = rng.randrange(-3, 4)
+            need = v + 1 - w.valuation()
+            u = LaurentSeries.make(
+                field, v, [field.from_index(rng.randrange(1, field.q)) for _ in range(need - v)], need)
+            witt_pairing(z, u)
+            with pytest.raises(PrecisionExhausted):
+                witt_pairing(z, u.truncate(need - 1))
 
 
 # -- quasi-characters ----------------------------------------------------------

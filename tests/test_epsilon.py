@@ -17,6 +17,7 @@ from ramify.characters import (
     conductor,
     hilbert_symbol,
     kummer_char,
+    pairing_series,
     psi_eval,
     psi_eval_exponent,
     witt_pairing,
@@ -376,6 +377,27 @@ def test_shell_sum_matches_digit_enumeration(case):
         ref = reference_shell_sum(chi, psi, v, depth)
         assert _shell_sum(chi, psi, v, depth, tables) == ref, (case, v, depth)
         assert ref.is_zero() == (v != v0), (case, v, v0)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_unit_pairing_table_matches_series_pairing(case):
+    # the log-series entries against witt_pairing itself, for q in {3, 5, 9} x
+    # m in {0, 1}: every row the oracle reads, and rows past -ord(w) (all 0);
+    # case 5 is the sw = 0 constant twist, where only [a, t) is nonzero
+    chi, psi = _oracle_cases()[case]
+    field = chi.field
+    red, _ = chi.reduced_wild()
+    a, _sw = conductor(chi)
+    d = psi.ord
+    _R, w = pairing_series(red)
+    depth = max([max(a, -d - v, 1) for v in range(-a - d - 2, -d + 3)] + [2 - w.valuation()])
+    pair_t, P = _unit_pairings(chi, depth)
+    assert pair_t == witt_pairing(red, LaurentSeries.t_power(field, 1, 2 * depth))
+    assert len(P) == depth
+    for j in range(1, depth):
+        for x in range(field.q):
+            u = LaurentSeries.from_terms(field, {0: field.one, j: field.from_index(x)}, 2 * depth)
+            assert P[j][x] == witt_pairing(red, u), (case, j, x)
 
 
 @pytest.mark.parametrize("field,m,seed", [(F3, 0, 1), (F3, 1, 2), (F5, 1, 3), (F9, 0, 4), (F9, 1, 5)])
