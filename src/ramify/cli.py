@@ -5,7 +5,7 @@ result leaves as a single JSON object on stdout, and a one-line summary
 goes to stderr.  Exit codes: 0 when the computation succeeds and every
 identity the job asserts holds; 2 when an asserted identity fails (stdout
 then carries a diagnostic naming the first failing factor); 1 for
-malformed input or an insufficient precision window.
+malformed input, a usage error or an insufficient precision window.
 
 Randomized subcommands (verify-laumon and congruence without explicit
 operands, selftest) draw from ``random.Random(seed)``; the default seed
@@ -18,10 +18,11 @@ import argparse
 import json
 import random
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field as _dcfield
 
 from . import jsonio
-from .characters import AdditiveCharacter, conductor, hilbert_symbol
+from .characters import conductor, hilbert_symbol
 from .cyclo import CycloNumber, pretty
 from .epsilon import (
     TotallyRamifiedExt,
@@ -32,7 +33,7 @@ from .epsilon import (
     quad_gauss,
 )
 from .errors import RamifyError, SchemaError, VerificationFailure
-from .fields import FiniteField, field_from_q
+from .fields import field_from_q
 from .jsonio import DEFAULT_PREC
 from .lft import (
     DKInput,
@@ -41,6 +42,7 @@ from .lft import (
     congruence_check,
     dk_dimension,
     dk_phi,
+    full_stationary_c,
     gamma,
     guaranteed_mod_t,
     lft_descriptor,
@@ -50,19 +52,40 @@ from .lft import (
     verify_laumon,
     LegendreTriple,
 )
-from .witt import (
-    CACHE_ENV,
-    refined_swan,
-    swan_conductor,
-    witt_differential,
-)
+from .witt import CACHE_ENV, refined_swan, swan_conductor
 
 DEFAULT_SEED = 0
 
-COMMANDS = (
-    "swan", "rsw", "epsilon", "lambda", "hilbert", "gauss",
-    "legendre-check", "lft", "verify-laumon", "congruence",
-    "dk-dim", "selftest",
+
+@dataclass(frozen=True)
+class Flag:
+    """One command-line flag and the payload key it fills.
+
+    ``kind`` is "int", "bool", a tuple of choices, "json" (a raw JSON
+    value), "field" (the --p/--f/--q group, payload key "field"), or the
+    name of the ``jsonio`` decoder of a JSON operand: "witt", "series",
+    "char" or "psi".  ``default`` is the payload value used when the key
+    is absent or null.
+    """
+
+    key: str
+    kind: object
+    help: str | None = None
+    required: bool = False
+    default: object = None
+
+
+# help text, implementation, flags in --help order
+Command = namedtuple("Command", "help op flags")
+
+
+_OPERANDS = ("witt", "series", "char", "psi")
+
+_FIELD_ARGS = (
+    ("--p", {"type": int, "help": "residue characteristic (odd prime)"}),
+    ("--f", {"type": int, "default": 1, "help": "extension degree over F_p"}),
+    ("--q", {"type": int,
+             "help": "residue-field size as a prime power (alternative to --p/--f)"}),
 )
 
 
@@ -70,56 +93,25 @@ COMMANDS = (
 class JobSpec:
     """One validated job: a command name plus its canonical JSON payload.
 
-    The payload holds the residue-field spec, optional Witt length m,
-    operand encodings, and flags (oracle, precision, seed); it is schema
-    checked before dispatch and unknown fields are rejected.
+    The payload holds the residue-field spec, operand encodings, and flags
+    (oracle, precision, seed).  ``run`` checks it against the command's
+    flags before dispatch: unknown keys are rejected, a null value counts
+    as an absent key, and absent keys take the flag's default.
     """
 
     command: str
     payload: dict = _dcfield(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in COMMAND_TABLE:
             raise SchemaError(f"unknown command {self.command!r}")
 
 
-# -- payload helpers -------------------------------------------------------------
+# -- command implementations: each takes the decoded payload ---------------------
 
 
-def _field_of(payload) -> FiniteField:
-    return jsonio.field_from_json(payload["field"])
-
-
-def _prec_of(payload) -> int:
-    return jsonio.strict_int(payload.get("prec", DEFAULT_PREC), "prec")
-
-
-def _seed_of(payload) -> int:
-    return jsonio.strict_int(payload.get("seed", DEFAULT_SEED), "seed")
-
-
-def _series_arg(field, payload, key, prec):
-    return jsonio.series_from_json(field, payload[key], key, prec)
-
-
-def _conductor_list(chi) -> list:
-    a, sw = conductor(chi)
-    return [a, sw]
-
-
-def _require(payload, what, required, optional):
-    jsonio.check_keys(payload, what, required=required, optional=optional)
-
-
-# -- command implementations -----------------------------------------------------
-
-
-def _op_swan(payload):
-    _require(payload, "swan", ("field", "a"), ("prec",))
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    a = jsonio.witt_from_json(field, payload["a"], "a", prec)
-    sw, reduced, _ = swan_conductor(a)
+def _op_swan(job):
+    sw, reduced, _ = swan_conductor(job.a)
     if sw == 0:
         result = {"swan": 0, "conductor": 0, "rsw": None}
         return result, "swan 0 (integral class)"
@@ -132,29 +124,18 @@ def _op_swan(payload):
     return result, f"swan {sw}, conductor exponent {sw + 1}"
 
 
-def _op_rsw(payload):
-    _require(payload, "rsw", ("field", "a"), ("prec",))
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    a = jsonio.witt_from_json(field, payload["a"], "a", prec)
-    _sw, reduced, _ = swan_conductor(a)
+def _op_rsw(job):
+    _sw, reduced, _ = swan_conductor(job.a)
     n, coeff = refined_swan(reduced)
     result = {"n": n, "coeff": jsonio.element_str(coeff), "swan": n}
     return result, f"depth {n}, leading coefficient {jsonio.element_str(coeff)}"
 
 
-def _op_epsilon(payload):
-    _require(payload, "epsilon", ("field", "char"), ("psi", "oracle", "prec"))
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    chi = jsonio.char_from_json(field, payload["char"], "char", prec)
-    if "psi" in payload:
-        psi = jsonio.psi_from_json(field, payload["psi"], "psi", prec)
-    else:
-        psi = AdditiveCharacter(jsonio.series_from_json(field, {"0": 1}, "psi", prec))
+def _op_epsilon(job):
+    chi, psi = job.char, job.psi
     eps = epsilon0(chi, psi)
     oracle_match = None
-    if payload.get("oracle"):
+    if job.oracle:
         oracle = epsilon_tate_oracle(chi, psi)
         oracle_match = oracle == eps.value
         if not oracle_match:
@@ -169,19 +150,15 @@ def _op_epsilon(payload):
     result = {
         "value": pretty(eps.value),
         "branch": eps.branch,
-        "conductor": _conductor_list(chi),
+        "conductor": list(conductor(chi)),
         "c": jsonio.series_to_json(eps.c) if eps.c is not None else None,
         "oracle_match": oracle_match,
     }
     return result, f"epsilon0 = {result['value']} ({eps.branch})"
 
 
-def _op_lambda(payload):
-    _require(payload, "lambda", ("field", "b"), ("prec",))
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    b = _series_arg(field, payload, "b", prec)
-    ext = TotallyRamifiedExt(b)
+def _op_lambda(job):
+    ext = TotallyRamifiedExt(job.b)
     lam = lambda_factor(ext)
     result = {
         "value": pretty(lam.value),
@@ -192,19 +169,13 @@ def _op_lambda(payload):
     return result, f"lambda = {result['value']} for a degree-{ext.degree} extension"
 
 
-def _op_hilbert(payload):
-    _require(payload, "hilbert", ("field", "x", "y"), ("prec",))
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    x = _series_arg(field, payload, "x", prec)
-    y = _series_arg(field, payload, "y", prec)
-    result = {"symbol": hilbert_symbol(x, y)}
+def _op_hilbert(job):
+    result = {"symbol": hilbert_symbol(job.x, job.y)}
     return result, f"(x, y) = {result['symbol']}"
 
 
-def _op_gauss(payload):
-    _require(payload, "gauss", ("field",), ())
-    field = _field_of(payload)
+def _op_gauss(job):
+    field = job.field
     G = quad_gauss(field)
     G2 = G * G
     rhs = CycloNumber.from_rational(1, field.kappa0(-field.one) * field.q)
@@ -219,24 +190,11 @@ def _op_gauss(payload):
     return result, f"G = {result['G']}, G^2 = {result['G2']}"
 
 
-def _triple_from_payload(field, payload, prec, m):
-    a = jsonio.witt_from_json(field, payload["a"], "a", prec)
-    if a.m != m:
-        raise SchemaError(f"a has Witt length m = {a.m}, job says m = {m}")
-    b = _series_arg(field, payload, "b", prec)
-    if payload.get("c") is not None:
-        c = _series_arg(field, payload, "c", prec)
-    else:
-        c = stationary_c(a, b)
-    return a, b, c
-
-
-def _op_legendre_check(payload):
-    _require(payload, "legendre-check", ("field", "a", "b"), ("c", "m", "prec"))
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    m = jsonio.strict_int(payload.get("m", 0), "m")
-    a, b, c = _triple_from_payload(field, payload, prec, m)
+def _op_legendre_check(job):
+    a, b = job.a, job.b
+    if a.m != job.m:
+        raise SchemaError(f"a has Witt length m = {a.m}, job says m = {job.m}")
+    c = job.c if job.c is not None else stationary_c(a, b)
     ok, cond, diag = check_legendre(a, b, c)
     stamp = guaranteed_mod_t(a, b, c)
     if not ok:
@@ -270,24 +228,10 @@ def _op_legendre_check(payload):
     return result, f"admissible, conductor triple {tuple(cond)}"
 
 
-def _op_lft(payload):
-    _require(
-        payload, "lft",
-        ("field", "char", "b"),
-        ("c", "m", "source", "prec"),
-    )
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    chi = jsonio.char_from_json(field, payload["char"], "char", prec)
-    b = _series_arg(field, payload, "b", prec)
-    source = payload.get("source", "0")
-    if source not in ("0", "infinity"):
-        raise SchemaError(f"source must be '0' or 'infinity', got {source!r}")
-    if payload.get("c") is not None:
-        c = _series_arg(field, payload, "c", prec)
-    else:
-        c = stationary_c(chi.wild, b)
-    desc = lft_descriptor(chi, b, c, source=source)
+def _op_lft(job):
+    chi, b = job.char, job.b
+    c = job.c if job.c is not None else stationary_c(chi.wild, b)
+    desc = lft_descriptor(chi, b, c, source=job.source)
     result = {
         "source": desc.source,
         "target": desc.target,
@@ -299,40 +243,25 @@ def _op_lft(payload):
             "uniformizer_value": pretty(desc.pushed.uniformizer_value),
             "wild": jsonio.witt_to_json(desc.pushed.wild)
             if desc.pushed.has_wild_part() else None,
-            "conductor": _conductor_list(desc.pushed),
+            "conductor": list(conductor(desc.pushed)),
         },
         "gauss_twist": pretty(desc.gauss_twist),
         "guaranteed_mod_t": guaranteed_mod_t(chi.wild, b, c),
     }
-    return result, (
-        f"transform: {desc.source} -> {desc.target}, degree {desc.degree}"
-    )
+    return result, f"transform: {desc.source} -> {desc.target}, degree {desc.degree}"
 
 
-def _op_verify_laumon(payload):
-    _require(
-        payload, "verify-laumon",
-        ("field",),
-        ("char", "b", "c", "m", "oracle", "seed", "prec"),
-    )
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    m = jsonio.strict_int(payload.get("m", 0), "m")
-    oracle = bool(payload.get("oracle"))
-    if payload.get("char") is not None:
-        if payload.get("b") is None:
+def _op_verify_laumon(job):
+    if job.char is not None:
+        if job.b is None:
             raise SchemaError("verify-laumon: explicit char needs b as well")
-        chi = jsonio.char_from_json(field, payload["char"], "char", prec)
-        b = _series_arg(field, payload, "b", prec)
-        c = None
-        if payload.get("c") is not None:
-            c = _series_arg(field, payload, "c", prec)
+        chi, b, c = job.char, job.b, job.c
     else:
-        rng = random.Random(_seed_of(payload))
-        triple = random_legendre_triple(field, m, rng, prec=prec)
+        rng = random.Random(job.seed)
+        triple = random_legendre_triple(job.field, job.m, rng, prec=job.prec)
         chi = character_for_triple(triple)
         b, c = triple.b, triple.c
-    report = verify_laumon(chi, b, c, oracle=oracle)
+    report = verify_laumon(chi, b, c, oracle=job.oracle)
     if not report.ok:
         raise VerificationFailure(
             "stationary-phase factorization identity failed",
@@ -348,7 +277,7 @@ def _op_verify_laumon(payload):
         "product_identity": report.product_identity,
         "lhs_equals_rhs": report.lhs_equals_rhs,
     }
-    if oracle:
+    if job.oracle:
         result["oracle_match"] = report.oracle_match
     return result, (
         f"identity holds: lhs = rhs = {pretty(report.lhs)}, "
@@ -356,42 +285,24 @@ def _op_verify_laumon(payload):
     )
 
 
-def _op_congruence(payload):
-    _require(
-        payload, "congruence",
-        ("field", "which"),
-        ("a", "b", "c", "m", "r", "theta_samples", "seed", "prec"),
-    )
-    field = _field_of(payload)
-    prec = _prec_of(payload)
-    m = jsonio.strict_int(payload.get("m", 0), "m")
-    which = payload["which"]
-    if which not in ("key1", "key6", "key7"):
-        raise SchemaError(f"which must be key1, key6 or key7, got {which!r}")
-    seed = _seed_of(payload)
-    samples = jsonio.strict_int(payload.get("theta_samples", 20), "theta_samples")
-    r = jsonio.strict_int(payload.get("r", 1), "r")
-    if payload.get("a") is not None:
-        a = jsonio.witt_from_json(field, payload["a"], "a", prec)
-        b = c = None
-        if payload.get("b") is not None:
-            b = _series_arg(field, payload, "b", prec)
-        if payload.get("c") is not None:
-            c = _series_arg(field, payload, "c", prec)
+def _op_congruence(job):
+    which = job.which
+    if job.a is not None:
+        a, b, c = job.a, job.b, job.c
         if which != "key1" and (b is None or c is None):
             raise SchemaError(f"{which} needs both b and c")
     else:
-        rng = random.Random(seed)
-        triple = random_legendre_triple(field, m, rng, prec=prec)
+        rng = random.Random(job.seed)
+        triple = random_legendre_triple(job.field, job.m, rng, prec=job.prec)
         a, b = triple.a, triple.b
         if which == "key1":
             b = c = None
         else:
             # the full-window stationary scale, so the defect of
             # alpha + c b' is certified small enough for key6/key7
-            c = -(witt_differential(a) * b.derivative().inverse())
+            c = full_stationary_c(a, b)
     report = congruence_check(
-        which, a, b, c, r=r, theta_samples=samples, seed=seed,
+        which, a, b, c, r=job.r, theta_samples=job.theta_samples, seed=job.seed,
     )
     stamp = guaranteed_mod_t(*(x for x in (a, b, c) if x is not None))
     if not report.ok:
@@ -423,10 +334,8 @@ def _op_congruence(payload):
     )
 
 
-def _op_dk_dim(payload):
-    _require(payload, "dk-dim", ("horizontal", "vertical"), ("delta",))
-    horizontal = payload["horizontal"]
-    vertical = payload["vertical"]
+def _op_dk_dim(job):
+    horizontal, vertical = job.horizontal, job.vertical
     if not isinstance(horizontal, list) or not isinstance(vertical, list):
         raise SchemaError("dk-dim: horizontal and vertical must be lists")
     hor = []
@@ -439,7 +348,7 @@ def _op_dk_dim(payload):
         if not isinstance(row, list) or len(row) != 2 or not isinstance(row[0], str):
             raise SchemaError(f"dk-dim: vertical row {row!r} is not [kind, value]")
         ver.append((row[0], jsonio.strict_int(row[1], "value")))
-    delta = jsonio.strict_int(payload.get("delta", 0), "delta")
+    delta = job.delta
     inp = DKInput(tuple(hor), tuple(ver), delta)
     phi_eta, phi_s = dk_phi(inp)
     dim = dk_dimension(inp)
@@ -452,9 +361,8 @@ def _op_dk_dim(payload):
     return result, f"dimension {dim} = {phi_eta} + 2*{delta} - {phi_s}"
 
 
-def _op_selftest(payload):
-    _require(payload, "selftest", (), ("seed",))
-    seed = _seed_of(payload)
+def _op_selftest(job):
+    seed = job.seed
     checks = []
 
     def check(name, fn):
@@ -513,48 +421,138 @@ def _op_selftest(payload):
     return result, f"{len(checks)} checks passed"
 
 
-_OPS = {
-    "swan": _op_swan,
-    "rsw": _op_rsw,
-    "epsilon": _op_epsilon,
-    "lambda": _op_lambda,
-    "hilbert": _op_hilbert,
-    "gauss": _op_gauss,
-    "legendre-check": _op_legendre_check,
-    "lft": _op_lft,
-    "verify-laumon": _op_verify_laumon,
-    "congruence": _op_congruence,
-    "dk-dim": _op_dk_dim,
-    "selftest": _op_selftest,
+# -- the command table: every flag, payload key and default, once ----------------
+
+FIELD = Flag("field", "field", required=True)
+PREC = Flag("prec", "int", f"default series window (default {DEFAULT_PREC})",
+            default=DEFAULT_PREC)
+M = Flag("m", "int", "Witt length minus one", default=0)
+A = Flag("a", "witt", "Witt vector JSON", required=True)
+B = Flag("b", "series", "series JSON", required=True)
+STATIONARY_C = Flag("c", "series", "series JSON (default: canonical stationary scale)")
+
+
+def _seed(help_text):
+    return Flag("seed", "int", f"{help_text} (default {DEFAULT_SEED})",
+                default=DEFAULT_SEED)
+
+
+COMMAND_TABLE = {
+    "swan": Command("Swan conductor and refined leading form of a Witt vector",
+                    _op_swan, (FIELD, PREC, A)),
+    "rsw": Command("refined leading form (depth and residue coefficient) only",
+                   _op_rsw, (FIELD, PREC, A)),
+    "epsilon": Command(
+        "local constant of a character by the closed formulas", _op_epsilon,
+        (FIELD, PREC,
+         Flag("char", "char", "character JSON", required=True),
+         Flag("psi", "psi", "additive character JSON (default: omega = dt)",
+              default={"0": 1}),
+         Flag("oracle", "bool", "re-check against the sum-over-cosets oracle"))),
+    "lambda": Command(
+        "lambda factor of the totally ramified extension t = b(s)", _op_lambda,
+        (FIELD, PREC, Flag("b", "series", "series JSON with ord(b) >= 1", required=True))),
+    "hilbert": Command(
+        "quadratic Hilbert symbol (x, y) in {+1, -1}", _op_hilbert,
+        (FIELD, PREC, Flag("x", "series", "series JSON", required=True),
+         Flag("y", "series", "series JSON", required=True))),
+    "gauss": Command("quadratic Gauss sum of the residue field and its square",
+                     _op_gauss, (FIELD,)),
+    "legendre-check": Command("test the stationary-triple conditions on (a, b, c)",
+                              _op_legendre_check, (FIELD, PREC, M, A, B, STATIONARY_C)),
+    "lft": Command(
+        "local Fourier transform descriptor of a monomial character", _op_lft,
+        (FIELD, PREC,
+         Flag("char", "char", "character JSON (wild part required)", required=True),
+         B, STATIONARY_C,
+         Flag("source", ("0", "infinity"), "source point on the line (default 0)",
+              default="0"))),
+    "verify-laumon": Command(
+        "check the stationary-phase factorization identity", _op_verify_laumon,
+        (FIELD, PREC, M,
+         Flag("char", "char", "character JSON (omit for a seeded random triple)"),
+         Flag("b", "series", "series JSON"),
+         Flag("c", "series", "series JSON"),
+         Flag("oracle", "bool", "re-check the epsilon factor against the oracle"),
+         _seed("seed for the random triple"))),
+    "congruence": Command(
+        "theta-specialization congruence suites", _op_congruence,
+        (FIELD, PREC, Flag("which", ("key1", "key6", "key7"), required=True), M,
+         Flag("a", "witt", "Witt vector JSON (omit for a seeded random instance)"),
+         Flag("b", "series", "series JSON (key6/key7)"),
+         Flag("c", "series", "series JSON (key6/key7)"),
+         Flag("r", "int", "dilation depth (default 1)", default=1),
+         Flag("theta_samples", "int", "number of theta specializations (default 20)",
+              default=20),
+         _seed("sampling seed"))),
+    "dk-dim": Command(
+        "nearby-cycle dimension bookkeeping", _op_dk_dim,
+        (Flag("horizontal", "json", "JSON list of [degree, swan] pairs", required=True),
+         Flag("vertical", "json", 'JSON list of ["unramified"|"ramified", value] pairs',
+              required=True),
+         Flag("delta", "int", "contact defect (default 0)", default=0))),
+    "selftest": Command("run the built-in identity suite", _op_selftest,
+                        (_seed("seed for the randomized steps"),)),
 }
+
+
+def _decode(command, payload):
+    """The payload's values by key, checked against the command's flags
+    and decoded: the field first, then the window, then the operands."""
+    flags = COMMAND_TABLE[command].flags
+    jsonio.check_keys(payload, command, optional=[flag.key for flag in flags])
+    job = argparse.Namespace()
+    for flag in flags:
+        value, kind = payload.get(flag.key), flag.kind
+        if value is None:
+            value = flag.default
+        if value is None:
+            if flag.required:
+                raise SchemaError(f"{command}: missing required key {flag.key!r}")
+        elif kind == "field":
+            value = jsonio.field_from_json(value)
+        elif kind == "int":
+            value = jsonio.strict_int(value, flag.key)
+        elif kind == "bool":
+            value = bool(value)
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise SchemaError(f"{flag.key} must be one of {list(kind)}, got {value!r}")
+        elif kind in _OPERANDS:
+            # looked up per call so wrappers installed on jsonio see it
+            decoder = getattr(jsonio, f"{kind}_from_json")
+            value = decoder(job.field, value, flag.key, job.prec)
+        setattr(job, flag.key, value)
+    return job
 
 
 def run(job: JobSpec):
     """Dispatch one validated job; returns (result dict, summary line)."""
-    return _OPS[job.command](job.payload)
+    return COMMAND_TABLE[job.command].op(_decode(job.command, job.payload))
 
 
 # -- argument parsing ------------------------------------------------------------
 
 
-def _json_flag(text, what):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{what}: not valid JSON ({exc})")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a SchemaError instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SchemaError(f"{self.prog}: {message}")
 
 
 def _field_payload(args) -> dict:
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
         fld = field_from_q(args.q)
         return {"p": fld.p, "f": fld.f}
-    if getattr(args, "p", None) is None:
+    if args.p is None:
         raise SchemaError("specify the residue field with --p/--f or --q")
     return {"p": args.p, "f": args.f}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramify",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -564,172 +562,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, needs_field=True):
-        cmd = sub.add_parser(name, help=help_text)
-        if needs_field:
-            cmd.add_argument("--p", type=int, help="residue characteristic (odd prime)")
-            cmd.add_argument("--f", type=int, default=1, help="extension degree over F_p")
-            cmd.add_argument("--q", type=int, help="residue-field size as a prime power (alternative to --p/--f)")
-            cmd.add_argument("--prec", type=int, default=DEFAULT_PREC,
-                             help=f"default series window (default {DEFAULT_PREC})")
-        return cmd
-
-    cmd = add("swan", "Swan conductor and refined leading form of a Witt vector")
-    cmd.add_argument("--a", required=True, help="Witt vector JSON")
-
-    cmd = add("rsw", "refined leading form (depth and residue coefficient) only")
-    cmd.add_argument("--a", required=True, help="Witt vector JSON")
-
-    cmd = add("epsilon", "local constant of a character by the closed formulas")
-    cmd.add_argument("--char", required=True, help="character JSON")
-    cmd.add_argument("--psi", help="additive character JSON (default: omega = dt)")
-    cmd.add_argument("--oracle", action="store_true",
-                     help="re-check against the sum-over-cosets oracle")
-
-    cmd = add("lambda", "lambda factor of the totally ramified extension t = b(s)")
-    cmd.add_argument("--b", required=True, help="series JSON with ord(b) >= 1")
-
-    cmd = add("hilbert", "quadratic Hilbert symbol (x, y) in {+1, -1}")
-    cmd.add_argument("--x", required=True, help="series JSON")
-    cmd.add_argument("--y", required=True, help="series JSON")
-
-    add("gauss", "quadratic Gauss sum of the residue field and its square")
-
-    cmd = add("legendre-check", "test the stationary-triple conditions on (a, b, c)")
-    cmd.add_argument("--m", type=int, default=0, help="Witt length minus one")
-    cmd.add_argument("--a", required=True, help="Witt vector JSON")
-    cmd.add_argument("--b", required=True, help="series JSON")
-    cmd.add_argument("--c", help="series JSON (default: canonical stationary scale)")
-
-    cmd = add("lft", "local Fourier transform descriptor of a monomial character")
-    cmd.add_argument("--char", required=True, help="character JSON (wild part required)")
-    cmd.add_argument("--b", required=True, help="series JSON")
-    cmd.add_argument("--c", help="series JSON (default: canonical stationary scale)")
-    cmd.add_argument("--source", default="0", choices=("0", "infinity"),
-                     help="source point on the line (default 0)")
-
-    cmd = add("verify-laumon", "check the stationary-phase factorization identity")
-    cmd.add_argument("--m", type=int, default=0, help="Witt length minus one")
-    cmd.add_argument("--char", help="character JSON (omit for a seeded random triple)")
-    cmd.add_argument("--b", help="series JSON")
-    cmd.add_argument("--c", help="series JSON")
-    cmd.add_argument("--oracle", action="store_true",
-                     help="re-check the epsilon factor against the oracle")
-    cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help=f"seed for the random triple (default {DEFAULT_SEED})")
-
-    cmd = add("congruence", "theta-specialization congruence suites")
-    cmd.add_argument("--which", required=True, choices=("key1", "key6", "key7"))
-    cmd.add_argument("--m", type=int, default=0, help="Witt length minus one")
-    cmd.add_argument("--a", help="Witt vector JSON (omit for a seeded random instance)")
-    cmd.add_argument("--b", help="series JSON (key6/key7)")
-    cmd.add_argument("--c", help="series JSON (key6/key7)")
-    cmd.add_argument("--r", type=int, default=1, help="dilation depth (default 1)")
-    cmd.add_argument("--theta-samples", type=int, default=20,
-                     help="number of theta specializations (default 20)")
-    cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help=f"sampling seed (default {DEFAULT_SEED})")
-
-    cmd = add("dk-dim", "nearby-cycle dimension bookkeeping", needs_field=False)
-    cmd.add_argument("--horizontal", required=True,
-                     help='JSON list of [degree, swan] pairs')
-    cmd.add_argument("--vertical", required=True,
-                     help='JSON list of ["unramified"|"ramified", value] pairs')
-    cmd.add_argument("--delta", type=int, default=0, help="contact defect (default 0)")
-
-    cmd = add("selftest", "run the built-in identity suite", needs_field=False)
-    cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                     help=f"seed for the randomized steps (default {DEFAULT_SEED})")
-
+    for name, command in COMMAND_TABLE.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            if flag.kind == "field":
+                for option, kwargs in _FIELD_ARGS:
+                    cmd.add_argument(option, **kwargs)
+                continue
+            option = "--" + flag.key.replace("_", "-")
+            if flag.kind == "bool":
+                cmd.add_argument(option, action="store_true", help=flag.help)
+            else:
+                # defaults stay out of the parsed flags; run() applies them
+                cmd.add_argument(
+                    option,
+                    type=int if flag.kind == "int" else None,
+                    choices=flag.kind if isinstance(flag.kind, tuple) else None,
+                    required=flag.required,
+                    help=flag.help,
+                )
     return parser
 
 
 def build_job(args) -> JobSpec:
     """Canonicalize parsed flags into a JobSpec payload."""
-    command = args.command
     payload = {}
-    if command in ("swan", "rsw"):
-        payload = {
-            "field": _field_payload(args),
-            "a": _json_flag(args.a, "a"),
-            "prec": args.prec,
-        }
-    elif command == "epsilon":
-        payload = {
-            "field": _field_payload(args),
-            "char": _json_flag(args.char, "char"),
-            "oracle": args.oracle,
-            "prec": args.prec,
-        }
-        if args.psi is not None:
-            payload["psi"] = _json_flag(args.psi, "psi")
-    elif command == "lambda":
-        payload = {
-            "field": _field_payload(args),
-            "b": _json_flag(args.b, "b"),
-            "prec": args.prec,
-        }
-    elif command == "hilbert":
-        payload = {
-            "field": _field_payload(args),
-            "x": _json_flag(args.x, "x"),
-            "y": _json_flag(args.y, "y"),
-            "prec": args.prec,
-        }
-    elif command == "gauss":
-        payload = {"field": _field_payload(args)}
-    elif command == "legendre-check":
-        payload = {
-            "field": _field_payload(args),
-            "m": args.m,
-            "a": _json_flag(args.a, "a"),
-            "b": _json_flag(args.b, "b"),
-            "c": _json_flag(args.c, "c") if args.c is not None else None,
-            "prec": args.prec,
-        }
-    elif command == "lft":
-        payload = {
-            "field": _field_payload(args),
-            "char": _json_flag(args.char, "char"),
-            "b": _json_flag(args.b, "b"),
-            "c": _json_flag(args.c, "c") if args.c is not None else None,
-            "source": args.source,
-            "prec": args.prec,
-        }
-    elif command == "verify-laumon":
-        payload = {
-            "field": _field_payload(args),
-            "m": args.m,
-            "char": _json_flag(args.char, "char") if args.char is not None else None,
-            "b": _json_flag(args.b, "b") if args.b is not None else None,
-            "c": _json_flag(args.c, "c") if args.c is not None else None,
-            "oracle": args.oracle,
-            "seed": args.seed,
-            "prec": args.prec,
-        }
-    elif command == "congruence":
-        payload = {
-            "field": _field_payload(args),
-            "which": args.which,
-            "m": args.m,
-            "a": _json_flag(args.a, "a") if args.a is not None else None,
-            "b": _json_flag(args.b, "b") if args.b is not None else None,
-            "c": _json_flag(args.c, "c") if args.c is not None else None,
-            "r": args.r,
-            "theta_samples": args.theta_samples,
-            "seed": args.seed,
-            "prec": args.prec,
-        }
-    elif command == "dk-dim":
-        payload = {
-            "horizontal": _json_flag(args.horizontal, "horizontal"),
-            "vertical": _json_flag(args.vertical, "vertical"),
-            "delta": args.delta,
-        }
-    elif command == "selftest":
-        payload = {"seed": args.seed}
-    return JobSpec(command, payload)
+    for flag in COMMAND_TABLE[args.command].flags:
+        if flag.kind == "field":
+            payload["field"] = _field_payload(args)
+            continue
+        value = getattr(args, flag.key)
+        if value is None:
+            continue
+        if flag.kind == "json" or flag.kind in _OPERANDS:
+            try:
+                value = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{flag.key}: not valid JSON ({exc})")
+        payload[flag.key] = value
+    return JobSpec(args.command, payload)
 
 
 def _emit(obj) -> str:
@@ -737,10 +608,8 @@ def _emit(obj) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        job = build_job(args)
+        job = build_job(build_parser().parse_args(argv))
         result, summary = run(job)
     except VerificationFailure as exc:
         diagnostic = {"error": "verification-failure", "message": str(exc)}

@@ -161,6 +161,8 @@ def witt_from_json(field: FiniteField, obj, what, default_prec=None) -> WittVect
         obj = {"m": 0, "entries": [obj]}
     check_keys(obj, what, required=("m", "entries"), optional=())
     m = strict_int(obj["m"], f"{what}.m")
+    if m < 0:
+        raise SchemaError(f"{what}.m: Witt length m must be >= 0, got {m}")
     raw = obj["entries"]
     if not isinstance(raw, list):
         raise SchemaError(f"{what}.entries: expected a list of series")

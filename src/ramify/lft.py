@@ -231,15 +231,13 @@ def quadratic_substitute(s: LaurentSeries) -> LaurentSeries:
     )
 
 
-def stationary_c(a: WittVector, b: LaurentSeries,
-                 window: int | None = None) -> LaurentSeries:
-    """The stationary scale c = -alpha / b', truncated to the shortest
-    window that still certifies 2 ord(alpha + c b') >= -n + nu(c).
+def full_stationary_c(a: WittVector, b: LaurentSeries) -> LaurentSeries:
+    """The stationary scale c = -alpha / b' at the full working window.
 
-    The truncation pins the coset c (1 + m^*) that every downstream value
-    depends on while keeping the reported precision honest.  Raises
-    InseparableB when db/dt = 0 and PrecisionExhausted when the working
-    window cannot reach the certification depth.
+    Every c-dependent value is constant on the stationary coset of c and
+    is evaluated at this representative, so residue pairings stay
+    certified.  Raises ZeroInput when a or b is zero, PrecisionExhausted
+    when alpha is 0 to precision and InseparableB when db/dt = 0.
     """
     if a.is_zero():
         raise ZeroInput("wild layer is zero: no stationary scale")
@@ -253,8 +251,22 @@ def stationary_c(a: WittVector, b: LaurentSeries,
     db = b.derivative()
     if db.is_zero():
         raise InseparableB("db/dt = 0: no stationary scale exists over b")
-    n = -(alpha.valuation() + 1)
-    c_full = -(alpha * db.inverse())
+    return -(alpha * db.inverse())
+
+
+def stationary_c(a: WittVector, b: LaurentSeries,
+                 window: int | None = None) -> LaurentSeries:
+    """The stationary scale c = -alpha / b', truncated to the shortest
+    window that still certifies 2 ord(alpha + c b') >= -n + nu(c).
+
+    The truncation pins the coset c (1 + m^*) that every downstream value
+    depends on while keeping the reported precision honest.  Raises the
+    errors of ``full_stationary_c`` and PrecisionExhausted when the working
+    window cannot reach the certification depth.
+    """
+    c_full = full_stationary_c(a, b)
+    # ord(alpha) = ord(c_full) + ord(b')
+    n = -(c_full.valuation() + b.derivative().valuation() + 1)
     dc = c_full.derivative()
     if dc.is_zero():
         raise PrecisionExhausted(
@@ -269,6 +281,18 @@ def stationary_c(a: WittVector, b: LaurentSeries,
             f"only {c_full.prec - c_full.valuation()} are certified"
         )
     return c_full.truncate(c_full.valuation() + window)
+
+
+def _stationary_representative(triple: LegendreTriple) -> LaurentSeries:
+    """``full_stationary_c`` of the triple, asserted to lie in the
+    stationary coset of triple.c, on which every c-dependent factor is
+    constant."""
+    c, n = triple.c, triple.n
+    c_full = full_stationary_c(triple.a, triple.b)
+    assert (c_full - c).has_ord_at_least(
+        c.valuation() + n - (n + 1) // 2 + 1
+    ), "c is outside the stationary coset"
+    return c_full
 
 
 # -- discriminant and square classes -------------------------------------------------
@@ -410,13 +434,9 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries, c: LaurentSeries,
             "transform degree disagrees between its two derivations",
             detail={"from_c": degree, "from_conductors": expected},
         )
-    # assemble the twist at the full-window stationary representative of
-    # the coset of c; the descriptor only depends on the coset
+    # the descriptor only depends on the coset of c
     db = b.derivative()
-    c_eval = -(witt_differential(chi.wild) * db.inverse())
-    assert (c_eval - c).has_ord_at_least(
-        c.valuation() + triple.n - (triple.n + 1) // 2 + 1
-    ), "c is outside the stationary coset"
+    c_eval = _stationary_representative(triple)
     kummer = kummer_char(
         c_eval.derivative() * db.inverse().scale(-field.from_int(2).inverse())
     )
@@ -503,6 +523,10 @@ def congruence_check(which: str, a: WittVector,
         raise InconsistentInput(f"unknown congruence id {which!r}")
     if r < 1:
         raise InconsistentInput(f"dilation order r must be >= 1, got {r}")
+    if theta_samples < 1:
+        raise InconsistentInput(
+            f"theta_samples must be >= 1, got {theta_samples}"
+        )
     if a.is_zero():
         raise HypothesisViolated("wild layer is zero: no depth")
     k = a.ring
@@ -918,13 +942,7 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
     db = b.derivative()
     i = -c.valuation()
     assert 1 + db.valuation() - i == -n
-    # every c-dependent factor is constant on the coset c (1 + m^(n-r+1));
-    # evaluate at the full-window stationary representative so the residue
-    # pairings inside the character values stay certified
-    c_eval = -(witt_differential(chi.wild) * db.inverse())
-    assert (c_eval - c).has_ord_at_least(
-        c.valuation() + n - (n + 1) // 2 + 1
-    ), "c is outside the stationary coset"
+    c_eval = _stationary_representative(triple)
     psi_db = AdditiveCharacter(db)
     q = field.q
     kap = field.kappa0(-field.one)

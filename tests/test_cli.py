@@ -1,6 +1,7 @@
 """Wire formats and the command-line driver: schemas, exit codes, pinned outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from ramify.fields import make_field
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2)
+
+JOBS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.json"
+PINNED_JOBS = [job for job in json.loads(JOBS_FILE.read_text())["jobs"] if "pinned" in job]
 
 
 def invoke(capsys, *argv):
@@ -49,6 +53,13 @@ class TestPinnedOutputs:
         code, out, _ = invoke(capsys, "swan", "--p", "3", "--a", '{"2": 1}')
         assert code == 0
         assert json.loads(out) == {"swan": 0, "conductor": 0, "rsw": None}
+
+    @pytest.mark.parametrize("job", PINNED_JOBS, ids=[job["name"] for job in PINNED_JOBS])
+    def test_benchmark_pinned_job(self, capsys, job):
+        # the CLI benchmark checks these exact bytes; replayed in-process here
+        code, out, _ = invoke(capsys, *job["argv"])
+        assert code == 0
+        assert out == job["pinned"]
 
 
 # -- determinism ------------------------------------------------------------------
@@ -118,6 +129,39 @@ class TestExitCodes:
         body = json.loads(out)
         assert body["error"] == "verification-failure"
         assert body["failed"] == "determinant-factor"
+
+    @pytest.mark.parametrize("argv", [
+        ("swan", "--p", "3"),
+        ("swan", "--p", "abc", "--a", '{"-4":1}'),
+        ("congruence", "--p", "3", "--which", "key9"),
+        ("gauss", "--q", "3", "--prec", "8"),
+    ])
+    def test_usage_error_is_exit_1(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert "\n" not in out
+        assert json.loads(out)["error"] == "SchemaError"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["swan", "--help"])
+        assert exc.value.code == 0
+        assert "--a A" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("a", ["[]", '{"m": -1, "entries": []}'])
+    def test_negative_witt_length_is_exit_1(self, capsys, a):
+        code, out, _ = invoke(capsys, "swan", "--p", "3", "--a", a)
+        assert code == 1
+        assert json.loads(out)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_empty_congruence_check_is_exit_1(self, capsys, samples):
+        code, out, _ = invoke(
+            capsys, "congruence", "--p", "3", "--which", "key1",
+            "--a", '{"-1":1}', "--theta-samples", samples,
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "InconsistentInput"
 
     def test_missing_operand_for_explicit_laumon(self, capsys):
         code, out, _ = invoke(
@@ -250,8 +294,38 @@ class TestJobSpec:
         assert job.payload == {"field": {"p": 3, "f": 2}}
 
     def test_run_rejects_extra_payload_keys(self):
+        field = {"p": 3, "f": 1}
+        minimal = {
+            "swan": {"field": field, "a": {"-1": 1}},
+            "rsw": {"field": field, "a": {"-1": 1}},
+            "epsilon": {"field": field, "char": {}},
+            "lambda": {"field": field, "b": {"1": 1}},
+            "hilbert": {"field": field, "x": {"1": 1}, "y": {"1": 1}},
+            "gauss": {"field": field},
+            "legendre-check": {"field": field, "a": {"-1": 1}, "b": {"1": 1}},
+            "lft": {"field": field, "char": {"wild": {"-1": 1}}, "b": {"1": 1}},
+            "verify-laumon": {"field": field},
+            "congruence": {"field": field, "which": "key1"},
+            "dk-dim": {"horizontal": [], "vertical": []},
+            "selftest": {},
+        }
+        assert set(minimal) == set(cli.COMMAND_TABLE)
+        for command, payload in minimal.items():
+            with pytest.raises(SchemaError, match="junk"):
+                run(JobSpec(command, {**payload, "junk": True}))
+
+    def test_run_rejects_missing_and_ill_typed_keys(self):
+        field = {"p": 3, "f": 1}
+        with pytest.raises(SchemaError, match="'a'"):
+            run(JobSpec("swan", {"field": field, "a": None}))
         with pytest.raises(SchemaError):
-            run(JobSpec("gauss", {"field": {"p": 3, "f": 1}, "junk": True}))
+            run(JobSpec("swan", {"field": field, "a": {"-1": 1}, "prec": "32"}))
+        with pytest.raises(SchemaError):
+            run(JobSpec("lft", {"field": field, "char": {"wild": {"-1": 1}},
+                                "b": {"1": 1}, "m": 0}))
+        with pytest.raises(SchemaError):
+            run(JobSpec("lft", {"field": field, "char": {"wild": {"-1": 1}},
+                                "b": {"1": 1}, "source": "1"}))
 
 
 # -- wire formats -----------------------------------------------------------------

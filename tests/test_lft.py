@@ -31,6 +31,7 @@ from ramify.lft import (
     dimtot_vertical,
     dk_dimension,
     dk_phi,
+    full_stationary_c,
     gamma,
     guaranteed_mod_t,
     lft_descriptor,
@@ -150,6 +151,15 @@ class TestStationaryC:
         a = WittVector(0, [poly(F3, [(-1, 1)], prec=0)])
         with pytest.raises(PrecisionExhausted):
             stationary_c(a, poly(F3, [(1, 1)], prec=2))
+
+    def test_truncates_the_full_window_scale(self):
+        rng = random.Random(12)
+        for field, m in ((F3, 0), (F5, 0), (F3, 1)):
+            tri = random_legendre_triple(field, m, rng)
+            c_full = full_stationary_c(tri.a, tri.b)
+            assert (c_full * tri.b.derivative() + witt_differential(tri.a)).is_zero()
+            c = stationary_c(tri.a, tri.b)
+            assert c_full.truncate(c.prec) == c
 
     def test_certifies_admissibility(self):
         rng = random.Random(11)
@@ -323,6 +333,13 @@ class TestCongruences:
         a = WittVector(0, [poly(F3, [(-1, 1)])])
         with pytest.raises(InconsistentInput):
             congruence_check("key2", a, r=1)
+
+    def test_empty_sample_set_rejected(self):
+        # a check over no specializations certifies nothing
+        a = WittVector(0, [poly(F3, [(-1, 1)])])
+        for samples in (0, -3):
+            with pytest.raises(InconsistentInput):
+                congruence_check("key1", a, r=1, theta_samples=samples)
 
     def test_randomized_key7_suite(self):
         rng = random.Random(41)
