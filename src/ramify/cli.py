@@ -190,10 +190,14 @@ def _op_gauss(job):
     return result, f"G = {result['G']}, G^2 = {result['G2']}"
 
 
+def _check_witt_length(name, m, job):
+    if m != job.m:
+        raise SchemaError(f"{name} has Witt length m = {m}, job says m = {job.m}")
+
+
 def _op_legendre_check(job):
     a, b = job.a, job.b
-    if a.m != job.m:
-        raise SchemaError(f"a has Witt length m = {a.m}, job says m = {job.m}")
+    _check_witt_length("a", a.m, job)
     c = job.c if job.c is not None else stationary_c(a, b)
     ok, cond, diag = check_legendre(a, b, c)
     stamp = guaranteed_mod_t(a, b, c)
@@ -230,8 +234,7 @@ def _op_legendre_check(job):
 
 def _op_lft(job):
     chi, b = job.char, job.b
-    c = job.c if job.c is not None else stationary_c(chi.wild, b)
-    desc = lft_descriptor(chi, b, c, source=job.source)
+    desc = lft_descriptor(chi, b, job.c, source=job.source)
     result = {
         "source": desc.source,
         "target": desc.target,
@@ -246,7 +249,7 @@ def _op_lft(job):
             "conductor": list(conductor(desc.pushed)),
         },
         "gauss_twist": pretty(desc.gauss_twist),
-        "guaranteed_mod_t": guaranteed_mod_t(chi.wild, b, c),
+        "guaranteed_mod_t": guaranteed_mod_t(chi.wild, b, desc.scale),
     }
     return result, f"transform: {desc.source} -> {desc.target}, degree {desc.degree}"
 
@@ -255,6 +258,7 @@ def _op_verify_laumon(job):
     if job.char is not None:
         if job.b is None:
             raise SchemaError("verify-laumon: explicit char needs b as well")
+        _check_witt_length("char", job.char.m, job)
         chi, b, c = job.char, job.b, job.c
     else:
         rng = random.Random(job.seed)

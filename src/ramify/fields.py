@@ -7,10 +7,15 @@ discrete-log table (hence the default cap q <= 2^16); addition is digit-wise.
 
 Everything is deterministic: the modulus is the first irreducible monic
 polynomial in lexicographic coefficient order, the generator is the smallest
-element (by index) of multiplicative order q - 1.
+element (by index) of multiplicative order q - 1.  A candidate g passes when
+g^((q-1)/l) != 1 for every prime l | q - 1, and the exp table is then filled
+by one pass of multiplication by g through table lookups, so F_{3^10} builds
+in a fraction of a second.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import (
     CapExceeded,
@@ -33,6 +38,20 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _prime_factors(n: int):
+    """The distinct primes dividing n, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +100,10 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _poly_powmod_x(e: int, h, p):
-    """x^e mod h by square and multiply."""
+def _poly_powmod(base, e: int, h, p):
+    """base^e mod h by square and multiply."""
     result = [1]
-    base = _poly_mod([0, 1], h, p)
+    base = _poly_mod(base, h, p)
     while e:
         if e & 1:
             result = _poly_mod(_poly_mul(result, base, p), h, p)
@@ -98,7 +117,7 @@ def _is_irreducible(h, p):
     f = len(h) - 1
     if f == 1:
         return True
-    xq = list(_poly_powmod_x(p**f, h, p)) + [0, 0]
+    xq = list(_poly_powmod([0, 1], p**f, h, p)) + [0, 0]
     xq[1] = (xq[1] - 1) % p
     if _poly_trim(xq) != []:
         return False
@@ -110,7 +129,7 @@ def _is_irreducible(h, p):
             ell += 1
         if ell not in checked:
             checked.add(ell)
-            xe = _poly_powmod_x(p ** (f // ell), h, p)
+            xe = _poly_powmod([0, 1], p ** (f // ell), h, p)
             diff = list(xe) + [0, 0]
             diff[1] = (diff[1] - 1) % p
             g = _poly_gcd(_poly_trim(diff), h, p)
@@ -215,10 +234,14 @@ class FiniteField:
         self.f = f
         self.q = q
 
-        self.modulus = self._find_modulus()  # monic, as little-endian list, len f+1
         self._pow_p = [p**i for i in range(f)]
-        self.digit_table = [self._digits_of(i) for i in range(q)]
-        self.neg_table = [self._encode(tuple((-c) % p for c in d)) for d in self.digit_table]
+        # product() runs its last place fastest; the index's fastest digit is c_0
+        self.digit_table = [d[::-1] for d in itertools.product(range(p), repeat=f)]
+        neg = [0]
+        for w in self._pow_p:
+            neg = [r + (-d % p) * w for d in range(p) for r in neg]
+        self.neg_table = neg
+        self.modulus = self._find_modulus()  # monic, as little-endian list, len f+1
 
         self.exp, self.log, self.generator_idx = self._build_dlog()
         self.zero = FqElement(self, 0)
@@ -234,25 +257,12 @@ class FiniteField:
         if f == 1:
             return [0, 1]
         # iterate the coefficient tuples (a_{f-1}, ..., a_0) in ascending
-        # lexicographic order; the counter's least significant digit is a_0
-        for code in range(p**f):
-            low = []
-            c = code
-            for _ in range(f):
-                low.append(c % p)
-                c //= p
-            h = low + [1]  # little-endian: a_0, ..., a_{f-1}, 1
+        # lexicographic order, which is index order with a_0 the lowest digit
+        for low in self.digit_table:
+            h = list(low) + [1]  # little-endian: a_0, ..., a_{f-1}, 1
             if _is_irreducible(h, p):
                 return h
         raise AssertionError("no irreducible polynomial found (unreachable)")
-
-    def _digits_of(self, idx: int):
-        p = self.p
-        out = []
-        for _ in range(self.f):
-            out.append(idx % p)
-            idx //= p
-        return tuple(out)
 
     def _encode(self, digits) -> int:
         return sum(c * w for c, w in zip(digits, self._pow_p))
@@ -275,25 +285,64 @@ class FiniteField:
         return tuple(conv[:f])
 
     def _build_dlog(self):
-        q = self.q
+        p, q = self.p, self.q
+        # the smallest index of order q - 1: g^((q-1)/l) != 1 for each prime l | q - 1
+        cofactors = [(q - 1) // ell for ell in _prime_factors(q - 1)]
         for cand in range(2, q):
-            d = self.digit_table[cand]
-            exp = [1]
-            cur = d
-            idx = self._encode(cur)
-            steps = 1
-            while idx != 1 and steps <= q:
-                exp.append(idx)
-                cur = self._mul_raw(cur, d)
-                idx = self._encode(cur)
-                steps += 1
-            if steps == q - 1:
-                # cand has order q-1: exp holds g^0 .. g^{q-2}
-                log = [0] * q
-                for k, v in enumerate(exp):
-                    log[v] = k
-                return exp, log, cand
-        raise AssertionError("no generator found (unreachable)")
+            g = _poly_trim(list(self.digit_table[cand]))
+            if all(_poly_powmod(g, e, self.modulus, p) != [1] for e in cofactors):
+                break
+        else:
+            raise AssertionError("no generator found (unreachable)")
+        exp = self._powers(cand)
+        log = [0] * q
+        for k, v in enumerate(exp):
+            log[v] = k
+        return exp, log, cand
+
+    def _powers(self, g: int):
+        """[g^0, ..., g^(q-2)] as indices.
+
+        Multiplication by g is F_p-linear, so the digits of g*a are the
+        digit-wise sums mod p of g*(low digits of a) and g*(high digits of
+        a), two tables of about sqrt(q) entries each.  Their entries keep
+        each digit in its own bit field of width B, wide enough for a sum of
+        two digits, so one integer addition adds all f digits; two lookups
+        in tables indexed by such packed sums reduce them mod p and give
+        the index of g*a.
+        """
+        p, f, q = self.p, self.f, self.q
+        exp = [1] * (q - 1)
+        if f == 1:
+            for k in range(1, q - 1):
+                exp[k] = exp[k - 1] * g % p
+            return exp
+        h = (f + 1) // 2  # digits in the low half
+        ph = p**h
+        B = (2 * p - 2).bit_length()
+        gd = self.digit_table[g]
+
+        def packed_times_g(idx):
+            digits = self._mul_raw(gd, self.digit_table[idx])
+            return sum(c << (B * i) for i, c in enumerate(digits))
+
+        low = [packed_times_g(a) for a in range(ph)]
+        high = [packed_times_g(a * ph) for a in range(q // ph)]
+
+        def unpacker(fields, weight):
+            table = [0]
+            for i in range(fields):
+                table = [r + (d % p) * weight * p**i for d in range(1 << B) for r in table]
+            return table
+
+        unpack_low, unpack_high = unpacker(h, 1), unpacker(f - h, ph)
+        mask, shift = (1 << (B * h)) - 1, B * h
+        a = 1
+        for k in range(1, q - 1):
+            s = low[a % ph] + high[a // ph]
+            a = unpack_low[s & mask] + unpack_high[s >> shift]
+            exp[k] = a
+        return exp
 
     def _basis_traces(self):
         # Tr(x^j) = trace of the multiplication-by-x^j matrix over F_p;
@@ -374,9 +423,12 @@ class FiniteField:
 
 
 def _find_root(h, E: FiniteField) -> FqElement:
-    """First root (by index) of the little-endian polynomial h in E."""
+    """First root (by index) in E of the little-endian polynomial h, the
+    modulus of a subfield F_{p^d} of E.  Being irreducible of degree d, h
+    has its roots in that subfield: 0 and the powers of g^((|E|-1)/(p^d-1))."""
     coeffs = [E.from_int(c) for c in h]
-    for idx in range(E.q):
+    step = (E.q - 1) // (E.p ** (len(h) - 1) - 1)
+    for idx in sorted([0] + E.exp[::step]):
         x = FqElement(E, idx)
         acc = E.zero
         xp = E.one

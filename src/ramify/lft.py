@@ -361,7 +361,7 @@ class LFTDescriptor:
     after the transform: the original character twisted by the additive
     layer of b*c, the Kummer class of -c'/(2b'), and the constant unramified
     twist whose Frobenius value is ``gauss_twist`` (minus the quadratic
-    Gauss sum)."""
+    Gauss sum); ``scale`` is the stationary scale c it was computed with."""
 
     source: str
     target: str
@@ -370,13 +370,16 @@ class LFTDescriptor:
     rank: int
     pushed: QuasiCharacter
     gauss_twist: CycloNumber
+    scale: LaurentSeries
 
 
-def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries, c: LaurentSeries,
+def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
+                   c: LaurentSeries | None = None,
                    source: str = ORIGIN) -> LFTDescriptor:
     """Descriptor of the local Fourier transform of the direct image of
     the character chi along the covering presented by b, using the
-    stationary scale c.
+    stationary scale c (by default ``stationary_c(chi.wild, b)``, taken
+    once the source point and the slope condition are checked).
 
     ``source`` names the point of the source line the covering is centered
     at: "0" (ord(b) >= 1) or "infinity" (ord(b) <= -1).  The target and
@@ -385,7 +388,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries, c: LaurentSeries,
     contributions are rejected with SlopeConditionViolated since the
     transform drops them."""
     field = chi.field
-    if field is not b.ring or field is not c.ring:
+    if field is not b.ring or (c is not None and field is not c.ring):
         raise InconsistentInput(
             "character and series live over different residue fields; "
             "base-change everything to one field before transforming"
@@ -415,6 +418,8 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries, c: LaurentSeries,
             "direct image at infinity has Swan = rank; slope-1 parts "
             "are dropped by the transform and carry no descriptor"
         )
+    if c is None:
+        c = stationary_c(chi.wild, b)
     triple = LegendreTriple(chi.wild, b, c)
     _, sw_chi = conductor(chi)
     assert sw_chi == triple.n
@@ -456,6 +461,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries, c: LaurentSeries,
         rank=rank,
         pushed=pushed,
         gauss_twist=gauss_twist,
+        scale=c,
     )
 
 

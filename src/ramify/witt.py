@@ -1,8 +1,10 @@
 """Witt vectors of finite length over Laurent-series fields of odd characteristic.
 
 The group law is evaluated through the universal addition polynomials,
-computed once per (p, length) by ghost interpolation over Q with an
-integrality assertion, then applied mod p.  The same table carries the
+computed once per (p, length) by the ghost recursion in exact integer
+arithmetic (each step asserts exact divisibility by p^n), then applied
+mod p; with RAMIFY_WITT_CACHE set, the tables are also kept on disk, which
+saves their derivation for p >= 11 at length 3.  The same table carries the
 twist-difference polynomials: with z_i = x_i (1 + y_i),
 
     z - x = (T_0(x, y), ..., T_m(x, y))
@@ -42,50 +44,90 @@ _REDUCE_ITER_CAP = 4000
 # -- universal polynomial tables ------------------------------------------------
 
 
-def _terms_from_expr(expr, xs, ys):
-    import sympy
+# A polynomial is a dict from exponent tuple to nonzero int coefficient; the
+# tuple lists the exponents of X_0..X_{L-1} and then of Y_0..Y_{L-1}.
 
-    poly = sympy.Poly(expr, *xs, *ys)
-    terms = []
-    for exps, c in poly.terms():
-        c = sympy.Rational(c)
-        if c.q != 1:
-            raise AssertionError("non-integer coefficient in universal polynomial")
-        ex = tuple(int(v) for v in exps[: len(xs)])
-        ey = tuple(int(v) for v in exps[len(xs):])
-        terms.append((int(c), ex, ey))
-    return terms
+
+def _poly_add(acc, a, scale=1):
+    for e, c in a.items():
+        c = acc.get(e, 0) + scale * c
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
+
+
+def _poly_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple([u + v for u, v in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_pow(a, k):
+    acc = None
+    while k:
+        if k & 1:
+            acc = a if acc is None else _poly_mul(acc, a)
+        k >>= 1
+        if k:
+            a = _poly_mul(a, a)
+    return acc
 
 
 def _build_tables(p: int, length: int):
-    import sympy
+    """Universal addition and twist-difference polynomials by the ghost
+    recursion, in exact integer arithmetic."""
 
-    xs = list(sympy.symbols([f"X{i}" for i in range(length)]))
-    ys = list(sympy.symbols([f"Y{i}" for i in range(length)]))
+    def var(i):
+        e = [0] * (2 * length)
+        e[i] = 1
+        return {tuple(e): 1}
 
-    sum_exprs, sum_terms = [], []
-    for n in range(length):
-        ghost = sum(
-            p**i * (xs[i] ** (p ** (n - i)) + ys[i] ** (p ** (n - i)))
-            for i in range(n + 1)
-        )
-        prior = sum(p**i * sum_exprs[i] ** (p ** (n - i)) for i in range(n))
-        expr = sympy.expand((ghost - prior) / sympy.Integer(p) ** n)
-        sum_exprs.append(expr)
-        sum_terms.append(_terms_from_expr(expr, xs[: n + 1], ys[: n + 1]))
+    def ghost(polys, n):
+        # sum_{i <= n} p^i polys[i]^(p^(n-i)) over the polys there are
+        acc = {}
+        for i, w in enumerate(polys[: n + 1]):
+            _poly_add(acc, _poly_pow(w, p ** (n - i)), p**i)
+        return acc
 
-    twist_exprs, twist_terms = [], []
-    for n in range(length):
-        lhs = sum(
-            p**i * (xs[i] * (1 + ys[i])) ** (p ** (n - i)) for i in range(n + 1)
-        )
-        known = sum(p**i * xs[i] ** (p ** (n - i)) for i in range(n + 1)) + sum(
-            p**i * twist_exprs[i] ** (p ** (n - i)) for i in range(n)
-        )
-        expr = sympy.expand((lhs - known) / sympy.Integer(p) ** n)
-        twist_exprs.append(expr)
-        twist_terms.append(_terms_from_expr(expr, xs[: n + 1], ys[: n + 1]))
+    def solve(target):
+        # the W_n with ghost(W, n) = target(n) for every n < length
+        ws = []
+        for n in range(length):
+            acc = target(n)
+            _poly_add(acc, ghost(ws, n), -1)
+            if any(c % p**n for c in acc.values()):
+                raise AssertionError("non-integer coefficient in universal polynomial")
+            ws.append({e: c // p**n for e, c in acc.items()})
+        return ws
 
+    def term_list(poly, n):
+        # (coefficient, X_0..X_n exponents, Y_0..Y_n exponents), sorted
+        # lex-descending on the exponents as one tuple
+        terms = [(c, e[: n + 1], e[length: length + n + 1]) for e, c in poly.items()]
+        terms.sort(key=lambda t: t[1] + t[2], reverse=True)
+        return terms
+
+    xs = [var(i) for i in range(length)]
+    ys = [var(length + i) for i in range(length)]
+    one = {(0,) * (2 * length): 1}
+    zs = [_poly_mul(x, {**one, **y}) for x, y in zip(xs, ys)]  # x_i (1 + y_i)
+
+    def sum_target(n):
+        acc = ghost(xs, n)
+        _poly_add(acc, ghost(ys, n))
+        return acc
+
+    def twist_target(n):
+        acc = ghost(zs, n)
+        _poly_add(acc, ghost(xs, n), -1)
+        return acc
+
+    sum_terms = [term_list(w, n) for n, w in enumerate(solve(sum_target))]
+    twist_terms = [term_list(w, n) for n, w in enumerate(solve(twist_target))]
     _assert_weights(p, sum_terms, twist_terms)
     return sum_terms, twist_terms
 

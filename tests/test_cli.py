@@ -170,6 +170,36 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("char, b, extra, error", [
+        # the default scale is a constant here, whose precision error no
+        # --prec fixes; the slope check comes first, with or without --c
+        ('{"wild":{"-1":1}}', '{"-1":1}', ["--source", "infinity"],
+         "SlopeConditionViolated"),
+        ('{"wild":{"-1":1}}', '{"-1":1}', ["--source", "infinity", "--c", '{"0":2}'],
+         "SlopeConditionViolated"),
+        ('{"wild":{"-1":1}}', '{"-1":1}', [], "WrongSourcePoint"),
+        ('{"tame_exponent":1}', '{"1":1}', [], "NotLegendre"),
+    ], ids=["slope-default-c", "slope-explicit-c", "wrong-source", "tame"])
+    def test_lft_checks_its_input_before_the_default_scale(
+        self, capsys, char, b, extra, error
+    ):
+        code, out, _ = invoke(capsys, "lft", "--p", "3", "--char", char, "--b", b, *extra)
+        assert code == 1
+        assert json.loads(out)["error"] == error
+
+    @pytest.mark.parametrize("m, char", [
+        ("1", '{"wild":{"-1":1}}'),
+        ("0", '{"wild":{"m":1,"entries":[{"-1":1},{"-2":1}]}}'),
+    ])
+    def test_explicit_laumon_char_must_match_m(self, capsys, m, char):
+        code, out, _ = invoke(
+            capsys, "verify-laumon", "--p", "3", "--m", m, "--char", char, "--b", '{"1":1}'
+        )
+        assert code == 1
+        body = json.loads(out)
+        assert body["error"] == "SchemaError"
+        assert "job says m = " + m in body["message"]
+
 
 # -- individual commands ----------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from ramify import jsonio
 from ramify.errors import (
     CapExceeded, EvenCharacteristic, NotASquare, NotPrime, SchemaError, ZeroInput,
 )
-from ramify.fields import FiniteField, WittCoeffRing, field_from_q, make_field
+from ramify.fields import FiniteField, FqElement, WittCoeffRing, field_from_q, make_field
 from ramify.series import LaurentSeries
 
 
@@ -33,6 +34,34 @@ def test_f9_modulus_and_generator():
     assert brute_order(F.generator, F.one, 9) == 8
     # frozen: the search lands on x+1
     assert F.generator.digits() == (1, 1)
+
+
+@pytest.mark.parametrize("f, modulus, generator", [
+    (8, [2, 0, 1, 0, 0, 0, 0, 0, 1], 38),
+    (10, [1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1], 34),
+])
+def test_large_field_modulus_generator_and_tables(f, modulus, generator):
+    F = make_field(3, f)
+    q = F.q
+    assert F.modulus == modulus
+    assert F.generator_idx == generator
+    # x (index 3) has order < q - 1, so the search rejects candidates first
+    assert math.gcd(F.log[3], q - 1) > 1
+    g = F.digit_table[generator]
+    rng = random.Random(f)
+    for k in [0, 1, q - 3] + rng.sample(range(q - 2), 40):
+        assert F.digit_table[F.exp[k + 1]] == F._mul_raw(F.digit_table[F.exp[k]], g)
+    assert F._mul_raw(F.digit_table[F.exp[q - 2]], g) == F.digit_table[1]
+    assert sorted(F.exp) == list(range(1, q))
+    assert all(F.log[F.exp[k]] == k for k in range(q - 1))
+
+
+def test_generator_is_the_smallest_of_full_order():
+    for p, f in [(3, 3), (5, 2), (7, 2), (3, 4)]:
+        F = make_field(p, f)
+        full = [i for i in range(2, F.q)
+                if brute_order(FqElement(F, i), F.one, F.q) == F.q - 1]
+        assert F.generator_idx == full[0]
 
 
 def test_even_characteristic_rejected():
@@ -224,6 +253,23 @@ def test_extension_embedding():
     g = make_field(3, 2).generator
     img = emb2(g)
     assert brute_order(img, F9b.one, 100) == 8
+
+
+@pytest.mark.parametrize("p, f, s", [
+    (3, 1, 2), (3, 2, 2), (3, 2, 3), (3, 3, 2), (5, 2, 2), (7, 1, 3),
+])
+def test_extension_root_is_the_first_by_index(p, f, s):
+    F = make_field(p, f)
+    E, emb = F.extension(s)
+
+    def value(x):
+        acc = E.zero
+        for c in reversed(F.modulus):
+            acc = acc * x + E.from_int(c)
+        return acc
+
+    first = next(i for i in range(E.q) if value(FqElement(E, i)).is_zero())
+    assert emb.root.idx == first
 
 
 def test_pth_root():

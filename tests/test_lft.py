@@ -415,6 +415,28 @@ class TestDescriptor:
         with pytest.raises(SlopeConditionViolated):
             lft_descriptor(chi, b, poly(F3, [(0, 1)]), source="infinity")
 
+    def test_slope_one_rejected_before_the_default_scale(self):
+        # without c the slope guard still fires first: the default scale of
+        # a slope-1 input at infinity is a constant, whose nu(c) no window
+        # can certify
+        from ramify.characters import QuasiCharacter
+
+        a = WittVector(0, [poly(F3, [(-1, 1)])])
+        b = poly(F3, [(-1, 1)])
+        chi = QuasiCharacter(F3, 0, CycloNumber.from_rational(1, 1), a)
+        with pytest.raises(PrecisionExhausted):
+            stationary_c(a, b)
+        with pytest.raises(SlopeConditionViolated):
+            lft_descriptor(chi, b, source="infinity")
+
+    def test_default_scale_is_the_stationary_scale(self):
+        tri = depth1_triple()
+        chi = character_for_triple(tri)
+        d = lft_descriptor(chi, tri.b)
+        assert d.scale == stationary_c(tri.a, tri.b)
+        assert lft_descriptor(chi, tri.b, tri.c).scale is tri.c
+        assert (d.target, d.degree, conductor(d.pushed)) == ("infinity", 2, (2, 1))
+
     def test_tame_covers_never_raise_slope(self):
         # degree prime to p and swan != rank: both infinity rows must work
         from ramify.epsilon import TotallyRamifiedExt, induced_swan

@@ -1,12 +1,17 @@
 """Witt-vector group law, filtration, differential, and reduction."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ramify.witt
 from ramify.errors import (
     CapExceeded,
     NotReduced,
@@ -17,6 +22,7 @@ from ramify.fields import WittCoeffRing, make_field
 from ramify.series import LaurentSeries, promote
 from ramify.witt import (
     UniversalWittTable,
+    _build_tables,
     WittVector,
     dilate,
     dilation_defect_sum,
@@ -135,6 +141,59 @@ def test_twist_polynomial_congruence(p):
                 continue
             assert c.denominator % p != 0
             assert c.numerator % p == 0 or sum(ey) >= p
+
+
+def sympy_tables(p, length):
+    """The universal tables by a symbolic ghost recursion over Q: the
+    reference for the integer derivation, term order included."""
+    sympy = pytest.importorskip("sympy")
+    xs = list(sympy.symbols([f"X{i}" for i in range(length)]))
+    ys = list(sympy.symbols([f"Y{i}" for i in range(length)]))
+
+    def solve(target):
+        exprs, tables = [], []
+        for n in range(length):
+            known = sum(p**i * exprs[i] ** (p ** (n - i)) for i in range(n))
+            expr = sympy.expand((target(n) - known) / sympy.Integer(p) ** n)
+            exprs.append(expr)
+            terms = []
+            for exps, c in sympy.Poly(expr, *xs[: n + 1], *ys[: n + 1]).terms():
+                assert sympy.Rational(c).q == 1
+                terms.append((int(c), tuple(exps[: n + 1]), tuple(exps[n + 1:])))
+            tables.append(terms)
+        return tables
+
+    def ghost(zs, n):
+        return sum(p**i * zs[i] ** (p ** (n - i)) for i in range(n + 1))
+
+    zs = [x * (1 + y) for x, y in zip(xs, ys)]
+    return (solve(lambda n: ghost(xs, n) + ghost(ys, n)),
+            solve(lambda n: ghost(zs, n) - ghost(xs, n)))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_tables_match_sympy(p, length):
+    assert _build_tables(p, length) == sympy_tables(p, length)
+
+
+def test_cold_start_does_not_import_sympy(tmp_path):
+    # a job that derives its Witt tables on an empty cache runs on the
+    # standard library alone (seed 3 draws a triple that adds Witt vectors)
+    code = (
+        "import sys\n"
+        "from ramify import cli\n"
+        "status = cli.main(['verify-laumon', '--q', '9', '--m', '1', '--seed', '3'])\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+        "sys.exit(status)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ramify.witt.__file__).parents[1]))
+    env["RAMIFY_WITT_CACHE"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["product_identity"] is True
+    assert (tmp_path / "witt-p3-len2.json").exists()
 
 
 def test_table_disk_cache(tmp_path, monkeypatch):
