@@ -1,0 +1,56 @@
+"""Fingerprint a fixed list of seeded CLI jobs: prints one line
+``name exit sha256(stdout)`` per job.  Run it on two checkouts and diff
+the outputs to confirm that a refactor leaves every byte of these jobs
+unchanged:  PYTHONPATH=src python scripts/cli_fingerprint.py > after.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import random
+
+from ramify import cli, jsonio
+from ramify.fields import field_from_q
+from ramify.lft import character_for_triple, random_legendre_triple
+
+# in-band inadmissible (a, b, c) over F_3; c = None takes the default scale
+INADMISSIBLE = {
+    "zero-a": ({"terms": {}}, {"1": 1}, {"-2": 1}),
+    "zero-form": ({"-3": 1}, {"1": 1}, {"-2": 1}),
+    "zero-b": ({"-1": 1}, {"terms": {}}, {"-2": 1}),
+    "tame": ({"0": 1, "1": 1}, {"1": 1}, {"-2": 1}),
+    "depth-overflow": ({"-3": 1, "-1": 1}, {"1": 1}, None),
+    "inseparable-b": ({"-1": 1}, {"3": 1}, {"-2": 1}),
+    "not-stationary": ({"-4": 1}, {"1": 1}, {"-5": 2}),
+    "no-room": ({"-1": 1}, {"3": 1, "4": 1}, None),
+}
+
+
+def jobs():
+    for name, (a, b, c) in INADMISSIBLE.items():
+        argv = ["legendre-check", "--q", "3", "--a", json.dumps(a), "--b", json.dumps(b)]
+        yield name, argv + ([] if c is None else ["--c", json.dumps(c)])
+    for q, m, seed in itertools.product((3, 5, 9), (0, 1), range(10)):
+        tri = random_legendre_triple(field_from_q(q), m, random.Random(seed))
+        a = json.dumps(jsonio.witt_to_json(tri.a))
+        b, c = (json.dumps(jsonio.series_to_json(s)) for s in (tri.b, tri.c))
+        chi = json.dumps(jsonio.char_to_json(character_for_triple(tri)))
+        tag, fq, fm = f"q{q}-m{m}-s{seed}", ["--q", str(q)], ["--q", str(q), "--m", str(m)]
+        yield f"legendre-{tag}", ["legendre-check", *fm, "--a", a, "--b", b]
+        yield f"legendre-c-{tag}", ["legendre-check", *fm, "--a", a, "--b", b, "--c", c]
+        yield f"lft-{tag}", ["lft", *fq, "--char", chi, "--b", b]
+        yield f"laumon-{tag}", ["verify-laumon", *fm, "--seed", str(seed)]
+        yield f"laumon-b-{tag}", ["verify-laumon", *fm, "--char", chi, "--b", b]
+        for which in ("key1", "key6", "key7"):
+            yield f"{which}-{tag}", ["congruence", *fm, "--which", which,
+                                     "--theta-samples", "2", "--seed", str(seed)]
+
+
+if __name__ == "__main__":
+    for name, argv in jobs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        print(name, code, hashlib.sha256(out.getvalue().encode()).hexdigest())

@@ -32,17 +32,15 @@ from .epsilon import (
     lambda_factor,
     quad_gauss,
 )
-from .errors import RamifyError, SchemaError, VerificationFailure
+from .errors import NotLegendre, RamifyError, SchemaError, VerificationFailure
 from .fields import field_from_q
 from .jsonio import DEFAULT_PREC
 from .lft import (
     DKInput,
     character_for_triple,
-    check_legendre,
     congruence_check,
     dk_dimension,
     dk_phi,
-    full_stationary_c,
     gamma,
     guaranteed_mod_t,
     lft_descriptor,
@@ -198,18 +196,18 @@ def _check_witt_length(name, m, job):
 def _op_legendre_check(job):
     a, b = job.a, job.b
     _check_witt_length("a", a.m, job)
-    c = job.c if job.c is not None else stationary_c(a, b)
-    ok, cond, diag = check_legendre(a, b, c)
-    stamp = guaranteed_mod_t(a, b, c)
-    if not ok:
+    try:
+        triple = LegendreTriple(a, b, job.c)
+    except NotLegendre as exc:
+        c = job.c if job.c is not None else stationary_c(a, b)
         result = {
             "ok": False,
-            "first_violation": diag.get("first_violation"),
+            "first_violation": str(exc),
             "conductor": None,
-            "guaranteed_mod_t": stamp,
+            "guaranteed_mod_t": guaranteed_mod_t(a, b, c),
         }
         return result, f"not admissible: {result['first_violation']}"
-    triple = LegendreTriple(a, b, c)
+    cond = triple.conductor
     g = gamma(triple)
     sq = square_class_checks(triple)
     if g.is_zero() or not sq.ok:
@@ -227,7 +225,7 @@ def _op_legendre_check(job):
             "argument_valuation": sq.argument_valuation,
             "leading_is_square": sq.leading_is_square,
         },
-        "guaranteed_mod_t": stamp,
+        "guaranteed_mod_t": guaranteed_mod_t(a, b, triple.c),
     }
     return result, f"admissible, conductor triple {tuple(cond)}"
 
@@ -304,7 +302,7 @@ def _op_congruence(job):
         else:
             # the full-window stationary scale, so the defect of
             # alpha + c b' is certified small enough for key6/key7
-            c = full_stationary_c(a, b)
+            c = triple.c_full
     report = congruence_check(
         which, a, b, c, r=job.r, theta_samples=job.theta_samples, seed=job.seed,
     )
@@ -518,7 +516,8 @@ def _decode(command, payload):
         elif kind == "int":
             value = jsonio.strict_int(value, flag.key)
         elif kind == "bool":
-            value = bool(value)
+            if not isinstance(value, bool):
+                raise SchemaError(f"{flag.key}: expected true or false, got {value!r}")
         elif isinstance(kind, tuple):
             if value not in kind:
                 raise SchemaError(f"{flag.key} must be one of {list(kind)}, got {value!r}")

@@ -25,14 +25,20 @@ downstream of gamma -- parity of n - nu(c), square classes, the rank and
 target of the local Fourier transform, the determinant identity -- is
 computed from the conductor and gamma by exact arithmetic.
 
-Dilation congruences (`congruence_check`) certify the effect of the
+The (a, b) half of the data -- alpha, n, b', nu(b) and the full-window
+scale -alpha/b' -- is derived once, by `stationary_data`, the only code
+that raises for a defect of the pair: ZeroInput when a or b is zero,
+PrecisionExhausted when alpha is 0 to precision, InseparableB when b' = 0.
+
+Dilation congruences (`congruence_check`) test the effect of the
 substitution t -> t (1 + theta t^r) on a and on the combined phase
-a + V^m(c b); the claims are checked entirely inside W(F_{q^s}((t))) for a
-splitting field large enough that polynomial identities of the relevant
-degree cannot vanish accidentally at the sampled theta.
+a + V^m(c b) inside W(F_{q^s}((t))), at `theta_samples` values of theta
+sampled from a splitting field F_{q^s}; a report shows the congruence at
+those sampled points only.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field as _dcfield
 from fractions import Fraction
 
@@ -47,7 +53,6 @@ from .characters import (
 )
 from .cyclo import CycloNumber
 from .epsilon import (
-    DEFAULT_COSET_CAP,
     TotallyRamifiedExt,
     epsilon0_wild,
     epsilon_tate_oracle,
@@ -88,17 +93,73 @@ ORIGIN = "0"
 INFINITY = "infinity"
 
 
-def _nu(s: LaurentSeries) -> int:
-    """nu(s) = ord(t s'/s) for nonzero separable s; always >= 0."""
-    ds = s.derivative()
-    if ds.is_zero():
+# -- the stationary datum and admissibility ----------------------------------------
+
+
+# The (a, b) half of a triple: the form coefficient alpha of a, the depth
+# n = -ord(t alpha), db = b', nu(b), and the stationary scale c = -alpha/b'
+# at the full working window.  Every c-dependent value is constant on the
+# stationary coset of c and is evaluated at this representative.
+StationaryData = namedtuple("StationaryData", "alpha n db nu_b c")
+
+_latest = (None, None, None)  # (a, b, datum) of the latest derivation
+
+
+def stationary_data(a: WittVector, b: LaurentSeries) -> StationaryData:
+    """The stationary datum of the pair (a, b).
+
+    This is the only place that raises for a defect of the pair: ZeroInput
+    when a or b is zero, PrecisionExhausted when alpha is 0 to precision
+    and InseparableB when db/dt = 0.  The datum of the latest pair is kept,
+    so the input checks, default scale and triple that one call builds from
+    the same a and b objects share a single derivation."""
+    global _latest
+    last_a, last_b, last = _latest
+    if a is last_a and b is last_b:
+        return last
+    if a.is_zero():
+        raise ZeroInput("wild layer is zero: no stationary scale")
+    alpha = witt_differential(a)
+    if alpha.is_zero():
         raise PrecisionExhausted(
-            f"derivative is 0 mod t^{ds.prec}; nu cannot be certified"
+            f"form coefficient is 0 mod t^{alpha.prec}; cannot normalize c"
         )
-    return 1 + ds.valuation() - s.valuation()
+    if b.is_zero():
+        raise ZeroInput("b is zero to precision")
+    db = b.derivative()
+    if db.is_zero():
+        raise InseparableB("db/dt = 0: no stationary scale exists over b")
+    data = StationaryData(alpha, -(alpha.valuation() + 1), db,
+                          1 + db.valuation() - b.valuation(),
+                          -(alpha * db.inverse()))
+    _latest = (a, b, data)
+    return data
 
 
-# -- admissibility -----------------------------------------------------------------
+def stationary_c(a: WittVector, b: LaurentSeries) -> LaurentSeries:
+    """The stationary scale c = -alpha / b', truncated to the shortest
+    window that still certifies 2 ord(alpha + c b') >= -n + nu(c).
+
+    The truncation pins the coset c (1 + m^*) that every downstream value
+    depends on while keeping the reported precision honest.  Raises the
+    errors of ``stationary_data`` and PrecisionExhausted when nu(c) or the
+    certification depth is out of the working window.
+    """
+    data = stationary_data(a, b)
+    c = data.c
+    dc = c.derivative()
+    if dc.is_zero():
+        raise PrecisionExhausted(
+            f"dc/dt is 0 mod t^{dc.prec}; nu(c) cannot be certified"
+        )
+    nu_c = 1 + dc.valuation() - c.valuation()
+    window = max(_ceil_div(data.n + nu_c, 2) + 1, nu_c + 2, 2)
+    if c.prec - c.valuation() < window:
+        raise PrecisionExhausted(
+            f"stationary scale needs a window of {window} coefficients, "
+            f"only {c.prec - c.valuation()} are certified"
+        )
+    return c.truncate(c.valuation() + window)
 
 
 def check_legendre(a: WittVector, b: LaurentSeries, c: LaurentSeries):
@@ -108,38 +169,32 @@ def check_legendre(a: WittVector, b: LaurentSeries, c: LaurentSeries):
     ok and None otherwise; diagnostics records the first violated condition,
     the partial invariants that were computable, and the parity of
     n - nu(c).  Only genuine precision starvation raises
-    (PrecisionExhausted); every structural failure is reported in-band.
+    (PrecisionExhausted); every structural failure, the defects of the pair
+    (a, b) included, is reported in-band.
     """
-    diag = {
-        "first_violation": None,
-        "n": None,
-        "nu_b": None,
-        "nu_c": None,
-        "n_minus_nu_c": None,
-        "parity_even": None,
-        "ord_t_bprime_c": None,
-    }
+    diag = dict.fromkeys((
+        "first_violation", "n", "nu_b", "nu_c", "n_minus_nu_c", "parity_even",
+        "ord_t_bprime_c",
+    ))
 
     def fail(reason):
         diag["first_violation"] = reason
         return False, None, diag
 
-    if a.is_zero():
-        return fail("wild layer is zero: no depth to anchor the triple")
-    alpha = witt_differential(a)
-    if alpha.is_zero():
+    try:
+        data = stationary_data(a, b)
+    except ZeroInput:
+        if a.is_zero():
+            return fail("wild layer is zero: no depth to anchor the triple")
+        return fail("b is zero to precision")
+    except PrecisionExhausted:
         return fail("form coefficient of the wild layer vanishes")
-    n = -(alpha.valuation() + 1)
-    diag["n"] = n
+    except InseparableB:
+        return fail("b is inseparable: db/dt = 0 to precision")
+    n = diag["n"] = data.n
     if n < 1:
         return fail(f"depth n = {n} is not positive (tame wild layer)")
-    if b.is_zero():
-        return fail("b is zero to precision")
-    db = b.derivative()
-    if db.is_zero():
-        return fail("b is inseparable: db/dt = 0 to precision")
-    nu_b = 1 + db.valuation() - b.valuation()
-    diag["nu_b"] = nu_b
+    nu_b = diag["nu_b"] = data.nu_b
     if c.is_zero():
         return fail("c is zero to precision")
     dc = c.derivative()
@@ -149,12 +204,12 @@ def check_legendre(a: WittVector, b: LaurentSeries, c: LaurentSeries):
     diag["nu_c"] = nu_c
     diag["n_minus_nu_c"] = n - nu_c
     diag["parity_even"] = (n - nu_c) % 2 == 0
-    diag["ord_t_bprime_c"] = 1 + db.valuation() + c.valuation()
+    diag["ord_t_bprime_c"] = 1 + data.db.valuation() + c.valuation()
     if not in_fil(a, n):
         return fail(
             f"wild layer exceeds its form depth: a is not inside level {n}"
         )
-    defect = alpha + c * db
+    defect = data.alpha + c * data.db
     if not defect.has_ord_at_least(_ceil_div(-n + nu_c, 2)):
         return fail(
             "c is not stationary: 2 ord(alpha + c b') >= -n + nu(c) fails"
@@ -168,28 +223,42 @@ def check_legendre(a: WittVector, b: LaurentSeries, c: LaurentSeries):
     # consequences of the three conditions; failure here is a library bug
     assert diag["ord_t_bprime_c"] == -n
     assert n - nu_c >= 1
+    assert (data.c - c).has_ord_at_least(
+        c.valuation() + n - (n + 1) // 2 + 1
+    ), "c is outside the stationary coset"
     return True, (n, nu_b, nu_c), diag
 
 
 @dataclass(frozen=True, eq=False)
 class LegendreTriple:
-    """An admissible triple; the constructor validates and derives the
-    conductor, raising NotLegendre with the first violated condition."""
+    """An admissible triple, c defaulting to ``stationary_c(a, b)``.
+
+    The constructor validates the triple with ``check_legendre`` and keeps
+    what it derived: the conductor, alpha, b' = ``db`` and the full-window
+    stationary scale ``c_full``, at which every c-dependent value is
+    evaluated.  It raises NotLegendre with the first violated condition."""
 
     a: WittVector
     b: LaurentSeries
-    c: LaurentSeries
+    c: LaurentSeries | None = None
     n: int = _dcfield(init=False)
     nu_b: int = _dcfield(init=False)
     nu_c: int = _dcfield(init=False)
+    alpha: LaurentSeries = _dcfield(init=False)
+    db: LaurentSeries = _dcfield(init=False)
+    c_full: LaurentSeries = _dcfield(init=False)
 
     def __post_init__(self):
+        if self.c is None:
+            object.__setattr__(self, "c", stationary_c(self.a, self.b))
         ok, cond, diag = check_legendre(self.a, self.b, self.c)
         if not ok:
             raise NotLegendre(diag["first_violation"])
-        object.__setattr__(self, "n", cond[0])
-        object.__setattr__(self, "nu_b", cond[1])
-        object.__setattr__(self, "nu_c", cond[2])
+        data = stationary_data(self.a, self.b)
+        derived = dict(zip(("n", "nu_b", "nu_c"), cond), alpha=data.alpha,
+                       db=data.db, c_full=data.c)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def field(self):
@@ -231,70 +300,6 @@ def quadratic_substitute(s: LaurentSeries) -> LaurentSeries:
     )
 
 
-def full_stationary_c(a: WittVector, b: LaurentSeries) -> LaurentSeries:
-    """The stationary scale c = -alpha / b' at the full working window.
-
-    Every c-dependent value is constant on the stationary coset of c and
-    is evaluated at this representative, so residue pairings stay
-    certified.  Raises ZeroInput when a or b is zero, PrecisionExhausted
-    when alpha is 0 to precision and InseparableB when db/dt = 0.
-    """
-    if a.is_zero():
-        raise ZeroInput("wild layer is zero: no stationary scale")
-    alpha = witt_differential(a)
-    if alpha.is_zero():
-        raise PrecisionExhausted(
-            f"form coefficient is 0 mod t^{alpha.prec}; cannot normalize c"
-        )
-    if b.is_zero():
-        raise ZeroInput("b is zero to precision")
-    db = b.derivative()
-    if db.is_zero():
-        raise InseparableB("db/dt = 0: no stationary scale exists over b")
-    return -(alpha * db.inverse())
-
-
-def stationary_c(a: WittVector, b: LaurentSeries,
-                 window: int | None = None) -> LaurentSeries:
-    """The stationary scale c = -alpha / b', truncated to the shortest
-    window that still certifies 2 ord(alpha + c b') >= -n + nu(c).
-
-    The truncation pins the coset c (1 + m^*) that every downstream value
-    depends on while keeping the reported precision honest.  Raises the
-    errors of ``full_stationary_c`` and PrecisionExhausted when the working
-    window cannot reach the certification depth.
-    """
-    c_full = full_stationary_c(a, b)
-    # ord(alpha) = ord(c_full) + ord(b')
-    n = -(c_full.valuation() + b.derivative().valuation() + 1)
-    dc = c_full.derivative()
-    if dc.is_zero():
-        raise PrecisionExhausted(
-            f"dc/dt is 0 mod t^{dc.prec}; nu(c) cannot be certified"
-        )
-    nu_c = 1 + dc.valuation() - c_full.valuation()
-    if window is None:
-        window = max(_ceil_div(n + nu_c, 2) + 1, nu_c + 2, 2)
-    if c_full.prec - c_full.valuation() < window:
-        raise PrecisionExhausted(
-            f"stationary scale needs a window of {window} coefficients, "
-            f"only {c_full.prec - c_full.valuation()} are certified"
-        )
-    return c_full.truncate(c_full.valuation() + window)
-
-
-def _stationary_representative(triple: LegendreTriple) -> LaurentSeries:
-    """``full_stationary_c`` of the triple, asserted to lie in the
-    stationary coset of triple.c, on which every c-dependent factor is
-    constant."""
-    c, n = triple.c, triple.n
-    c_full = full_stationary_c(triple.a, triple.b)
-    assert (c_full - c).has_ord_at_least(
-        c.valuation() + n - (n + 1) // 2 + 1
-    ), "c is outside the stationary coset"
-    return c_full
-
-
 # -- discriminant and square classes -------------------------------------------------
 
 
@@ -306,14 +311,13 @@ def gamma(triple: LegendreTriple):
     Both parenthesized series are units of exact order zero, so gamma is
     the product of their leading coefficients (times 1/2) and never
     vanishes."""
-    alpha = witt_differential(triple.a)
     k = triple.field
     half = k.from_int(2).inverse()
     lead_dlog = (
         triple.c.derivative().leading_coefficient()
         * triple.c.leading_coefficient().inverse()
     )
-    return half * alpha.leading_coefficient() * lead_dlog
+    return half * triple.alpha.leading_coefficient() * lead_dlog
 
 
 @dataclass(frozen=True)
@@ -338,7 +342,7 @@ def square_class_checks(triple: LegendreTriple) -> SquareClassReport:
     g = gamma(triple)
     k = triple.field
     scale = -(k.from_int(2) * g).inverse()
-    arg = (triple.c.derivative() * triple.b.derivative().inverse()).scale(scale)
+    arg = (triple.c.derivative() * triple.db.inverse()).scale(scale)
     if not triple.parity_even:
         arg = arg.shift(1)
     return SquareClassReport(
@@ -373,6 +377,31 @@ class LFTDescriptor:
     scale: LaurentSeries
 
 
+def _check_operands(chi: QuasiCharacter, b: LaurentSeries,
+                    c: LaurentSeries | None) -> None:
+    """Input checks shared by ``lft_descriptor`` and ``verify_laumon``: one
+    residue field for every operand, a wild layer, and the defects of the
+    pair (wild layer, b), raised by ``stationary_data``."""
+    field = chi.field
+    if field is not b.ring or (c is not None and field is not c.ring):
+        raise InconsistentInput(
+            "character and series live over different residue fields; "
+            "base-change everything to one field first"
+        )
+    if chi.wild is None:
+        raise NotLegendre("character has no wild layer")
+    stationary_data(chi.wild, b)
+
+
+def _character_triple(chi: QuasiCharacter, b: LaurentSeries,
+                      c: LaurentSeries | None) -> LegendreTriple:
+    """The triple (wild layer of chi, b, c), c defaulting to the stationary
+    scale; its depth is the Swan conductor of chi."""
+    triple = LegendreTriple(chi.wild, b, c)
+    assert conductor(chi)[1] == triple.n
+    return triple
+
+
 def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
                    c: LaurentSeries | None = None,
                    source: str = ORIGIN) -> LFTDescriptor:
@@ -386,23 +415,18 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     degree follow from the comparison of the Swan conductor of the direct
     image with its generic rank; for source "infinity" equal slope-1
     contributions are rejected with SlopeConditionViolated since the
-    transform drops them."""
-    field = chi.field
-    if field is not b.ring or (c is not None and field is not c.ring):
-        raise InconsistentInput(
-            "character and series live over different residue fields; "
-            "base-change everything to one field before transforming"
-        )
-    if not chi.has_wild_part():
-        raise NotLegendre("character has no wild layer")
+    transform drops them.  The defects of the pair (wild layer of chi, b)
+    raise the errors of ``stationary_data`` before the source point is
+    checked."""
+    _check_operands(chi, b, c)
     if source == ORIGIN:
-        if b.is_zero() or b.valuation() < 1:
+        if b.valuation() < 1:
             raise WrongSourcePoint(
                 f"source '0' needs ord(b) >= 1, got {b.valuation()}"
             )
         ext = TotallyRamifiedExt(b)
     elif source == INFINITY:
-        if b.is_zero() or b.valuation() > -1:
+        if b.valuation() > -1:
             raise WrongSourcePoint(
                 f"source 'infinity' needs ord(b) <= -1, got {b.valuation()}"
             )
@@ -418,32 +442,24 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
             "direct image at infinity has Swan = rank; slope-1 parts "
             "are dropped by the transform and carry no descriptor"
         )
-    if c is None:
-        c = stationary_c(chi.wild, b)
-    triple = LegendreTriple(chi.wild, b, c)
-    _, sw_chi = conductor(chi)
-    assert sw_chi == triple.n
-    degree = abs(c.valuation())
+    triple = _character_triple(chi, b, c)
+    degree = abs(triple.c.valuation())
     if source == ORIGIN:
-        target = INFINITY
-        expected = swan + rank
+        target, expected = INFINITY, swan + rank
+    elif swan > rank:
+        target, expected = INFINITY, swan - rank
     else:
-        if swan > rank:
-            target = INFINITY
-            expected = swan - rank
-        else:
-            target = ORIGIN
-            expected = rank - swan
+        target, expected = ORIGIN, rank - swan
     if degree != expected:
         raise VerificationFailure(
             "transform degree disagrees between its two derivations",
             detail={"from_c": degree, "from_conductors": expected},
         )
     # the descriptor only depends on the coset of c
-    db = b.derivative()
-    c_eval = _stationary_representative(triple)
+    field, c_eval = chi.field, triple.c_full
     kummer = kummer_char(
-        c_eval.derivative() * db.inverse().scale(-field.from_int(2).inverse())
+        c_eval.derivative()
+        * triple.db.inverse().scale(-field.from_int(2).inverse())
     )
     gauss_twist = -quad_gauss(field)
     wild = witt_add(chi.wild, verschiebung_power(b * c_eval, chi.m))
@@ -461,7 +477,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
         rank=rank,
         pushed=pushed,
         gauss_twist=gauss_twist,
-        scale=c,
+        scale=triple.c,
     )
 
 
@@ -504,9 +520,10 @@ def congruence_check(which: str, a: WittVector,
                      c: LaurentSeries | None = None, *,
                      r: int, theta_samples: int = 20, seed: int = 0,
                      splitting_degree: int | None = None) -> CongruenceReport:
-    """Certify one of three congruences for the dilation
-    u: t -> t (1 + theta t^r), sampling theta over a splitting field
-    F_{q^s} with q^s > 4 (p r + n).
+    """Test one of three congruences for the dilation
+    u: t -> t (1 + theta t^r) at ``theta_samples`` values of theta sampled
+    from a splitting field F_{q^s} with q^s > 4 (p r + n); the report shows
+    the congruence at those sampled points only.
 
     which = "key1": for a of depth n, u(a) - a lies in the level n - r
     step and agrees modulo level n - p r with
@@ -522,9 +539,11 @@ def congruence_check(which: str, a: WittVector,
     which = "key7": same conclusions as "key6" under the relaxed hypotheses
     ord(t alpha) = -n exactly and ord(alpha + c b') >= -n + nu(c) + r.
 
-    Violated hypotheses raise HypothesisViolated; windows too short to
-    certify a membership raise PrecisionExhausted.  Sampled failures of the
-    congruence itself are returned in the report, not raised."""
+    A zero a raises ZeroInput, and for key6/key7 the pair (a, b) raises the
+    errors of ``stationary_data``; other violated hypotheses raise
+    HypothesisViolated, and windows too short to certify a membership raise
+    PrecisionExhausted.  Sampled failures of the congruence itself are
+    returned in the report, not raised."""
     if which not in ("key1", "key6", "key7"):
         raise InconsistentInput(f"unknown congruence id {which!r}")
     if r < 1:
@@ -533,46 +552,46 @@ def congruence_check(which: str, a: WittVector,
         raise InconsistentInput(
             f"theta_samples must be >= 1, got {theta_samples}"
         )
-    if a.is_zero():
-        raise HypothesisViolated("wild layer is zero: no depth")
     k = a.ring
     p, m = k.p, a.m
-    n = fil_level(a)
-    alpha = witt_differential(a)
     nu_b = nu_c = None
     if which == "key1":
+        if a.is_zero():
+            raise ZeroInput("wild layer is zero: no depth")
+        n = fil_level(a)
         membership_level = n - r
         refinement_level = n - p * r
     else:
         if b is None or c is None:
             raise InconsistentInput(f"{which} needs both b and c")
-        if b.is_zero() or c.is_zero():
-            raise HypothesisViolated("b and c must be nonzero")
-        db = b.derivative()
-        if db.is_zero():
-            raise HypothesisViolated("b is inseparable: db/dt = 0")
-        nu_b = 1 + db.valuation() - b.valuation()
-        nu_c = _nu(c)
+        data = stationary_data(a, b)
+        n = fil_level(a)
+        if c.is_zero():
+            raise HypothesisViolated("c must be nonzero")
+        dc = c.derivative()
+        if dc.is_zero():
+            raise PrecisionExhausted(
+                f"derivative is 0 mod t^{dc.prec}; nu cannot be certified"
+            )
+        nu_b, nu_c = data.nu_b, 1 + dc.valuation() - c.valuation()
         if not nu_b + nu_c < (p - 2) * r:
             raise HypothesisViolated(
                 f"nu(b) + nu(c) = {nu_b + nu_c} is not < (p-2) r = {(p - 2) * r}"
             )
-        defect = alpha + c * db
-        if which == "key6":
-            if not defect.is_zero():
-                raise HypothesisViolated(
-                    "alpha + c b' is nonzero within the window; the exact "
-                    "stationarity hypothesis fails"
-                )
-        else:
-            if alpha.is_zero() or alpha.valuation() != -n - 1:
-                raise HypothesisViolated(
-                    "ord(t alpha) = -n must hold exactly at the depth of a"
-                )
-            if not defect.has_ord_at_least(-n + nu_c + r):
-                raise HypothesisViolated(
-                    f"ord(alpha + c b') >= {-n + nu_c + r} fails"
-                )
+        defect = data.alpha + c * data.db
+        if which == "key6" and not defect.is_zero():
+            raise HypothesisViolated(
+                "alpha + c b' is nonzero within the window; the exact "
+                "stationarity hypothesis fails"
+            )
+        if which == "key7" and data.n != n:
+            raise HypothesisViolated(
+                "ord(t alpha) = -n must hold exactly at the depth of a"
+            )
+        if which == "key7" and not defect.has_ord_at_least(-n + nu_c + r):
+            raise HypothesisViolated(
+                f"ord(alpha + c b') >= {-n + nu_c + r} fails"
+            )
         membership_level = n - nu_c - 2 * r
         refinement_level = n - nu_c - 2 * r - 1
     s = splitting_degree or _splitting_degree(k.q, 4 * (p * r + n))
@@ -659,20 +678,14 @@ def vanishing_support(a: WittVector, b: LaurentSeries,
     """Compute the support data of the vanishing cycles of the twisted
     phase over the torus of dilation directions.
 
-    Preconditions (DegenerateOrder otherwise): ord(c) != 0 and
+    The pair (a, b) raises the errors of ``stationary_data``.  The other
+    preconditions (DegenerateOrder otherwise): c != 0, ord(c) != 0 and
     t^(n+1) c b' is a unit, n being the depth read from the form
     coefficient of a."""
-    if a.is_zero():
-        raise DegenerateOrder("wild layer is zero: no depth")
-    alpha = witt_differential(a)
-    if alpha.is_zero():
-        raise DegenerateOrder("form coefficient of the wild layer vanishes")
-    n = -(alpha.valuation() + 1)
-    if b.is_zero() or c.is_zero():
-        raise DegenerateOrder("b and c must be nonzero")
-    db = b.derivative()
-    if db.is_zero():
-        raise DegenerateOrder("b is inseparable: db/dt = 0")
+    data = stationary_data(a, b)
+    n, db = data.n, data.db
+    if c.is_zero():
+        raise DegenerateOrder("c must be nonzero")
     e = c.valuation()
     if e == 0:
         raise DegenerateOrder("ord(c) = 0: the direction divisor is empty")
@@ -683,12 +696,10 @@ def vanishing_support(a: WittVector, b: LaurentSeries,
     k = b.ring
     p = k.p
     lam = (c * db).coefficient(-n - 1)
-    e_abs = abs(e)
-    kappa = 0
+    e_abs, mult = abs(e), 1
     while e_abs % p == 0:
         e_abs //= p
-        kappa += 1
-    mult = p ** kappa
+        mult *= p
     s = 1
     while (k.q ** s - 1) % e_abs:
         s += 1
@@ -911,8 +922,8 @@ class LaumonReport:
 
 
 def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
-                  c: LaurentSeries | None = None, *, oracle: bool = False,
-                  coset_cap: int = DEFAULT_COSET_CAP) -> LaumonReport:
+                  c: LaurentSeries | None = None, *,
+                  oracle: bool = False) -> LaumonReport:
     """Verify the determinant identity for the direct image of chi along
     the degree-ord(b) covering of the base trait presented by b.
 
@@ -925,30 +936,19 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
     The product of the determinant factor, the stationary factor, and the
     lambda factor is checked against 1 exactly.  ``oracle=True`` recomputes
     the epsilon factor by the shell-sum integral as an independent anchor.
+    c defaults to the stationary scale, and the defects of the pair (wild
+    layer of chi, b) raise the errors of ``stationary_data``.
     """
-    field = chi.field
-    if field is not b.ring or (c is not None and field is not c.ring):
-        raise InconsistentInput(
-            "character and series live over different residue fields; "
-            "base-change everything to one field first"
-        )
-    if b.is_zero() or b.valuation() < 1:
+    _check_operands(chi, b, c)
+    if b.valuation() < 1:
         raise WrongSourcePoint(
             "the identity is stated for a covering of the origin: "
             "need ord(b) >= 1"
         )
-    if not chi.has_wild_part():
-        raise NotLegendre("character has no wild layer")
-    if c is None:
-        c = stationary_c(chi.wild, b)
-    triple = LegendreTriple(chi.wild, b, c)
-    n = triple.n
-    _, sw_chi = conductor(chi)
-    assert sw_chi == n
-    db = b.derivative()
-    i = -c.valuation()
+    triple = _character_triple(chi, b, c)
+    field, n, db, c_eval = chi.field, triple.n, triple.db, triple.c_full
+    i = -triple.c.valuation()
     assert 1 + db.valuation() - i == -n
-    c_eval = _stationary_representative(triple)
     psi_db = AdditiveCharacter(db)
     q = field.q
     kap = field.kappa0(-field.one)
@@ -986,7 +986,7 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
     lhs_equals_rhs = lhs == rhs
     oracle_match = None
     if oracle:
-        tate = epsilon_tate_oracle(chi, psi_db, coset_cap=coset_cap)
+        tate = epsilon_tate_oracle(chi, psi_db)
         oracle_match = tate == eps.value
     mismatch = None
     if not (product_identity and lhs_equals_rhs and oracle_match is not False):
@@ -1016,17 +1016,16 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
 
 
 def random_legendre_triple(field, m: int, rng, *, n_cap: int = 8,
-                           prec: int | None = None,
-                           attempts: int = 400) -> LegendreTriple:
+                           prec: int | None = None) -> LegendreTriple:
     """Draw an admissible triple: a reduced wild layer of depth n with
     p not dividing n, b = t^d * unit with small d prime to p, and the
     stationary scale c built from them.  Draws violating the admissibility
-    inequalities are rejected and retried."""
+    inequalities are rejected and retried, up to 400 times."""
     p, q = field.p, field.q
     if prec is None:
         prec = 4 * (n_cap + p) + 12
     d_choices = [d for d in (1, 2, 3, 4) if d % p]
-    for _ in range(attempts):
+    for _ in range(400):
         entries = []
         for idx in range(m + 1):
             weight = p ** (m - idx)
@@ -1062,11 +1061,10 @@ def random_legendre_triple(field, m: int, rng, *, n_cap: int = 8,
             )
         b = LaurentSeries.from_terms(field, unit_terms, prec).shift(d)
         try:
-            c = stationary_c(a, b)
-            return LegendreTriple(a, b, c)
+            return LegendreTriple(a, b)
         except (NotLegendre, PrecisionExhausted):
             continue
-    raise CapExceeded(f"no admissible triple found in {attempts} attempts")
+    raise CapExceeded("no admissible triple found in 400 attempts")
 
 
 def character_for_triple(triple: LegendreTriple, tame_exponent: int = 0,

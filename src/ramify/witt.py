@@ -282,6 +282,8 @@ class WittVector:
 
     def __init__(self, m: int, entries):
         entries = tuple(entries)
+        if m < 0:
+            raise LengthMismatch(f"Witt length m must be >= 0, got {m}")
         if m + 1 > LENGTH_CAP:
             raise CapExceeded(f"length {m + 1} exceeds cap {LENGTH_CAP}")
         if len(entries) != m + 1:

@@ -154,6 +154,16 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-laumon", "--p", "3", "--m", "-1"),
+        ("congruence", "--p", "3", "--which", "key1", "--m", "-1"),
+    ])
+    def test_negative_random_witt_length_is_exit_1(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert "\n" not in out
+        assert json.loads(out)["error"] == "LengthMismatch"
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_empty_congruence_check_is_exit_1(self, capsys, samples):
         code, out, _ = invoke(
@@ -356,6 +366,10 @@ class TestJobSpec:
         with pytest.raises(SchemaError):
             run(JobSpec("lft", {"field": field, "char": {"wild": {"-1": 1}},
                                 "b": {"1": 1}, "source": "1"}))
+        for oracle in ("false", 1):
+            with pytest.raises(SchemaError, match="oracle"):
+                run(JobSpec("epsilon", {"field": field, "char": {"wild": {"-1": 1}},
+                                        "oracle": oracle}))
 
 
 # -- wire formats -----------------------------------------------------------------

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramify.characters import AdditiveCharacter, conductor
+import ramify.lft
+from ramify.characters import AdditiveCharacter, QuasiCharacter, conductor
 from ramify.cyclo import CycloNumber, root_of_unity
 from ramify.epsilon import epsilon0_wild, quad_gauss
 from ramify.errors import (
@@ -19,6 +20,7 @@ from ramify.errors import (
     PrecisionExhausted,
     SlopeConditionViolated,
     WrongSourcePoint,
+    ZeroInput,
 )
 from ramify.fields import make_field
 from ramify.lft import (
@@ -31,7 +33,6 @@ from ramify.lft import (
     dimtot_vertical,
     dk_dimension,
     dk_phi,
-    full_stationary_c,
     gamma,
     guaranteed_mod_t,
     lft_descriptor,
@@ -42,6 +43,7 @@ from ramify.lft import (
     rho_point,
     square_class_checks,
     stationary_c,
+    stationary_data,
     vanishing_support,
     verify_laumon,
 )
@@ -156,7 +158,7 @@ class TestStationaryC:
         rng = random.Random(12)
         for field, m in ((F3, 0), (F5, 0), (F3, 1)):
             tri = random_legendre_triple(field, m, rng)
-            c_full = full_stationary_c(tri.a, tri.b)
+            c_full = stationary_data(tri.a, tri.b).c
             assert (c_full * tri.b.derivative() + witt_differential(tri.a)).is_zero()
             c = stationary_c(tri.a, tri.b)
             assert c_full.truncate(c.prec) == c
@@ -167,6 +169,56 @@ class TestStationaryC:
             tri = random_legendre_triple(F5, 0, rng)
             ok, cond, _ = check_legendre(tri.a, tri.b, tri.c)
             assert ok and cond == tri.conductor
+
+
+# -- defects of the pair (a, b) -----------------------------------------------------
+
+# defect -> (a, b, the class every entry point raises, check_legendre's report)
+PAIR_DEFECTS = {
+    "a=0": (WittVector(0, [LaurentSeries.zero(F3, PREC)]), poly(F3, [(1, 1)]),
+            ZeroInput, "wild layer is zero: no depth to anchor the triple"),
+    "alpha=0": (WittVector(0, [poly(F3, [(-3, 1)])]), poly(F3, [(1, 1)]),
+                PrecisionExhausted, "form coefficient of the wild layer vanishes"),
+    "b=0": (WittVector(0, [poly(F3, [(-1, 1)])]), LaurentSeries.zero(F3, PREC),
+            ZeroInput, "b is zero to precision"),
+    "b'=0": (WittVector(0, [poly(F3, [(-1, 1)])]), poly(F3, [(3, 1)]),
+             InseparableB, "b is inseparable: db/dt = 0 to precision"),
+}
+C_FIXED = poly(F3, [(-2, 1)])
+PAIR_ENTRY_POINTS = {
+    "stationary_c": stationary_c,
+    "congruence_check": lambda a, b: congruence_check("key6", a, b, C_FIXED, r=1),
+    "vanishing_support": lambda a, b: vanishing_support(a, b, C_FIXED),
+    "lft_descriptor": lambda a, b: lft_descriptor(
+        QuasiCharacter(F3, 0, CycloNumber.from_rational(1, 1), a), b
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS)
+@pytest.mark.parametrize("defect", PAIR_DEFECTS)
+def test_pair_defect_raises_one_class(defect, entry):
+    a, b, error, reason = PAIR_DEFECTS[defect]
+    with pytest.raises(error):
+        PAIR_ENTRY_POINTS[entry](a, b)
+    # with an explicit c the admissibility test answers in-band
+    ok, cond, diag = check_legendre(a, b, C_FIXED)
+    assert not ok and cond is None
+    assert diag["first_violation"] == reason
+
+
+@pytest.mark.parametrize("entry", [lft_descriptor, verify_laumon])
+def test_stationary_datum_is_derived_once(monkeypatch, entry):
+    calls = []
+    derive = ramify.lft.witt_differential
+    monkeypatch.setattr(ramify.lft, "witt_differential",
+                        lambda a: calls.append(a) or derive(a))
+    tri = random_legendre_triple(F5, 0, random.Random(7))
+    # a fresh wild layer, so nothing derived for tri.a is reused
+    a = WittVector(tri.a.m, tri.a.entries)
+    calls.clear()
+    entry(QuasiCharacter(F5, 0, CycloNumber.from_rational(1, 1), a), tri.b)
+    assert calls == [a]
 
 
 # -- discriminant and square classes -------------------------------------------------
