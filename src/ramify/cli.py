@@ -295,7 +295,10 @@ def _op_congruence(job):
             raise SchemaError(f"{which} needs both b and c")
     else:
         rng = random.Random(job.seed)
-        triple = random_legendre_triple(job.field, job.m, rng, prec=job.prec)
+        for _ in range(20):  # key6/key7 redraw until nu(b) + nu(c) < (p-2) r
+            triple = random_legendre_triple(job.field, job.m, rng, prec=job.prec)
+            if which == "key1" or triple.nu_b + triple.nu_c < (job.field.p - 2) * job.r:
+                break
         a, b = triple.a, triple.b
         if which == "key1":
             b = c = None

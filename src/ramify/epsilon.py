@@ -9,17 +9,17 @@ evaluation loops, only chi(t) is ever inverted.
 The brute-force Tate-integral oracle sums chi^{-1}(x) psi(x) over valuation
 shells with the Haar measure normalized by vol(O) = 1.  Within one shell of
 valuation v the integrand is constant on cosets of 1 + m^A once A is at
-least max(a(chi), -ord(psi) - v), so the shell sum at that depth is the
-exact value of the shell integral, and every shell except v0 = -a - d must
-vanish; the oracle asserts this instead of assuming it.  The cosets are walked
-in multiplicative coordinates u = u0 * prod_{0<j<A} (1 + x_j t^j): the wild
-exponent is v [a, t) plus one pairing [a, 1 + x t^j) per factor, tabulated
-once per call from the logarithm series of 1 + x t^j against w_m(a) (no
-series division); the tame exponent reads dlog u0 and the psi exponent the
-additive digits of u.
+least max(a(chi), -ord(psi) - v), so the shell sum at that depth is exact,
+and every shell except v0 = -a - d must vanish; the oracle asserts this.
+Of u = u0 * prod_{0<j<A} (1 + x_j t^j) only the q^h digit tuples below
+h = ceil(A/2) are walked (the coset cap bounds q^h); each top digit is summed
+out by orthogonality, as chi is additive on U^j for 2j >= a and psi is
+trivial on the cross terms, which land at t^(>= v+A).  The wild exponent is
+v [a, t) plus the pairings [a, 1 + x t^j), tabulated once per call from the
+log series of 1 + x t^j against w_m(a); the tame exponent reads dlog u0 and
+the psi exponent the additive digits of u.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,12 +206,13 @@ def _unit_pairings(chi, depth):
 
 def _shell_sum(chi, psi, v, depth, unit_pairings):
     """Exact integral of chi^{-1} psi over the shell ord = v, as a coset sum
-    at the given depth (each coset has measure q^(-v-depth)).
-
-    The walk over u = u0 * prod_{0<j<depth} (1 + x_j t^j) keeps the additive
-    digits of u as field indices.  Choosing x_j moves only the digits from j
-    on, and the last factor only moves digit depth-1 by x u0, so the q leaves
-    under one node are one histogram per u0, shifted by the node's exponent.
+    at depth A (each coset has measure q^(-v-A)).  The walk covers the q^h
+    cosets u' = u0 * prod_{0<j<h} (1 + x_j t^j), h = ceil(A/2), keeping the
+    digits c of u' mod t^A.  A top digit j >= h enters additively (chi is
+    additive on U^j as 2j >= A >= a; cross terms land at t^(>= v+A), where
+    psi is trivial), so its sum is q if the form b -> wild[j][b] +
+    sum_k T[k][b c_(k-j)] vanishes on the basis b = p^i, else 0.  The forms
+    read only the digits below A - h, where the walk is cut unless all vanish.
     """
     field = chi.field
     q, p, exp, log = field.q, field.p, field.exp, field.log
@@ -220,40 +221,40 @@ def _shell_sum(chi, psi, v, depth, unit_pairings):
     pair_t, P = unit_pairings
     # all exponents are of zeta_level: zeta_{q-1} = zeta_level^mod, zeta_mod = zeta_level^(q-1)
     wild = [None] + [[x * (q - 1) for x in (P[j] if P else [0] * q)] for j in range(1, depth)]
-    T = []  # T[k][i]: psi exponent of the digit i at t^(v+k)
-    for k in range(depth):
-        g = psi.omega.coefficient(-1 - v - k)
-        T.append([field.trace_to_prime(field.from_index(i) * g) * (level // p) for i in range(q)])
+    # T[k][i]: psi exponent of the digit i at t^(v+k)
+    T = [[field.trace_to_prime(field.from_index(i) * g) * (level // p) for i in range(q)]
+         for g in (psi.omega.coefficient(-1 - v - k) for k in range(depth))]
 
     def mul(a, b):
         return exp[(log[a] + log[b]) % (q - 1)] if a and b else 0
 
-    hist = [0] * level
-    last = depth - 1
+    half, basis, hist = (depth + 1) // 2, [p ** i for i in range(field.f)], [0] * level
 
-    def walk(j, c, s, leaves):
-        if j >= last:
-            for key, cnt in leaves.items():
-                hist[(s + key) % level] += cnt
+    def walk(j, c, s):
+        if j == depth - half and any(
+                (wild[k][b] + sum(T[i][mul(b, c[i - k])] for i in range(k, depth))) % level
+                for k in range(half, depth) for b in basis):
+            return
+        if j == half:
+            hist[s] += 1
             return
         for x in range(q):
-            moved = [mul(x, c[k - j]) for k in range(j, depth)]
-            step = sum(T[k][dk] for k, dk in zip(range(j, depth), moved))
-            digits = c[:j] + [field.add_idx(c[k], dk) for k, dk in zip(range(j, depth), moved)] \
-                if j + 1 < last else c  # the leaf level reads no digits
-            walk(j + 1, digits, (s + step + wild[j][x]) % level, leaves)
+            moved = [mul(x, ci) for ci in c[:depth - j]]  # onto the digits j, j+1, ...
+            step = sum(T[j + i][dk] for i, dk in enumerate(moved))
+            digits = c[:j] + [field.add_idx(ck, dk) for ck, dk in zip(c[j:], moved)]
+            walk(j + 1, digits, (s + step + wild[j][x]) % level)
 
     for u0 in range(1, q):
         s = ((-chi.tame_exponent * log[u0]) % (q - 1) * mod + T[0][u0]
              + v * pair_t * (q - 1)) % level
-        leaves = Counter((T[last][mul(x, u0)] + wild[last][x]) % level
-                         for x in range(q)) if last else {0: 1}
-        walk(1, [u0] + [0] * last, s, leaves)
+        walk(1, [u0] + [0] * (depth - 1), s)
 
     out = CycloNumber.from_monomials(level, enumerate(hist))
-    if v and not out.is_zero():  # guard shells vanish: skip chi(t)^(-v)
+    if out.is_zero():  # every guard shell: no scaling
+        return out
+    if v:
         out = out * chi.uniformizer_value ** (-v)
-    return out * Fraction(q) ** (-(v + depth))
+    return out * Fraction(q) ** (-(v + half))  # a leaf weighs q^(A-h) cosets
 
 
 def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
@@ -261,9 +262,10 @@ def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
     """eps(chi, psi) summed from the definition, shell by shell.
 
     Every shell in the window [v0-2, -d+2] (v0 = -a-d) is computed as an
-    exact Riemann sum and asserted to vanish unless v = v0.  Shells whose
-    exact sum needs more than ``coset_cap`` cosets are skipped when they are
-    mere guards; the defining shell v0 raises CapExceeded instead.
+    exact Riemann sum and asserted to vanish unless v = v0.  A shell of depth
+    A walks q^h cosets, h = ceil(A/2), as chi is additive on U^j for 2j >= a
+    and psi trivial on the cross terms at t^(>= v+A).  Past ``coset_cap`` (on
+    q^h), a guard shell is skipped and the defining shell v0 raises CapExceeded.
     """
     a, _sw = conductor(chi)
     if a == 0:
@@ -274,13 +276,11 @@ def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
     shells = []
     for v in range(v0 - 2, -d + 3):
         depth = max(a, -d - v, 1)
-        if field.q ** depth > coset_cap:
-            if v == v0:
-                raise CapExceeded(
-                    f"q^{depth} = {field.q ** depth} cosets exceed the cap {coset_cap}"
-                )
-            continue  # optional guard shell, too big to brute-force
-        shells.append((v, depth))
+        half = (depth + 1) // 2
+        if field.q ** half <= coset_cap:
+            shells.append((v, depth))
+        elif v == v0:  # a guard shell over the cap is left out
+            raise CapExceeded(f"q^{half} = {field.q ** half} cosets exceed the cap {coset_cap}")
     unit_pairings = _unit_pairings(chi, max(depth for _, depth in shells))
     result = None
     for v, depth in shells:

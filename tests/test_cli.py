@@ -226,6 +226,29 @@ class TestCommands:
         assert body["conductor"] == [2, 1]
         assert body["branch"].startswith("wild-")
 
+    @pytest.mark.parametrize("argv, pinned", [
+        (("verify-laumon", "--q", "5", "--oracle"),
+         '{"product_identity":true,"lhs_equals_rhs":true,"oracle_match":true}'),
+        (("epsilon", "--q", "7", "--char", '{"wild":{"-6":1}}', "--oracle"),
+         '{"value":"-343-686*z7-686*z7^2-686*z7^4","branch":"wild-even","conductor":[7,6],'
+         '"c":{"terms":{"-7":6},"prec":-3,"val":-7},"oracle_match":true}'),
+    ])
+    def test_oracle_on_a_deep_central_shell(self, capsys, argv, pinned):
+        # the central shells hold 5^8 and 7^7 cosets; the oracle walks and
+        # caps 5^4 and 7^4 of them
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == pinned
+
+    @pytest.mark.parametrize("which", ["key6", "key7"])
+    def test_seeded_congruence_redraws_to_its_hypotheses(self, capsys, which):
+        # the first q = 3 draw of seed 3 has nu(b) + nu(c) = 1, not < (p-2) r = 1
+        code, out, _ = invoke(capsys, "congruence", "--q", "3", "--which", which, "--seed", "3")
+        assert code == 0
+        body = json.loads(out)
+        assert body["ok"] is True
+        assert body["nu_b"] + body["nu_c"] < 1
+
     def test_epsilon_tame_branch(self, capsys):
         code, out, _ = invoke(
             capsys, "epsilon", "--p", "3",

@@ -324,6 +324,16 @@ def test_oracle_cap_on_central_shell():
         epsilon_tate_oracle(chi, psi_dt(F9), coset_cap=3)
 
 
+def test_oracle_cap_counts_walked_cosets():
+    # a = 4: the central shell walks q^h = 5^2 cosets of the 5^4 it sums over
+    chi = QuasiCharacter(F5, 1, one(), WittVector(0, (poly(F5, [(-3, 2), (-1, 1)]),)))
+    psi = psi_dt(F5)
+    assert conductor(chi)[0] == 4
+    with pytest.raises(CapExceeded):
+        epsilon_tate_oracle(chi, psi, coset_cap=5 ** 2 - 1)
+    assert epsilon_tate_oracle(chi, psi, coset_cap=5 ** 2) == epsilon0(chi, psi).value
+
+
 def reference_shell_sum(chi, psi, v, depth):
     """Test-only shell sum: walk the additive digit tuples of the cosets
     x = sum_j u_j t^(v+j) and evaluate chi^{-1} psi on each one through the
@@ -377,6 +387,77 @@ def test_shell_sum_matches_digit_enumeration(case):
         ref = reference_shell_sum(chi, psi, v, depth)
         assert _shell_sum(chi, psi, v, depth, tables) == ref, (case, v, depth)
         assert ref.is_zero() == (v != v0), (case, v, v0)
+
+
+def top_digit_forms(chi, psi, v, depth, lower):
+    """Test-only: for the coset with additive digits ``lower`` below
+    h = ceil(depth/2) and top digits 0, the exponent change of chi^{-1} psi
+    (as in ``reference_shell_sum``) under u -> u (1 + b t^j), one row per
+    top digit j >= h over the F_p-basis b = 1, x, ..., x^(f-1) of F_q."""
+    field = chi.field
+    q, p = field.q, field.p
+    mod = p ** (chi.m + 1)
+    level = (q - 1) * mod
+
+    def exponent(x):
+        _v, d, w = char_eval_exponents(chi, x)
+        return -d * mod - w * (q - 1) + psi_eval_exponent(psi, x) * (level // p)
+
+    prec = v + depth + 6
+    u = LaurentSeries.from_terms(field, {v + j: field.from_index(i) for j, i in enumerate(lower)}, prec)
+    rows = []
+    for j in range(len(lower), depth):
+        row = []
+        for b in (p ** i for i in range(field.f)):
+            moved = u * LaurentSeries.from_terms(field, {0: field.one, j: field.from_index(b)}, prec)
+            row.append((exponent(moved.truncate(v + depth)) - exponent(u)) % level)
+        rows.append(row)
+    return rows
+
+
+def _deep_shell_cases():
+    """(chi, psi, v) with shells of depth A >= 4 for q in {3, 5, 9} x m in
+    {0, 1}: central shells, guard shells (q = 3 up to A = 6), and q = 9
+    shells where some top-digit form vanishes on one basis element only."""
+    t = lambda field, terms, prec=14: LaurentSeries.from_terms(
+        field, {e: field.from_index(i) for e, i in terms.items()}, prec)
+    q3m0 = QuasiCharacter(F3, 1, root_of_unity(4, 1), WittVector(0, (t(F3, {-4: 1, -2: 2, -1: 1}),)))
+    q3m1 = QuasiCharacter(F3, 1, one(), WittVector(1, (t(F3, {-1: 2}), t(F3, {-2: 1, -1: 1}))))
+    q5m0 = QuasiCharacter(F5, 3, root_of_unity(8, 3), WittVector(0, (t(F5, {-3: 3, -1: 1}),)))
+    q5m1 = QuasiCharacter(F5, 2, root_of_unity(8, 1), WittVector(1, (t(F5, {0: 2}), t(F5, {-3: 4}))))
+    q9m0 = QuasiCharacter(F9, 2, root_of_unity(8, 7), WittVector(0, (t(F9, {-1: 6, 0: 7}),)))
+    q9m1 = QuasiCharacter(F9, 0, root_of_unity(8, 5), WittVector(1, (t(F9, {0: 4}), t(F9, {-1: 6, 0: 1}))))
+    psi3 = AdditiveCharacter(t(F3, {-1: 1, 0: 2}, 30))
+    psi5 = AdditiveCharacter(t(F5, {0: 2, 1: 1}, 30))
+    return {
+        "q3-m0-A5-central": (q3m0, psi_dt(F3), -5),
+        "q3-m0-A6-guard": (q3m0, psi_dt(F3), -6),
+        "q3-m1-A4-central": (q3m1, psi3, -3),
+        "q3-m1-A6-guard": (q3m1, psi3, -5),
+        "q5-m0-A4-central": (q5m0, psi5, -4),
+        "q5-m0-A4-guard": (q5m0, psi5, -3),
+        "q5-m1-A4-central": (q5m1, psi_dt(F5), -4),
+        "q9-m0-A4-guard": (q9m0, AdditiveCharacter(t(F9, {0: 3}, 30)), -4),
+        "q9-m1-A4-guard": (q9m1, AdditiveCharacter(t(F9, {-1: 5, 0: 5}, 30)), -3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_deep_shell_cases()))
+def test_half_depth_shell_sum_matches_full_enumeration(case):
+    # the walk covers q^ceil(A/2) cosets and sums the top digits out; the
+    # reference enumerates all (q-1) q^(A-1) digit tuples
+    chi, psi, v = _deep_shell_cases()[case]
+    a, _sw = conductor(chi)
+    depth = max(a, -psi.ord - v, 1)
+    assert depth >= 4
+    ref = reference_shell_sum(chi, psi, v, depth)
+    assert ref.is_zero() == (v != -a - psi.ord)
+    assert _shell_sum(chi, psi, v, depth, _unit_pairings(chi, depth)) == ref
+    if chi.field.f > 1:  # a leaf where checking the first basis element alone is wrong
+        q, half = chi.field.q, (depth + 1) // 2
+        assert any(row[0] == 0 and any(row[1:])
+                   for lower in itertools.product(range(1, q), *[range(q)] * (half - 1))
+                   for row in top_digit_forms(chi, psi, v, depth, lower))
 
 
 @pytest.mark.parametrize("case", range(6))
