@@ -41,6 +41,13 @@ def jobs():
         yield f"legendre-{tag}", ["legendre-check", *fm, "--a", a, "--b", b]
         yield f"legendre-c-{tag}", ["legendre-check", *fm, "--a", a, "--b", b, "--c", c]
         yield f"lft-{tag}", ["lft", *fq, "--char", chi, "--b", b]
+        # chi(t) as a root of unity and psi of order -1, 0 or 1 reach every
+        # factor of the closed form
+        eps_chi = json.dumps({"tame_exponent": seed % (q - 1), "uniformizer_value": [8, seed],
+                              "wild": jsonio.witt_to_json(tri.a)})
+        eps_psi = json.dumps({str(seed % 3 - 1): 1})
+        yield f"epsilon-{tag}", ["epsilon", *fq, "--char", eps_chi, "--psi", eps_psi,
+                                 *(["--oracle"] if q != 9 else [])]
         yield f"laumon-{tag}", ["verify-laumon", *fm, "--seed", str(seed)]
         yield f"laumon-b-{tag}", ["verify-laumon", *fm, "--char", chi, "--b", b]
         if q != 9:  # left out at q = 9, where an oracle job takes seconds

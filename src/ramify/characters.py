@@ -21,6 +21,11 @@ Sign conventions, fixed once and used everywhere downstream:
   * w_m(z) = sum_j p^j * (z_j~)^(p^(m-j)) for any coefficient-wise lift z~ of
     the entries into the length-(m+1) Witt coefficient ring.  The value mod
     p^(m+1) does not depend on the lift.
+
+Character values take one route to a cyclotomic number: ``char_eval_exponents``
+writes chi(u) = chi(t)^v * zeta_L^e, L = chi.level() = (q-1) p^(m+1), and
+``char_value`` turns (v, e) into a ``CycloNumber``.  A product of values such as
+chi^{-1}(c) psi(c) adds its exponents and calls ``char_value`` once.
 """
 
 from .cyclo import CycloNumber, root_of_unity, session_level
@@ -61,20 +66,25 @@ def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None,
     of w_m(z)).  Optional ``entry_lifts`` / ``unit_lift`` replace the default
     coefficient-wise lifts; any choice gives the same answer mod p^(m+1),
     which the test suite checks by perturbing them.
-
-    The residue of w * dlog(u~) reads dlog(u~) up to t^(-1-ord w), hence u~
-    only up to t^(ord u - ord w).  Without ``unit_lift``, u is cut to that
-    window (never shorter than its leading coefficient) before it is lifted,
-    so a long unit costs no more than a short one; the value is exact for
-    any representative z, reduced or not.
     """
     if m is not None and m != z.m:
         raise LengthMismatch(f"pairing level {m} != Witt length {z.m + 1} - 1")
-    if u.ring is not z.ring:
-        raise LengthMismatch("unit and Witt vector live over different fields")
     if u.is_zero():
         raise ZeroArgument("cannot pair against the zero series")
-    R, w = pairing_series(z, entry_lifts=entry_lifts)
+    return _pair(*pairing_series(z, entry_lifts=entry_lifts), u, unit_lift)
+
+
+def _pair(R, w, u: LaurentSeries, unit_lift=None) -> int:
+    """-Tr_R(res(w * dlog(u~))) mod p^(m+1) for (R, w) from ``pairing_series``.
+
+    The residue reads dlog(u~) up to t^(-1-ord w), hence u~ only up to
+    t^(ord u - ord w).  Without ``unit_lift``, u is cut to that window (never
+    shorter than its leading coefficient) before it is lifted, so a long unit
+    costs no more than a short one; the value is exact for any representative
+    z, reduced or not.
+    """
+    if u.ring is not R.field:
+        raise LengthMismatch("unit and Witt vector live over different fields")
     if unit_lift is None:
         u = u.truncate(u.valuation() + max(1, 1 - w.ord_lower_bound()))
         unit_lift = map_coefficients(u, R.lift, R)
@@ -86,7 +96,8 @@ def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None,
 class QuasiCharacter:
     """chi = (unramified twist) * (tame part) * (wild part), see module doc."""
 
-    __slots__ = ("field", "tame_exponent", "uniformizer_value", "wild", "_reduced")
+    __slots__ = ("field", "tame_exponent", "uniformizer_value", "wild", "_reduced",
+                 "_pairing")
 
     def __init__(self, field, tame_exponent: int, uniformizer_value: CycloNumber,
                  wild: WittVector | None = None):
@@ -99,6 +110,7 @@ class QuasiCharacter:
         self.uniformizer_value = uniformizer_value
         self.wild = wild
         self._reduced = None
+        self._pairing = None
 
     @property
     def m(self) -> int:
@@ -118,37 +130,44 @@ class QuasiCharacter:
             self._reduced = reduce_vector(self.wild)
         return self._reduced
 
+    def pairing_series(self):
+        """``pairing_series`` of the reduced wild part, memoized; None when
+        that part is zero (chi is 1 on 1-units and [a, t) = 0)."""
+        if self._pairing is None and self.wild is not None:
+            red = self.reduced_wild()[0]
+            self._pairing = () if red.is_zero() else pairing_series(red)
+        return self._pairing or None
+
     def __repr__(self):
         return (f"QuasiCharacter(q={self.field.q}, e={self.tame_exponent}, "
                 f"wild={'yes' if self.has_wild_part() else 'no'})")
 
 
 def char_eval_exponents(chi: QuasiCharacter, u: LaurentSeries):
-    """(v, d, w): chi(u) = chi(t)^v * zeta_{q-1}^d * zeta_{p^(m+1)}^w.
-
-    Integer-only form of ``char_eval``; the epsilon-factor sweeps histogram
-    over (d, w) instead of accumulating cyclotomic numbers term by term.
-    """
+    """(v, e) with chi(u) = chi(t)^v * zeta_L^e, L = chi.level(): the tame
+    part gives zeta_L^(p^(m+1) e0 dlog u0), the wild part zeta_L^(-(q-1) [a, u))."""
     if u.is_zero():
         raise ZeroArgument("character of the zero series")
     field = chi.field
-    v = u.valuation()
-    d = (chi.tame_exponent * field.dlog(u.leading_coefficient())) % (field.q - 1)
-    w = 0
-    if chi.has_wild_part():
-        w = (-witt_pairing(chi.wild, u)) % (field.p ** (chi.m + 1))
-    return v, d, w
+    level = chi.level()
+    e = chi.tame_exponent * field.dlog(u.leading_coefficient()) * (level // (field.q - 1))
+    pairing = chi.pairing_series()
+    if pairing is not None:
+        e -= _pair(*pairing, u) * (field.q - 1)
+    return u.valuation(), e % level
+
+
+def char_value(chi: QuasiCharacter, v: int, e: int) -> CycloNumber:
+    """chi(t)^v * zeta_L^e with L = chi.level(): the cyclotomic number of an
+    exponent pair from ``char_eval_exponents`` (or a sum of such pairs)."""
+    value = chi.uniformizer_value ** v
+    level = chi.level()
+    return value * root_of_unity(level, e) if e % level else value
 
 
 def char_eval(chi: QuasiCharacter, u: LaurentSeries) -> CycloNumber:
     """chi(u) as an exact cyclotomic number."""
-    v, d, w = char_eval_exponents(chi, u)
-    value = chi.uniformizer_value ** v
-    if d:
-        value = value * root_of_unity(chi.field.q - 1, d)
-    if w:
-        value = value * root_of_unity(chi.field.p ** (chi.m + 1), w)
-    return value
+    return char_value(chi, *char_eval_exponents(chi, u))
 
 
 def conductor(chi: QuasiCharacter):

@@ -239,13 +239,7 @@ def _op_lft(job):
         "degree": desc.degree,
         "swan": desc.swan,
         "rank": desc.rank,
-        "pushed": {
-            "tame_exponent": desc.pushed.tame_exponent,
-            "uniformizer_value": pretty(desc.pushed.uniformizer_value),
-            "wild": jsonio.witt_to_json(desc.pushed.wild)
-            if desc.pushed.has_wild_part() else None,
-            "conductor": list(conductor(desc.pushed)),
-        },
+        "pushed": jsonio.char_to_json(desc.pushed) | {"conductor": list(conductor(desc.pushed))},
         "gauss_twist": pretty(desc.gauss_twist),
         "guaranteed_mod_t": guaranteed_mod_t(chi.wild, b, desc.scale),
     }

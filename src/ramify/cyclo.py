@@ -248,7 +248,9 @@ class CycloNumber:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        return hash((self.N, self.coeffs))
+        # equal numbers at different levels share their minimal form
+        y = minimal_form(self)
+        return hash(y.coeffs[0]) if y.N == 1 else hash((y.N, y.coeffs))
 
     def __repr__(self):
         return f"Cyclo(N={self.N}, {pretty(self)})"
@@ -317,21 +319,11 @@ def align_levels(a: CycloNumber, b: CycloNumber):
     return embed(a, N), embed(b, N)
 
 
-def psi_additive(m: int, x: int, p: int, level: int) -> CycloNumber:
-    """The fixed additive character tower: psi_m(x) = zeta_{p^(m+1)}^x.
-
-    Compatibility psi_m(p^m * a) = psi_0(a) holds on the nose because every
-    zeta_{p^(j+1)} is realized inside the same Q(zeta_level).
-    """
-    pm1 = p ** (m + 1)
-    if level % pm1 != 0:
-        raise IncompatibleLevels(f"level {level} does not contain zeta_{pm1}")
-    return root_of_unity(level, (level // pm1) * (x % pm1))
-
-
 def session_level(p: int, q: int, m: int) -> int:
-    """All character values live in Q(zeta_N) with N = 2 * p^(m+1) * (q-1)."""
-    return 2 * p ** (m + 1) * (q - 1)
+    """All character values live in Q(zeta_L) with L = (q-1) * p^(m+1); the
+    additive tower psi_j(x) = zeta_{p^(j+1)}^x, j <= m, sits inside it, so
+    psi_j(p^j * x) = psi_0(x) on the nose."""
+    return (q - 1) * p ** (m + 1)
 
 
 # -- display helpers ---------------------------------------------------------

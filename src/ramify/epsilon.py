@@ -2,9 +2,9 @@
 
 Everything is exact: values are cyclotomic numbers, scalars are Fractions.
 The quadratic Gauss sum G satisfies G^2 = kappa0(-1) * q, so inverse powers
-of G reduce to rational scalings of 1 or G, and chi^{-1}(c) is built from the
-negated exponents of chi(c) -- no generic cyclotomic inversion happens in the
-evaluation loops, only chi(t) is ever inverted.
+of G reduce to rational scalings of 1 or G, and chi^{-1}(c) psi(c) is a power
+of chi(t) times one root of unity (``char_value``) -- no generic cyclotomic
+inversion happens in the evaluation loops, only chi(t) is ever inverted.
 
 The brute-force Tate-integral oracle sums chi^{-1}(x) psi(x) over valuation
 shells with the Haar measure normalized by vol(O) = 1.  Within one shell of
@@ -17,7 +17,8 @@ out by orthogonality, as chi is additive on U^j for 2j >= a and psi is
 trivial on the cross terms, which land at t^(>= v+A).  The wild exponent is
 v [a, t) plus the pairings [a, 1 + x t^j), tabulated once per call from the
 log series of 1 + x t^j against w_m(a); the tame exponent reads dlog u0 and
-the psi exponent the additive digits of u.
+the psi exponent the additive digits of u.  The oracle shares no formula
+with the closed forms, only chi.level() and the memoized pairing series.
 """
 
 from dataclasses import dataclass
@@ -28,13 +29,13 @@ from .characters import (
     QuasiCharacter,
     char_eval,
     char_eval_exponents,
+    char_value,
     conductor,
     gauge,
     hilbert_symbol,
-    pairing_series,
-    psi_eval,
+    psi_eval_exponent,
 )
-from .cyclo import CycloNumber, root_of_unity
+from .cyclo import CycloNumber
 from .errors import (
     CapExceeded,
     InseparableInput,
@@ -45,7 +46,7 @@ from .errors import (
     ZeroInput,
 )
 from .series import LaurentSeries, decompose_over_base
-from .witt import fil_level, witt_differential
+from .witt import witt_differential
 
 DEFAULT_COSET_CAP = 300_000
 
@@ -103,33 +104,6 @@ def epsilon0_tame(chi: QuasiCharacter, psi: AdditiveCharacter) -> EpsilonResult:
     return EpsilonResult(value, "tame" if a == 1 else "unramified")
 
 
-def _stationary_full(chi: QuasiCharacter, psi: AdditiveCharacter):
-    """(c, n, r) with c = -alpha/g at full working precision."""
-    if not chi.has_wild_part():
-        raise TameInput("character has no wild part")
-    red, _ = chi.reduced_wild()
-    if red.is_zero():
-        raise TameInput("wild part reduces to zero")
-    n = fil_level(red)
-    if n < 1:
-        raise TameInput("wild part reduces to an unramified class")
-    alpha = witt_differential(red)
-    c = -(alpha * psi.omega.inverse())
-    r = (n + 1) // 2
-    return c, n, r
-
-
-def find_c(chi: QuasiCharacter, psi: AdditiveCharacter) -> LaurentSeries:
-    """The stationary-phase scale c with chi(1+x+x^2/2) = psi(c x) on m^r.
-
-    Returned canonically truncated to the window of length r+1 that both
-    determines the coset c * (1 + m^(n-r+1)) and preserves the defining
-    valuation inequality 2 ord(alpha + c g) >= -n.
-    """
-    c, n, r = _stationary_full(chi, psi)
-    return c.truncate(c.valuation() + r + 1)
-
-
 def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
                   pi: LaurentSeries | None = None,
                   c_override: LaurentSeries | None = None) -> EpsilonResult:
@@ -137,20 +111,20 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
 
     value = chi^{-1}(c) psi(c) q^{-ord(c)} kappa0(-1)^C(n+1,2) G^{-n-1},
     times the Hilbert symbol (-2 beta c, pi)_K when n = sw(chi) is even.
-    ``pi`` defaults to t; the even-case symbol does not depend on the choice,
-    and the whole value does not depend on c within c(1 + m^(n-r+1)).
+    c (unless ``c_override``) is the stationary-phase scale -alpha/g with
+    omega = g dt: chi(1+x+x^2/2) = psi(c x) on m^r, r = ceil(n/2).  The value
+    depends only on the coset c(1 + m^(n-r+1)), which the returned ``c``, cut
+    to length r+1, fixes.  ``pi`` defaults to t; the symbol does not depend on it.
     """
     field = chi.field
-    c, n, r = _stationary_full(chi, psi)
-    if c_override is not None:
-        c = c_override
-    # chi^{-1}(c) from the negated exponents: only chi(t) is ever inverted
-    v, dc, wc = char_eval_exponents(chi, c)
-    value = chi.uniformizer_value ** (-v) * psi_eval(psi, c)
-    if dc:
-        value = value * root_of_unity(field.q - 1, -dc)
-    if wc:
-        value = value * root_of_unity(field.p ** (chi.m + 1), -wc)
+    _a, n = conductor(chi)
+    if n < 1:
+        raise TameInput("the wild part reduces to an unramified class")
+    c = c_override
+    if c is None:
+        c = -(witt_differential(chi.reduced_wild()[0]) * psi.omega.inverse())
+    v, e = char_eval_exponents(chi, c)
+    value = char_value(chi, -v, psi_eval_exponent(psi, c) * (chi.level() // field.p) - e)
     value = value * Fraction(field.q) ** (-c.valuation())
     if (n * (n + 1) // 2) % 2:
         value = value * field.kappa0(-field.one)
@@ -164,7 +138,7 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
         sym = hilbert_symbol((beta * c).scale(field.from_int(-2)), pi)
         if sym < 0:
             value = -value
-    return EpsilonResult(value, branch, c=c.truncate(c.valuation() + r + 1))
+    return EpsilonResult(value, branch, c=c.truncate(c.valuation() + (n + 1) // 2 + 1))
 
 
 def epsilon0(chi: QuasiCharacter, psi: AdditiveCharacter) -> EpsilonResult:
@@ -183,10 +157,11 @@ def _unit_pairings(chi, depth):
     needs no division, so [a, 1 + x t^j) = -Tr(sum_{jk <= -ord w} (-1)^(k-1)
     j x~^k w_{-jk}) and [a, t) = -Tr(w_0): a few ring products per entry.
     """
-    if not chi.has_wild_part() or chi.reduced_wild()[0].is_zero():
+    pairing = chi.pairing_series()
+    if pairing is None:
         return 0, None
     field = chi.field
-    R, w = pairing_series(chi.reduced_wild()[0])
+    R, w = pairing
     M = R.modulus_int
     kmax = -w.ord_lower_bound()  # w_{-jk} = 0 once jk > kmax
     powers = []  # powers[x][k] = x~^k
@@ -216,8 +191,8 @@ def _shell_sum(chi, psi, v, depth, unit_pairings):
     """
     field = chi.field
     q, p, exp, log = field.q, field.p, field.exp, field.log
-    mod = p ** (chi.m + 1)
-    level = (q - 1) * mod
+    level = chi.level()
+    mod = level // (q - 1)
     pair_t, P = unit_pairings
     # all exponents are of zeta_level: zeta_{q-1} = zeta_level^mod, zeta_mod = zeta_level^(q-1)
     wild = [None] + [[x * (q - 1) for x in (P[j] if P else [0] * q)] for j in range(1, depth)]

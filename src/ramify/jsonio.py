@@ -14,20 +14,24 @@ Encoding conventions (all exact, no floats anywhere):
                          or a plain list of series (m inferred), or a single
                          series dict (m = 0)
 * multiplicative character  ``{"tame_exponent": 1, "uniformizer_value": 1,
-                         "wild": <witt> | null}``
+                         "wild": <witt> | null}``; an optional ``"conductor"``
+                         pair [a, sw], as ``lft`` prints it, must agree
 * additive character     ``{"omega": <series>}`` for the 1-form omega dt
-* cyclotomic number      inputs: an integer, an ``"a/b"`` string, or a pair
+* cyclotomic number      inputs: an integer, an ``"a/b"`` string, a pair
                          ``[N, k]`` meaning the k-th power of a primitive
-                         N-th root of unity; outputs are rendered as pretty
-                         strings such as ``"1+2*z3"``.
+                         N-th root of unity, or a pretty string; outputs are
+                         rendered as pretty strings such as ``"1+2*z3"``:
+                         signed terms ``c``, ``c*zN^j`` and ``zN^j`` (``^1``
+                         omitted) at one level N, zN = exp(2 pi i / N).
 
 Every decoder rejects unknown keys with ``SchemaError`` so a malformed job
 fails loudly instead of being silently reinterpreted.
 """
 
+import re
 from fractions import Fraction
 
-from .characters import AdditiveCharacter, QuasiCharacter
+from .characters import AdditiveCharacter, QuasiCharacter, conductor
 from .cyclo import CycloNumber, pretty, root_of_unity
 from .errors import SchemaError
 from .fields import FiniteField, make_field
@@ -189,12 +193,36 @@ def _fraction_from_string(text, what) -> Fraction:
         raise SchemaError(f"{what}: {text!r} is not a rational number")
 
 
+# one term of a pretty string: c, c*zN^j or zN^j with an optional sign and
+# "^j" (j = 1 omitted); the lookahead rejects a bare sign.  Left uncompiled,
+# so that only a job that parses one pays for compiling it.
+_PRETTY_TERM = r"(?=[+-]?[\dz])([+-]?)(\d+(?:/\d+)?)?(?:(?(2)\*)z(\d+)(?:\^(\d+))?)?"
+
+
+def _cyclo_from_pretty(text, what) -> CycloNumber:
+    """Parse what ``pretty`` prints: a sum of signed terms at one level N."""
+    monomials, levels = [], set()
+    for term in re.split(r"(?<=.)(?=[+-])", text):
+        match = re.fullmatch(_PRETTY_TERM, term)
+        if match is None:
+            raise SchemaError(f"{what}: malformed term {term!r} in {text!r}")
+        sign, coeff, level, power = match.groups()
+        c = _fraction_from_string(coeff or "1", what) * (-1 if sign == "-" else 1)
+        monomials.append((0 if level is None else int(power or 1), c))
+        levels |= set() if level is None else {int(level)}
+    if len(levels) != 1 or min(levels) < 1:
+        raise SchemaError(f"{what}: {text!r} needs one level N >= 1, got {sorted(levels)}")
+    return CycloNumber.from_monomials(levels.pop(), monomials)
+
+
 def cyclo_from_json(value, what) -> CycloNumber:
     if isinstance(value, bool):
         raise SchemaError(f"{what}: expected a cyclotomic number, got {value!r}")
     if isinstance(value, int):
         return CycloNumber.from_rational(1, value)
     if isinstance(value, str):
+        if "z" in value:
+            return _cyclo_from_pretty(value, what)
         return CycloNumber.from_rational(1, _fraction_from_string(value, what))
     if isinstance(value, list):
         if len(value) != 2:
@@ -218,14 +246,19 @@ def char_from_json(field: FiniteField, obj, what, default_prec=None) -> QuasiCha
     check_keys(
         obj, what,
         required=(),
-        optional=("tame_exponent", "uniformizer_value", "wild"),
+        optional=("tame_exponent", "uniformizer_value", "wild", "conductor"),
     )
     tame = strict_int(obj.get("tame_exponent", 0), f"{what}.tame_exponent")
     unif = cyclo_from_json(obj.get("uniformizer_value", 1), f"{what}.uniformizer_value")
     wild = obj.get("wild")
     if wild is not None:
         wild = witt_from_json(field, wild, f"{what}.wild", default_prec)
-    return QuasiCharacter(field, tame, unif, wild)
+    chi = QuasiCharacter(field, tame, unif, wild)
+    # "conductor" is derivable; when present it must agree with the character
+    if obj.get("conductor") is not None and obj["conductor"] != list(conductor(chi)):
+        raise SchemaError(f"{what}: stated conductor {obj['conductor']!r} contradicts "
+                          f"the character (actual {list(conductor(chi))})")
+    return chi
 
 
 def char_to_json(chi: QuasiCharacter) -> dict:

@@ -45,11 +45,12 @@ from fractions import Fraction
 from .characters import (
     AdditiveCharacter,
     QuasiCharacter,
-    char_eval,
+    char_eval_exponents,
+    char_value,
     conductor,
     hilbert_symbol,
     kummer_char,
-    psi_eval,
+    psi_eval_exponent,
 )
 from .cyclo import CycloNumber
 from .epsilon import (
@@ -933,7 +934,8 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
 
     with i = -ord(c); the right side is lambda(L/K, psi_dx) times the
     wild epsilon factor of (chi, psi_db) computed by its own closed form.
-    The product of the determinant factor, the stationary factor, and the
+    The stationary factor is that closed form taken at the triple's c; the
+    product of the determinant factor, the stationary factor, and the
     lambda factor is checked against 1 exactly.  ``oracle=True`` recomputes
     the epsilon factor by the shell-sum integral as an independent anchor.
     c defaults to the stationary scale, and the defects of the pair (wild
@@ -950,33 +952,15 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
     i = -triple.c.valuation()
     assert 1 + db.valuation() - i == -n
     psi_db = AdditiveCharacter(db)
-    q = field.q
-    kap = field.kappa0(-field.one)
-
-    def parity_sign(exponent):
-        return kap if exponent % 2 else 1
-
-    chi_c = char_eval(chi, c_eval)
-    psi_c = psi_eval(psi_db, c_eval)
+    v, e = char_eval_exponents(chi, c_eval)
+    e -= psi_eval_exponent(psi_db, c_eval) * (chi.level() // field.p)
     det_factor = (
-        chi_c
-        * psi_c ** (-1)
+        char_value(chi, v, e)
         * quad_gauss_power(field, -i)
-        * parity_sign(i * (i - 1) // 2)
+        * (field.kappa0(-field.one) if (i * (i - 1) // 2) % 2 else 1)
         * hilbert_symbol(c_eval, db.shift(i).scale(field.from_int(-2)))
     )
-    stationary_factor = (
-        chi_c ** (-1)
-        * psi_c
-        * Fraction(q) ** i
-        * parity_sign(n * (n + 1) // 2)
-        * quad_gauss_power(field, -n - 1)
-    )
-    if n % 2 == 0:
-        tser = LaurentSeries.t_power(field, 1, 4)
-        stationary_factor = stationary_factor * hilbert_symbol(
-            (db * c_eval).scale(field.from_int(2)), tser
-        )
+    stationary_factor = epsilon0_wild(chi, psi_db, c_override=c_eval).value
     lam = lambda_factor(TotallyRamifiedExt(b)).value
     eps = epsilon0_wild(chi, psi_db)
     product = det_factor * stationary_factor * lam

@@ -332,12 +332,37 @@ def test_char_eval_exponent_shape():
         F3, 1, root_of_unity(12, 5), wild=WittVector(0, (poly(F3, [(-1, 1)], 12),))
     )
     u = poly(F3, [(-1, 2), (0, 1), (1, 1)], 12)
-    v, d, w = char_eval_exponents(chi, u)
+    v, e = char_eval_exponents(chi, u)
     assert v == -1
-    expect = chi.uniformizer_value**v
-    expect = expect * root_of_unity(2, d) if d % 2 else expect  # q-1 = 2 here
+    assert chi.level() == 6 and 0 <= e < 6  # (q-1) p^(m+1) = 2 * 3
     value = char_eval(chi, u)
-    assert value == chi.uniformizer_value**v * root_of_unity(2, d) * root_of_unity(3, w)
+    assert value == chi.uniformizer_value**v * root_of_unity(6, e)
+
+
+@pytest.mark.parametrize("field,m,seed", [(F3, 0, 31), (F3, 1, 32), (F5, 0, 33), (F9, 1, 34)])
+def test_char_eval_on_unreduced_wild_layers(field, m, seed):
+    # chi.wild = a + F(y) - y: char_eval reads the pairing series of the
+    # reduced vector, which pairs as the layer itself against t, units and
+    # non-units
+    rng = random.Random(seed)
+    p, q = field.p, field.q
+    for _ in range(3):
+        a = rng_wild(field, m, rng, min_val=-3, length=40)
+        y = WittVector(m, tuple(poly(field, [(rng.randrange(-2, 0), 1)], 40) + rng_series(field, rng, 0, 40)
+                                for _ in range(m + 1)))
+        wild = witt_add(a, witt_sub(frobenius(y), y))
+        chi = QuasiCharacter(field, rng.randrange(q - 1), root_of_unity(8, 3), wild)
+        assert reduce_vector(wild)[0] != wild
+        units = [LaurentSeries.t_power(field, 1, 30)]
+        units += [rng_series(field, rng, v, 30) for v in (0, 0, -2, 1, 3)]
+        for u in units:
+            if u.is_zero():
+                continue
+            v = u.valuation()
+            expected = (chi.uniformizer_value ** v
+                        * root_of_unity(q - 1, chi.tame_exponent * field.dlog(u.leading_coefficient()))
+                        * root_of_unity(p ** (m + 1), -witt_pairing(wild, u)))
+            assert char_eval(chi, u) == expected
 
 
 def test_char_rejects_zero_uniformizer_value():

@@ -1,13 +1,14 @@
 """Wire formats and the command-line driver: schemas, exit codes, pinned outputs."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ramify import cli, jsonio
 from ramify.cli import JobSpec, build_job, build_parser, main, run
-from ramify.cyclo import CycloNumber, root_of_unity
+from ramify.cyclo import CycloNumber, pretty, root_of_unity
 from ramify.errors import SchemaError, VerificationFailure
 from ramify.fields import make_field
 
@@ -301,6 +302,26 @@ class TestCommands:
         assert body["pushed"]["conductor"] == [2, 1]
         assert body["gauss_twist"] == "-1-2*z3"
 
+    def test_lft_pushed_character_feeds_epsilon(self, capsys):
+        # the pushed character prints chi(t) as a pretty string and carries
+        # its conductor; epsilon reads it back as it stands
+        code, out, _ = invoke(
+            capsys, "lft", "--p", "5",
+            "--char", '{"tame_exponent":0,"uniformizer_value":1,"wild":{"-3":1}}',
+            "--b", '{"1":1}',
+        )
+        assert code == 0
+        pushed = json.loads(out)["pushed"]
+        assert pushed["uniformizer_value"] == "1+2*z5^2+2*z5^3"
+        code, out, _ = invoke(capsys, "epsilon", "--p", "5", "--char", json.dumps(pushed), "--oracle")
+        assert code == 0
+        body = json.loads(out)
+        assert (body["value"], body["oracle_match"]) == ("-625", True)
+        pushed["conductor"] = [3, 2]
+        code, out, _ = invoke(capsys, "epsilon", "--p", "5", "--char", json.dumps(pushed))
+        assert code == 1
+        assert json.loads(out)["error"] == "SchemaError"
+
     def test_congruence_explicit_key1(self, capsys):
         code, out, _ = invoke(
             capsys, "congruence", "--p", "3", "--which", "key1", "--a", '{"-1": 1}'
@@ -477,17 +498,31 @@ class TestJsonio:
         with pytest.raises(SchemaError):
             jsonio.cyclo_from_json(True, "x")
 
+    def test_cyclo_pretty_strings(self):
+        # every string pretty prints decodes to the number it came from
+        for x in (root_of_unity(8, 3), 1 + 2 * root_of_unity(3), -root_of_unity(12),
+                  CycloNumber.from_rational(1, Fraction(-1, 3)) - Fraction(2, 3) * root_of_unity(3),
+                  1 + 2 * root_of_unity(5, 2) + 2 * root_of_unity(5, 3)):
+            assert jsonio.cyclo_from_json(pretty(x), "x") == x
+        assert jsonio.cyclo_from_json("+z4^3-1/2", "x") == -root_of_unity(4) - Fraction(1, 2)
+        for bad in ("z3+z4", "1+2*z3-z6^2", "1++z3", "1+z3+", "z3^", "2*z", "z0",
+                    "3z3", "z3*2", "1/0*z3", "z3 ", "x"):
+            with pytest.raises(SchemaError):
+                jsonio.cyclo_from_json(bad, "x")
+
     def test_char_round_trip(self):
-        chi = jsonio.char_from_json(
-            F3,
-            {"tame_exponent": 1, "uniformizer_value": [4, 1], "wild": {"-1": 1}},
-            "char", 8,
-        )
-        assert chi.tame_exponent == 1
-        assert chi.has_wild_part()
-        body = jsonio.char_to_json(chi)
-        assert body["tame_exponent"] == 1
-        assert body["wild"]["m"] == 0
+        for unif in ("z8^3", "1+2*z3", "-1/3-2/3*z3"):
+            chi = jsonio.char_from_json(
+                F3,
+                {"tame_exponent": 1, "uniformizer_value": unif, "wild": {"-1": 1}},
+                "char", 8,
+            )
+            body = jsonio.char_to_json(chi)
+            assert body["uniformizer_value"] == unif
+            back = jsonio.char_from_json(F3, body, "char")
+            assert back.tame_exponent == chi.tame_exponent == 1
+            assert back.uniformizer_value == chi.uniformizer_value
+            assert back.wild == chi.wild and back.wild.m == 0
 
     def test_psi_shorthand(self):
         psi = jsonio.psi_from_json(F3, {"0": 1}, "psi", 8)

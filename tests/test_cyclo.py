@@ -10,7 +10,6 @@ from ramify.cyclo import (
     euler_phi,
     minimal_form,
     pretty,
-    psi_additive,
     root_of_unity,
     session_level,
 )
@@ -89,27 +88,41 @@ def test_ring_axioms_random():
         assert a + (-a) == CycloNumber.zero(N)
 
 
+def psi_tower(m, x, p, N):
+    """psi_m(x) = zeta_{p^(m+1)}^x, written at the level N."""
+    return root_of_unity(N, N // p ** (m + 1) * x)
+
+
+def test_hash_agrees_with_equality_across_levels():
+    assert root_of_unity(3, 1) == root_of_unity(6, 2)
+    assert len({root_of_unity(3, 1), root_of_unity(6, 2)}) == 1
+    two_thirds = CycloNumber.from_rational(2, 3)
+    assert two_thirds == 3 and hash(two_thirds) == hash(3)
+    assert hash(embed(root_of_unity(8, 3), 24)) == hash(root_of_unity(8, 3))
+
+
 def test_psi_tower_compatibility():
     # psi_m(p^m * a) = psi_0(a), exactly, inside one session level
     for p, m in [(3, 1), (3, 2), (5, 1)]:
         N = session_level(p, p, m)
+        assert N == (p - 1) * p ** (m + 1)
         for a in range(p):
-            assert psi_additive(m, p**m * a, p, N) == psi_additive(0, a, p, N)
+            assert psi_tower(m, p**m * a, p, N) == psi_tower(0, a, p, N)
 
 
 def test_psi_zero():
-    assert psi_additive(0, 0, 3, 12) == 1
+    assert psi_tower(0, 0, 3, session_level(3, 3, 0)) == 1
 
 
 def test_psi_is_injective_homomorphism():
     p, m = 3, 1
     N = session_level(p, p, m)
-    values = [psi_additive(m, a, p, N) for a in range(p ** (m + 1))]
+    values = [psi_tower(m, a, p, N) for a in range(p ** (m + 1))]
     assert len(set(values)) == p ** (m + 1)
     rng = random.Random(1)
     for _ in range(20):
         a, b = rng.randrange(9), rng.randrange(9)
-        assert psi_additive(m, a, p, N) * psi_additive(m, b, p, N) == psi_additive(m, a + b, p, N)
+        assert psi_tower(m, a, p, N) * psi_tower(m, b, p, N) == psi_tower(m, a + b, p, N)
 
 
 def test_conjugate_product_norm():

@@ -33,7 +33,6 @@ from ramify.epsilon import (
     epsilon0_tame,
     epsilon0_wild,
     epsilon_tate_oracle,
-    find_c,
     gauss_sum,
     induced_swan,
     lambda_factor,
@@ -198,7 +197,7 @@ def test_wild_depth_one_frozen():
     assert res.branch == "wild-odd"
     assert res.value == 3
     assert epsilon_tate_oracle(chi, psi) == res.value
-    c = find_c(chi, psi)
+    c = epsilon0_wild(chi, psi).c
     assert (c - LaurentSeries.t_power(F3, -2, 24)).is_zero()
     assert c.val == -2 and c.prec == 0  # canonical window of length r+1 = 2
     assert (res.c - c).is_zero()
@@ -281,7 +280,7 @@ def test_find_c_monomial_classes(n):
     chi = QuasiCharacter(
         F3, 0, one(), wild=WittVector(0, (LaurentSeries.t_power(F3, -n, 24),))
     )
-    c = find_c(chi, psi_dt(F3))
+    c = epsilon0_wild(chi, psi_dt(F3)).c
     r = (n + 1) // 2
     assert c.val == -n - 1
     assert c.prec == -n - 1 + r + 1
@@ -297,7 +296,7 @@ def test_find_c_defining_congruence():
         chi = rng_wild_char(F9, 0, rng, [-3], 6)
         _, n = conductor(chi)
         r = (n + 1) // 2
-        c = find_c(chi, psi)
+        c = epsilon0_wild(chi, psi).c
         assert c.val == -n - 1 - psi.ord
         for _ in range(3):
             x = rng_series(F9, rng, r, 6, unit_lead=False)
@@ -307,7 +306,16 @@ def test_find_c_defining_congruence():
 
 def test_find_c_rejects_tame():
     with pytest.raises(TameInput):
-        find_c(QuasiCharacter(F3, 1, one()), psi_dt(F3))
+        epsilon0_wild(QuasiCharacter(F3, 1, one()), psi_dt(F3))
+
+
+def test_wild_closed_form_rejects_tame_with_c_override():
+    # with c_override the depth comes from the conductor, which is 0 here
+    c = LaurentSeries.t_power(F3, -2, 24)
+    constant_twist = WittVector(0, (LaurentSeries.monomial(F3, F3.one, 0, 24),))
+    for chi in (QuasiCharacter(F3, 1, one()), QuasiCharacter(F3, 0, one(), constant_twist)):
+        with pytest.raises(TameInput):
+            epsilon0_wild(chi, psi_dt(F3), c_override=c)
 
 
 # -- oracle guard rails -------------------------------------------------------------
@@ -340,14 +348,13 @@ def reference_shell_sum(chi, psi, v, depth):
     public char_eval_exponents and psi_eval_exponent."""
     field = chi.field
     q, p = field.q, field.p
-    mod = p ** (chi.m + 1)
-    level = (q - 1) * mod
+    level = chi.level()
     hist = Counter()
     for digits in itertools.product(range(1, q), *[range(q)] * (depth - 1)):
         terms = {v + j: field.from_index(i) for j, i in enumerate(digits)}
         x = LaurentSeries.from_terms(field, terms, v + depth + 6)
-        _v, d, w = char_eval_exponents(chi, x)
-        hist[(-d * mod - w * (q - 1) + psi_eval_exponent(psi, x) * (level // p)) % level] += 1
+        _v, e = char_eval_exponents(chi, x)
+        hist[(-e + psi_eval_exponent(psi, x) * (level // p)) % level] += 1
     total = CycloNumber.zero(level)
     for k, cnt in hist.items():
         total = total + root_of_unity(level, k) * cnt
@@ -396,12 +403,11 @@ def top_digit_forms(chi, psi, v, depth, lower):
     top digit j >= h over the F_p-basis b = 1, x, ..., x^(f-1) of F_q."""
     field = chi.field
     q, p = field.q, field.p
-    mod = p ** (chi.m + 1)
-    level = (q - 1) * mod
+    level = chi.level()
 
     def exponent(x):
-        _v, d, w = char_eval_exponents(chi, x)
-        return -d * mod - w * (q - 1) + psi_eval_exponent(psi, x) * (level // p)
+        _v, e = char_eval_exponents(chi, x)
+        return -e + psi_eval_exponent(psi, x) * (level // p)
 
     prec = v + depth + 6
     u = LaurentSeries.from_terms(field, {v + j: field.from_index(i) for j, i in enumerate(lower)}, prec)
@@ -719,7 +725,7 @@ def test_induced_swan_matches_stationary_scale(field, pairs, wild_val):
         wild=WittVector(0, (LaurentSeries.t_power(field, wild_val, 24),)),
     )
     psi_l = AdditiveCharacter(ext.b_derivative())
-    c = find_c(chi, psi_l)
+    c = epsilon0_wild(chi, psi_l).c
     assert -c.val == induced_swan(ext, chi) + ext.degree
 
 
