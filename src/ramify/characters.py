@@ -235,12 +235,13 @@ class AdditiveCharacter:
     becomes psi_k of the residue class.
     """
 
-    __slots__ = ("omega",)
+    __slots__ = ("omega", "_traces")
 
     def __init__(self, omega: LaurentSeries):
         if omega.is_zero():
             raise ZeroInput("omega must be a nonzero 1-form")
         self.omega = omega
+        self._traces = {}
 
     @property
     def field(self):
@@ -249,6 +250,16 @@ class AdditiveCharacter:
     @property
     def ord(self) -> int:
         return self.omega.valuation()
+
+    def digit_traces(self, n: int) -> tuple[int, ...]:
+        """Tr_{k/F_p}(x g) for x in k in index order, g the coefficient of t^n
+        in omega: the exponent of psi(x t^(-1-n)) in Z/p, memoized per n."""
+        row = self._traces.get(n)
+        if row is None:
+            field, g = self.field, self.omega.coefficient(n)
+            row = self._traces[n] = (0,) * field.q if g.is_zero() else tuple(
+                field.trace_to_prime(field.from_index(i) * g) for i in range(field.q))
+        return row
 
     def __repr__(self):
         return f"AdditiveCharacter(ord={self.ord}, q={self.field.q})"

@@ -1,10 +1,20 @@
 """Exact arithmetic in Q(zeta_N), represented as Q[X]/Phi_N(X).
 
-Coefficients are `fractions.Fraction` throughout — no floating point.  The
-cyclotomic polynomial Phi_N is computed by iterated exact division of X^N - 1
-by the Phi_d for proper divisors d, and cached per level.  Two numbers at
-different levels compare equal iff they agree after embedding into the lcm
-level.
+A number is a tuple ``num`` of integer numerators, the coefficients of
+1, X, ..., X^(phi(N)-1), over one integer denominator ``den`` > 0, kept
+canonical: gcd(den, *num) = 1.  Equal numbers at one level therefore carry
+equal (num, den), and ``==`` is a tuple compare.  Every operation runs on
+integers, ``inverse`` too (by relative norms down the tower of levels);
+``coeffs`` is a read-only Fraction view.  Operands are ints, Fractions or
+CycloNumbers, never floats.
+
+Phi_N is computed by iterated exact division of X^N - 1 by the Phi_d for
+proper divisors d, and cached per level.  As Phi_N(X) = Phi_r(X^s) with
+r = rad(N) and s = N/r, a polynomial mod X^N - 1 is reduced mod Phi_N by
+long division by Phi_r in Y = X^s, on rows of s coefficients at a time.
+Two numbers at different levels compare equal iff they agree after embedding
+into the lcm level; ``minimal_form`` finds the smallest level that holds a
+number by dropping one prime from N at a time.
 """
 
 from __future__ import annotations
@@ -12,8 +22,11 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import add, mul, sub
 
-from .errors import DivisionByZero, IncompatibleLevels
+from .errors import DivisionByZero, IncompatibleLevels, LengthMismatch
 
 _phi_lock = threading.Lock()
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
@@ -21,17 +34,23 @@ _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
 
 def euler_phi(n: int) -> int:
     out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for ell in _prime_factors(n):
+        out -= out // ell
     return out
+
+
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def _intpoly_div_exact(num, den):
@@ -69,115 +88,163 @@ def cyclotomic_poly(N: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(N: int):
-    """X^k mod Phi_N for k in [phi, 2*phi-2], as integer tuples of length phi."""
-    phi_poly = cyclotomic_poly(N)
-    deg = len(phi_poly) - 1
-    rows = []
-    cur = [-c for c in phi_poly[:deg]]  # X^deg
-    rows.append(tuple(cur))
-    for _ in range(deg - 2):
-        nxt = [0] + cur[:-1]
-        lead = cur[-1]
-        if lead:
-            for i in range(deg):
-                nxt[i] -= lead * phi_poly[i]
-        cur = nxt
-        rows.append(tuple(cur))
-    return rows
+def _slicing(N: int):
+    """(s, r, deg, terms): Phi_N(X) = Phi_r(X^s) with r = rad(N), deg =
+    phi(r), and terms the nonzero (i, c) of Phi_r below its monic top."""
+    r = 1
+    for ell in _prime_factors(N):
+        r *= ell
+    phi_r = cyclotomic_poly(r)
+    deg = len(phi_r) - 1
+    return N // r, r, deg, tuple((i, c) for i, c in enumerate(phi_r[:deg]) if c)
 
 
-def _reduce_mod_phi(coeffs, N):
-    """Reduce an arbitrary-degree int or Fraction list mod Phi_N (long division)."""
-    phi_poly = cyclotomic_poly(N)
-    deg = len(phi_poly) - 1
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
-        if c:
-            for i in range(deg + 1):
-                coeffs[k - deg + i] -= c * phi_poly[i]
-        # top coefficient is now zero
-    out = coeffs[:deg]
-    out += [Fraction(0)] * (deg - len(out))
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in out)
+def _reduce(buf, N: int) -> tuple[int, ...]:
+    """A polynomial mod X^N - 1 (a length-N int list) reduced mod Phi_N.
+
+    Row j of buf holds the exponents s*j, ..., s*j + s - 1; as a polynomial
+    in Y = X^s with those rows as coefficients, buf is reduced by long
+    division by Phi_r(Y), one whole row at a time."""
+    s, r, deg, terms = _slicing(N)
+    rows = [buf[j:j + s] for j in range(0, N, s)]
+    for k in range(r - 1, deg - 1, -1):
+        top = rows[k]
+        if any(top):
+            for i, c in terms:
+                t = k - deg + i
+                if c == 1:
+                    rows[t] = list(map(sub, rows[t], top))
+                elif c == -1:
+                    rows[t] = list(map(add, rows[t], top))
+                else:
+                    rows[t] = list(map(sub, rows[t], map(mul, repeat(c), top)))
+    return tuple(chain.from_iterable(rows[:deg]))
+
+
+def _canonical(num, den: int):
+    """(num, den) with den > 0 divided by gcd(den, *num)."""
+    num = tuple(num)
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    return num, den
+
+
+def _number(N: int, num, den: int = 1) -> "CycloNumber":
+    """The CycloNumber num/den at level N (den > 0)."""
+    x = object.__new__(CycloNumber)
+    x.N = N
+    x.num, x.den = _canonical(num, den)
+    return x
+
+
+def _over_common_den(values):
+    """(numerators, den) of int or Fraction values over their lcm denominator."""
+    if {int}.issuperset(map(type, values)):
+        return values, 1
+    if not all(isinstance(c, (int, Fraction)) for c in values):
+        raise TypeError("cyclotomic coefficients must be int or Fraction")
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 class CycloNumber:
-    """Element of Q(zeta_N) as a vector of Fractions modulo Phi_N."""
+    """Element of Q(zeta_N) as integer numerators over one denominator,
+    modulo Phi_N."""
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ("N", "num", "den")
 
     def __init__(self, N: int, coeffs):
+        """x = sum_i coeffs[i] zeta_N^i from phi(N) int or Fraction coefficients."""
+        coeffs = list(coeffs)
+        if N < 1 or len(coeffs) != euler_phi(N):
+            raise LengthMismatch(f"level {N} takes phi(N) coefficients, got {len(coeffs)}")
         self.N = N
-        deg = euler_phi(N)
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        assert len(coeffs) == deg, (len(coeffs), deg)
-        self.coeffs = coeffs
+        self.num, self.den = _canonical(*_over_common_den(coeffs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, zeta_N, ... as Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def zero(N: int) -> "CycloNumber":
-        return CycloNumber(N, (Fraction(0),) * euler_phi(N))
+        return _number(N, (0,) * euler_phi(N))
 
     @staticmethod
     def from_rational(N: int, r) -> "CycloNumber":
-        deg = euler_phi(N)
-        return CycloNumber(N, (Fraction(r),) + (Fraction(0),) * (deg - 1))
+        if not isinstance(r, (int, Fraction)):
+            raise TypeError(f"a rational is an int or a Fraction, got {type(r).__name__}")
+        return _number(N, (r.numerator,) + (0,) * (euler_phi(N) - 1), r.denominator)
 
     @staticmethod
     def from_monomials(N: int, terms) -> "CycloNumber":
-        """sum of c * X^k for (k, c) in terms, k arbitrary integers mod N;
-        integer counts stay ints until the reduction mod Phi_N is done."""
+        """sum of c * X^k for (k, c) in terms, k arbitrary integers mod N,
+        c int or Fraction."""
         buf = [0] * N
         for k, c in terms:
             buf[k % N] += c
-        return CycloNumber(N, _reduce_mod_phi(buf, N))
+        buf, den = _over_common_den(buf)
+        return _number(N, _reduce(buf, N), den)
 
     # -- ring ops ----------------------------------------------------------
 
-    def _cast(self, other):
+    def _coerce(self, other):
+        """other as a CycloNumber at this level when it is a rational, or
+        None for a type outside int, Fraction and CycloNumber."""
         if isinstance(other, CycloNumber):
             return other
-        return CycloNumber.from_rational(self.N, other)
+        if isinstance(other, (int, Fraction)):
+            return CycloNumber.from_rational(self.N, other)
+        return None
 
     def __add__(self, other):
-        other = self._cast(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         a, b = align_levels(self, other)
-        return CycloNumber(a.N, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _number(a.N, map(add, a.num, b.num), a.den)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _number(a.N, (x * fa + y * fb for x, y in zip(a.num, b.num)), den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._cast(other)
-        a, b = align_levels(self, other)
-        return CycloNumber(a.N, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + -self
 
     def __neg__(self):
-        return CycloNumber(self.N, tuple(-x for x in self.coeffs))
+        return _number(self.N, (-x for x in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.N, tuple(x * other for x in self.coeffs))
+            return _number(self.N, map(mul, self.num, repeat(other.numerator)),
+                           self.den * other.denominator)
+        if not isinstance(other, CycloNumber):
+            return NotImplemented
         a, b = align_levels(self, other)
-        deg = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:deg])
-        rows = _reduction_rows(a.N)
-        for j in range(deg - 1):
-            c = conv[deg + j]
-            if c:
-                row = rows[j]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNumber(a.N, tuple(out))
+        N, x, y = a.N, a.num, b.num
+        if x.count(0) < y.count(0):  # the sparser factor drives the outer loop
+            x, y = y, x
+        deg = len(x)
+        conv = [0] * (2 * deg - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                conv[i:i + deg] = map(add, conv[i:i + deg], map(mul, repeat(xi), y))
+        buf = conv[:N] + [0] * (N - len(conv))
+        for k in range(N, len(conv)):  # X^N = 1
+            buf[k - N] += conv[k]
+        return _number(N, _reduce(buf, N), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -194,101 +261,74 @@ class CycloNumber:
         return acc
 
     def inverse(self) -> "CycloNumber":
-        """Extended GCD against Phi_N over Q."""
+        """1/x down the tower of levels.  With M' = M/ell and c the product
+        of the other conjugates of x over Q(zeta_M'), x c is the relative
+        norm, which lies in Q(zeta_M'); so 1/x = c / (x c), the last inverse
+        taken at level M'."""
         if self.is_zero():
             raise DivisionByZero("inverse of 0 in Q(zeta_N)")
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(self.N)]
-        a = list(self.coeffs)
-        # trim
-        while a and a[-1] == 0:
-            a.pop()
-        # invariant: old_r = old_s * self mod Phi; end with old_r constant
-        old_r, r = phi_poly, a
-        old_s, s = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r):
-            q, rem = _poly_divmod(old_r, r)
-            old_r, r = r, rem
-            old_s, s = s, _poly_sub(old_s, _poly_mul_frac(q, s))
-        assert len(old_r) == 1
-        inv_scale = 1 / old_r[0]
-        res = [c * inv_scale for c in old_s]
-        return CycloNumber(self.N, _reduce_mod_phi(res, self.N))
+        M = self.N
+        if M == 1:
+            n = self.num[0]
+            return _number(1, (self.den if n > 0 else -self.den,), abs(n))
+        ell = _prime_factors(M)[0]
+        low = M // ell
+        # Gal(Q(zeta_M)/Q(zeta_M')) = {a = 1 + k M' prime to M}
+        conj = CycloNumber.from_rational(M, 1)
+        for k in range(1, ell):
+            if gcd(1 + k * low, M) == 1:
+                conj = conj * self.galois(1 + k * low)
+        return conj * _drop_prime(self * conj, ell).inverse()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise DivisionByZero("division by 0")
-            return CycloNumber(self.N, tuple(x / Fraction(other) for x in self.coeffs))
+            return self * (1 / Fraction(other))
+        if not isinstance(other, CycloNumber):
+            return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.inverse() * other
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         assert self.is_rational()
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def galois(self, a: int) -> "CycloNumber":
         """The automorphism zeta -> zeta^a (gcd(a, N) must be 1)."""
-        buf = [Fraction(0)] * self.N
-        for j, c in enumerate(self.coeffs):
+        N = self.N
+        buf = [0] * N
+        for j, c in enumerate(self.num):
             if c:
-                buf[(j * a) % self.N] += c
-        return CycloNumber(self.N, _reduce_mod_phi(buf, self.N))
+                buf[(j * a) % N] += c
+        return _number(N, _reduce(buf, N), self.den)
 
     def __eq__(self, other):
+        if isinstance(other, CycloNumber):
+            a, b = align_levels(self, other)
+            return a.num == b.num and a.den == b.den
         if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(self.N, other)
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        a, b = align_levels(self, other)
-        return a.coeffs == b.coeffs
+            return (self.num[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
+        return NotImplemented
 
     def __hash__(self):
         # equal numbers at different levels share their minimal form
         y = minimal_form(self)
-        return hash(y.coeffs[0]) if y.N == 1 else hash((y.N, y.coeffs))
+        return hash(Fraction(y.num[0], y.den)) if y.N == 1 else hash((y.N, y.num, y.den))
 
     def __repr__(self):
         return f"Cyclo(N={self.N}, {pretty(self)})"
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = 1 / b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] * inv_lead
-        q[k] = c
-        if c:
-            for i in range(db + 1):
-                a[k + i] -= c * b[i]
-    rem = a[:db]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return q, rem
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def root_of_unity(N: int, k: int = 1) -> CycloNumber:
@@ -303,19 +343,15 @@ def embed(x: CycloNumber, N: int) -> CycloNumber:
     if N % x.N != 0:
         raise IncompatibleLevels(f"cannot embed level {x.N} into level {N}")
     step = N // x.N
-    buf = [Fraction(0)] * N
-    for j, c in enumerate(x.coeffs):
-        if c:
-            buf[(j * step) % N] += c
-    return CycloNumber(N, _reduce_mod_phi(buf, N))
+    buf = [0] * N
+    buf[0:len(x.num) * step:step] = x.num
+    return _number(N, _reduce(buf, N), x.den)
 
 
 def align_levels(a: CycloNumber, b: CycloNumber):
     if a.N == b.N:
         return a, b
-    import math
-
-    N = a.N * b.N // math.gcd(a.N, b.N)
+    N = lcm(a.N, b.N)
     return embed(a, N), embed(b, N)
 
 
@@ -328,78 +364,64 @@ def session_level(p: int, q: int, m: int) -> int:
 
 # -- display helpers ---------------------------------------------------------
 
-def _fmt_coeff(c: Fraction, first: bool) -> str:
-    sign = "-" if c < 0 else ("" if first else "+")
-    mag = abs(c)
-    return sign, (str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}")
-
-
 def pretty(x: CycloNumber) -> str:
     """Human-readable form at the smallest cyclotomic level that contains x."""
     y = minimal_form(x)
-    if all(c == 0 for c in y.coeffs):
-        return "0"
     parts = []
-    for j, c in enumerate(y.coeffs):
+    for j, c in enumerate(y.num):
         if c == 0:
             continue
-        sign, mag = _fmt_coeff(c, first=not parts)
+        sign = "-" if c < 0 else ("+" if parts else "")
+        g = gcd(c, y.den)
+        mag = str(abs(c) // g) if g == y.den else f"{abs(c) // g}/{y.den // g}"
         if j == 0:
             parts.append(f"{sign}{mag}")
         else:
             zeta = f"z{y.N}" if j == 1 else f"z{y.N}^{j}"
-            if mag == "1":
-                parts.append(f"{sign}{zeta}")
-            else:
-                parts.append(f"{sign}{mag}*{zeta}")
-    return "".join(parts)
+            parts.append(f"{sign}{zeta}" if mag == "1" else f"{sign}{mag}*{zeta}")
+    return "".join(parts) or "0"
 
 
 def minimal_form(x: CycloNumber) -> CycloNumber:
-    """Rewrite x at the smallest divisor level M | N with x in Q(zeta_M)."""
-    N = x.N
-    divisors = sorted(d for d in range(1, N + 1) if N % d == 0)
-    for M in divisors:
-        y = _try_descend(x, M)
-        if y is not None:
-            return y
+    """Rewrite x at the smallest divisor level M | N with x in Q(zeta_M).
+
+    The levels M | N that hold x are closed under gcd, since Q(zeta_a) and
+    Q(zeta_b) meet in Q(zeta_gcd(a, b)); so dropping a prime from the level
+    while x stays inside, once per prime factor and as often as it goes,
+    ends at the smallest one."""
+    for ell in _prime_factors(x.N):
+        while x.N % ell == 0:
+            y = _drop_prime(x, ell)
+            if y is None:
+                break
+            x = y
     return x
 
 
-def _try_descend(x: CycloNumber, M: int):
-    """Solve x = sum_j c_j * zeta_N^(j*N/M) over Q if possible."""
-    N = x.N
-    degM = euler_phi(M)
-    step = N // M
-    basis = [root_of_unity(N, j * step).coeffs for j in range(degM)]
-    degN = len(x.coeffs)
-    # Gaussian elimination on the degN x degM system
-    rows = [[basis[j][i] for j in range(degM)] + [x.coeffs[i]] for i in range(degN)]
-    pivots = []
-    rank_col = 0
-    for col in range(degM):
-        piv = None
-        for r in range(rank_col, degN):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank_col], rows[piv] = rows[piv], rows[rank_col]
-        prow = rows[rank_col]
-        inv = 1 / prow[col]
-        rows[rank_col] = [c * inv for c in prow]
-        for r in range(degN):
-            if r != rank_col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank_col])]
-        pivots.append(col)
-        rank_col += 1
-    # consistency: all remaining rows must have zero RHS
-    for r in range(rank_col, degN):
-        if rows[r][degM] != 0:
+def _drop_prime(x: CycloNumber, ell: int):
+    """x rewritten at level M' = M/ell (M = x.N), or None if x is not in
+    Q(zeta_M').
+
+    If ell^2 | M, then Phi_M(X) = Phi_M'(X^ell) and 1, X, ..., X^(ell-1) is a
+    basis over Q(zeta_M'): x lies there iff only the exponents divisible by
+    ell carry coefficients.  Otherwise zeta_M = zeta_M'^u zeta_ell^w with
+    u ell + w M' = 1 mod M, and x = sum_k B_k zeta_ell^k with B_k in Q(zeta_M').
+    As zeta_ell^0 = -(zeta_ell + ... + zeta_ell^(ell-1)) and those ell - 1
+    powers are a basis over Q(zeta_M'), x lies in Q(zeta_M') iff B_1, ...,
+    B_(ell-1) agree -- the Galois group of Q(zeta_M)/Q(zeta_M') permutes
+    them -- and then x = B_0 - B_1."""
+    M, num = x.N, x.num
+    low = M // ell
+    if low % ell == 0:
+        if any(c for i, c in enumerate(num) if i % ell):
             return None
-    sol = [Fraction(0)] * degM
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][degM]
-    return CycloNumber(M, sol)
+        return _number(low, num[::ell], x.den)
+    u, w = pow(ell, -1, low), pow(low, -1, ell)
+    buckets = [[0] * low for _ in range(ell)]
+    for i, c in enumerate(num):
+        if c:
+            buckets[(i * w) % ell][(i * u) % low] += c
+    b1 = _reduce(buckets[1], low)
+    if any(_reduce(b, low) != b1 for b in buckets[2:]):
+        return None
+    return _number(low, map(sub, _reduce(buckets[0], low), b1), x.den)

@@ -197,8 +197,7 @@ def _shell_sum(chi, psi, v, depth, unit_pairings):
     # all exponents are of zeta_level: zeta_{q-1} = zeta_level^mod, zeta_mod = zeta_level^(q-1)
     wild = [None] + [[x * (q - 1) for x in (P[j] if P else [0] * q)] for j in range(1, depth)]
     # T[k][i]: psi exponent of the digit i at t^(v+k)
-    T = [[field.trace_to_prime(field.from_index(i) * g) * (level // p) for i in range(q)]
-         for g in (psi.omega.coefficient(-1 - v - k) for k in range(depth))]
+    T = [[x * (level // p) for x in psi.digit_traces(-1 - v - k)] for k in range(depth)]
 
     def mul(a, b):
         return exp[(log[a] + log[b]) % (q - 1)] if a and b else 0

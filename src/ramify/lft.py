@@ -960,9 +960,12 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
         * (field.kappa0(-field.one) if (i * (i - 1) // 2) % 2 else 1)
         * hilbert_symbol(c_eval, db.shift(i).scale(field.from_int(-2)))
     )
-    stationary_factor = epsilon0_wild(chi, psi_db, c_override=c_eval).value
+    stationary = epsilon0_wild(chi, psi_db, c_override=c_eval)
+    stationary_factor = stationary.value
     lam = lambda_factor(TotallyRamifiedExt(b)).value
-    eps = epsilon0_wild(chi, psi_db)
+    # epsilon0_wild's own scale is -w(reduced layer)/b': c_eval itself when
+    # the wild layer is reduced already, so only an unreduced one is re-derived
+    eps = stationary if chi.reduced_wild()[0] is triple.a else epsilon0_wild(chi, psi_db)
     product = det_factor * stationary_factor * lam
     product_identity = product == 1
     lhs = det_factor ** (-1)

@@ -1,8 +1,14 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ramify.cyclo
 from ramify.cyclo import (
     CycloNumber,
     cyclotomic_poly,
@@ -13,7 +19,7 @@ from ramify.cyclo import (
     root_of_unity,
     session_level,
 )
-from ramify.errors import DivisionByZero, IncompatibleLevels
+from ramify.errors import DivisionByZero, IncompatibleLevels, LengthMismatch
 
 
 def test_cyclotomic_polys_small():
@@ -138,3 +144,185 @@ def test_pretty_and_minimal_form():
     assert pretty(CycloNumber.from_rational(12, Fraction(-3))) == "-3"
     y = minimal_form(embed(root_of_unity(4), 24))
     assert y.N == 4
+
+
+# -- a Fraction reference: dense convolution and long division by Phi_N ------
+
+REF_LEVELS = (1, 2, 3, 4, 8, 9, 12, 16, 21, 24, 40, 144)
+
+
+def ref_reduce(coeffs, N):
+    """Any-length Fraction list reduced mod Phi_N by long division."""
+    phi = cyclotomic_poly(N)
+    deg = len(phi) - 1
+    coeffs = [Fraction(c) for c in coeffs]
+    for k in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[k]
+        if c:
+            for i in range(deg + 1):
+                coeffs[k - deg + i] -= c * phi[i]
+    return tuple(coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs)))
+
+
+def ref_mul(a, b, N):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    return ref_reduce(conv, N)
+
+
+def ref_spread(a, N, step):
+    """sum_j a_j X^(j step mod N), reduced mod Phi_N."""
+    buf = [Fraction(0)] * N
+    for j, c in enumerate(a):
+        buf[(j * step) % N] += c
+    return ref_reduce(buf, N)
+
+
+def ref_minimal_form(a, N):
+    """(M, coefficients): the first divisor M of N, in increasing order, for
+    which a solves a = sum_j c_j X^(j N/M) mod Phi_N, by Gaussian elimination."""
+    for M in (d for d in range(1, N + 1) if N % d == 0):
+        degM = euler_phi(M)
+        basis = [ref_spread([0] * j + [1], N, N // M) for j in range(degM)]
+        rows = [[basis[j][i] for j in range(degM)] + [a[i]] for i in range(len(a))]
+        rank = 0
+        for col in range(degM):
+            piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+            if piv is None:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            rows[rank] = [c / rows[rank][col] for c in rows[rank]]
+            for r in range(len(rows)):
+                if r != rank and rows[r][col]:
+                    f = rows[r][col]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+            rank += 1
+        if all(row[degM] == 0 for row in rows[rank:]):
+            sol = [Fraction(0)] * degM
+            for row in rows[:rank]:
+                sol[next(c for c in range(degM) if row[c])] = row[degM]
+            return M, tuple(sol)
+    raise AssertionError("level N always holds a")
+
+
+def rand_coeffs(rng, deg, density=1.0):
+    return [Fraction(rng.randrange(-5, 6), rng.choice((1, 1, 2, 3, 6)))
+            if rng.random() < density else Fraction(0) for _ in range(deg)]
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.N)
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
+
+
+@pytest.mark.parametrize("N", REF_LEVELS)
+def test_ring_ops_match_fraction_reference(N):
+    rng = random.Random(N)
+    deg = euler_phi(N)
+    for trial in range(6):
+        a, b = rand_coeffs(rng, deg, 1 - trial / 8), rand_coeffs(rng, deg, 0.5)
+        x, y = CycloNumber(N, a), CycloNumber(N, b)
+        cases = [
+            (x * y, ref_mul(a, b, N)),
+            (x + y, tuple(u + v for u, v in zip(a, b))),
+            (x - y, tuple(u - v for u, v in zip(a, b))),
+            (-x, tuple(-u for u in a)),
+            (x * Fraction(-3, 4), tuple(u * Fraction(-3, 4) for u in a)),
+        ]
+        for a_ in (1, N - 1, rng.choice([k for k in range(1, N + 1) if math.gcd(k, N) == 1])):
+            cases.append((x.galois(a_), ref_spread(a, N, a_)))
+        for k in (2, 3):
+            cases.append((embed(x, k * N), ref_spread(a, k * N, k)))
+        if not x.is_zero():
+            inv = x.inverse()
+            assert_canonical(inv)
+            assert ref_mul(a, inv.coeffs, N) == ref_reduce([1], N), (N, trial)
+        for got, want in cases:
+            assert_canonical(got)
+            assert got.coeffs == want, (N, trial)
+
+
+@pytest.mark.parametrize("N", REF_LEVELS)
+def test_minimal_form_matches_fraction_reference(N):
+    rng = random.Random(1000 + N)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    for _ in range(4):
+        M = rng.choice(divisors)
+        a = ref_spread(rand_coeffs(rng, euler_phi(M), 0.7), N, N // M)
+        x = CycloNumber(N, a)
+        y = minimal_form(x)
+        assert_canonical(y)
+        assert (y.N, y.coeffs) == ref_minimal_form(a, N), (N, M)
+        assert y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("N", REF_LEVELS)
+def test_equal_values_at_two_levels_compare_and_hash_equal(N):
+    rng = random.Random(2000 + N)
+    x = CycloNumber(N, rand_coeffs(rng, euler_phi(N)))
+    for k in (2, 3, 5):
+        z = embed(x, k * N)
+        assert_canonical(z)
+        assert z == x and x == z and hash(z) == hash(x)
+        assert z != x + root_of_unity(k * N)
+    r = CycloNumber.from_rational(N, Fraction(-7, 3))
+    assert r == Fraction(-7, 3) and hash(r) == hash(Fraction(-7, 3))
+    assert (r.num[0], r.den) == (-7, 3)
+
+
+def test_canonical_form_divides_out_the_gcd():
+    x = CycloNumber(12, [Fraction(2, 6), Fraction(4, 6), 0, Fraction(-8, 6)])
+    assert (x.num, x.den) == ((1, 2, 0, -4), 3)
+    assert ((x * 3).num, (x * 3).den) == ((1, 2, 0, -4), 1)
+    zero = x - x
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1) and zero == 0
+
+
+# -- mixed operands -------------------------------------------------------------
+
+
+def test_reflected_subtraction_and_division():
+    z = CycloNumber(12, [1, 2, 0, -1])
+    assert 1 - z == -(z - 1) == CycloNumber(12, [0, -2, 0, 1])
+    assert Fraction(1, 2) - z == -(z - Fraction(1, 2))
+    assert 1 / z == z.inverse() and (1 / z) * z == 1
+    assert Fraction(3, 5) / z == z.inverse() * Fraction(3, 5)
+    with pytest.raises(DivisionByZero):
+        1 / CycloNumber.zero(12)
+
+
+@pytest.mark.parametrize("other", [0.5, 1.5, "1", None, complex(1, 0)])
+def test_ring_ops_refuse_other_types(other):
+    z = root_of_unity(12)
+    ops = (lambda: z + other, lambda: other + z, lambda: z - other, lambda: other - z,
+           lambda: z * other, lambda: other * z, lambda: z / other, lambda: other / z)
+    for op in ops:
+        with pytest.raises(TypeError):
+            op()
+    assert z.__eq__(other) is NotImplemented
+    assert not (CycloNumber.from_rational(1, Fraction(3, 2)) == other)
+
+
+def test_constructors_refuse_floats():
+    with pytest.raises(TypeError):
+        CycloNumber(3, [0.5, 1])
+    with pytest.raises(TypeError):
+        CycloNumber.from_rational(3, 0.5)
+    with pytest.raises(TypeError):
+        CycloNumber.from_monomials(3, [(1, 0.5)])
+
+
+def test_wrong_length_raises_even_under_python_O():
+    with pytest.raises(LengthMismatch):
+        CycloNumber(12, [1, 2, 3])
+    code = ("from ramify.cyclo import CycloNumber\n"
+            "from ramify.errors import LengthMismatch\n"
+            "try:\n    CycloNumber(12, [1, 2, 3])\nexcept LengthMismatch:\n    print('raised')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ramify.cyclo.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert out.stdout.strip() == "raised", out.stderr

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ramify.epsilon
 import ramify.lft
 from ramify.characters import AdditiveCharacter, QuasiCharacter, conductor
 from ramify.cyclo import CycloNumber, root_of_unity
@@ -52,6 +53,7 @@ from ramify.witt import (
     WittVector,
     dilate,
     fil_level,
+    reduce_vector,
     verschiebung_power,
     witt_add,
     witt_differential,
@@ -209,16 +211,21 @@ def test_pair_defect_raises_one_class(defect, entry):
 
 @pytest.mark.parametrize("entry", [lft_descriptor, verify_laumon])
 def test_stationary_datum_is_derived_once(monkeypatch, entry):
+    # counted through lft and epsilon together: verify_laumon's default
+    # epsilon scale is the triple's own when the wild layer is reduced
     calls = []
     derive = ramify.lft.witt_differential
-    monkeypatch.setattr(ramify.lft, "witt_differential",
-                        lambda a: calls.append(a) or derive(a))
-    tri = random_legendre_triple(F5, 0, random.Random(7))
-    # a fresh wild layer, so nothing derived for tri.a is reused
-    a = WittVector(tri.a.m, tri.a.entries)
-    calls.clear()
-    entry(QuasiCharacter(F5, 0, CycloNumber.from_rational(1, 1), a), tri.b)
-    assert calls == [a]
+    for module in (ramify.lft, ramify.epsilon):
+        monkeypatch.setattr(module, "witt_differential",
+                            lambda a: calls.append(a) or derive(a))
+    for field, m in ((F3, 0), (F5, 0), (F3, 1), (F9, 0)):
+        tri = random_legendre_triple(field, m, random.Random(7))
+        # a fresh wild layer, so nothing derived for tri.a is reused
+        a = WittVector(tri.a.m, tri.a.entries)
+        assert reduce_vector(a)[0] is a
+        calls.clear()
+        entry(QuasiCharacter(field, 0, CycloNumber.from_rational(1, 1), a), tri.b)
+        assert calls == [a], (field.q, m)
 
 
 # -- discriminant and square classes -------------------------------------------------
