@@ -897,8 +897,9 @@ class LaumonReport:
             = lambda(L/K, psi_dx) * eps0(chi, psi_db),
 
     together with the closed product of its three factor formulas, which
-    must equal 1 identically.  ``mismatch`` names the first factor whose
-    two evaluation paths disagree when any check fails."""
+    must equal 1 identically.  When a check fails, ``mismatch`` is
+    "epsilon-closed-form" if the oracle disagrees with the closed form and
+    "determinant-factor" otherwise."""
 
     conductor: tuple
     degree: int
@@ -907,7 +908,6 @@ class LaumonReport:
     product_identity: bool
     lhs_equals_rhs: bool
     det_factor: CycloNumber
-    stationary_factor: CycloNumber
     lambda_value: CycloNumber
     epsilon_value: CycloNumber
     oracle_match: bool | None
@@ -933,11 +933,15 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
         kappa0(-1)^C(i,2) chi(c) psi_db(c)^(-1) G^(-i) (c, -2 t^i b')
 
     with i = -ord(c); the right side is lambda(L/K, psi_dx) times the
-    wild epsilon factor of (chi, psi_db) computed by its own closed form.
-    The stationary factor is that closed form taken at the triple's c; the
-    product of the determinant factor, the stationary factor, and the
-    lambda factor is checked against 1 exactly.  ``oracle=True`` recomputes
-    the epsilon factor by the shell-sum integral as an independent anchor.
+    wild epsilon factor of (chi, psi_db), the stationary factor: the closed
+    form of ``epsilon0_wild`` taken at the triple's c.  The product of the
+    determinant factor, the stationary factor, and the lambda factor is
+    checked against 1 exactly; ``lhs_equals_rhs`` states the same identity
+    as lhs = rhs.  The epsilon value depends only on the coset of c that
+    the closed form pins, so the triple's c (from the layer as given) and
+    the closed form's own scale (from the reduced layer) give one value.
+    ``oracle=True`` recomputes the epsilon factor by the shell-sum integral
+    as an independent anchor.
     c defaults to the stationary scale, and the defects of the pair (wild
     layer of chi, b) raise the errors of ``stationary_data``.
     """
@@ -960,27 +964,19 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
         * (field.kappa0(-field.one) if (i * (i - 1) // 2) % 2 else 1)
         * hilbert_symbol(c_eval, db.shift(i).scale(field.from_int(-2)))
     )
-    stationary = epsilon0_wild(chi, psi_db, c_override=c_eval)
-    stationary_factor = stationary.value
+    eps = epsilon0_wild(chi, psi_db, c_override=c_eval).value
     lam = lambda_factor(TotallyRamifiedExt(b)).value
-    # epsilon0_wild's own scale is -w(reduced layer)/b': c_eval itself when
-    # the wild layer is reduced already, so only an unreduced one is re-derived
-    eps = stationary if chi.reduced_wild()[0] is triple.a else epsilon0_wild(chi, psi_db)
-    product = det_factor * stationary_factor * lam
-    product_identity = product == 1
+    product_identity = det_factor * eps * lam == 1
     lhs = det_factor ** (-1)
-    rhs = lam * eps.value
+    rhs = lam * eps
     lhs_equals_rhs = lhs == rhs
     oracle_match = None
     if oracle:
-        tate = epsilon_tate_oracle(chi, psi_db)
-        oracle_match = tate == eps.value
+        oracle_match = epsilon_tate_oracle(chi, psi_db) == eps
     mismatch = None
     if not (product_identity and lhs_equals_rhs and oracle_match is not False):
         if oracle_match is False:
             mismatch = "epsilon-closed-form"
-        elif stationary_factor != eps.value:
-            mismatch = "stationary-factor"
         else:
             mismatch = "determinant-factor"
     return LaumonReport(
@@ -991,9 +987,8 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
         product_identity=product_identity,
         lhs_equals_rhs=lhs_equals_rhs,
         det_factor=det_factor,
-        stationary_factor=stationary_factor,
         lambda_value=lam,
-        epsilon_value=eps.value,
+        epsilon_value=eps,
         oracle_match=oracle_match,
         mismatch=mismatch,
     )

@@ -722,6 +722,11 @@ class TestLaumonIdentity:
                     rep = verify_laumon(chi, tri.b, tri.c)
                     assert rep.product_identity, (field.q, m, tri.conductor)
                     assert rep.lhs_equals_rhs, (field.q, m, tri.conductor)
+                    # epsilon0_wild's own scale (from the reduced layer,
+                    # normalised by psi's omega) is lft's stationary c
+                    eps = epsilon0_wild(chi, AdditiveCharacter(tri.db))
+                    assert eps.c == tri.c_full.truncate(eps.c.prec)
+                    assert eps.value == rep.epsilon_value
                     parities[(tri.n - tri.nu_c) % 2 == 0] += 1
                     count += 1
         assert count == 18 and parities[True] and parities[False]
@@ -738,6 +743,26 @@ class TestLaumonIdentity:
             assert rep.ok and rep.oracle_match is True
             anchored += 1
         assert anchored >= 2
+
+    @pytest.mark.parametrize("field,a0,a1,b", [
+        (F3, [(-1, 1)], [(-3, 1)], [(1, 1)]),
+        (F3, [(-2, 1), (-1, 2)], [(-6, 2), (-4, 1)], [(2, 1), (3, 1)]),
+        (F9, [(-1, 2)], [(-3, 1), (-2, 1)], [(1, 2)]),
+        (F5, [(-1, 1)], [(-5, 3), (-2, 1)], [(1, 1), (2, 4)]),
+    ])
+    def test_unreduced_wild_layer(self, field, a0, a1, b):
+        # a_1's leading term ties a_0 at the top level and is a p-th power,
+        # so reduction strips it: the triple's c comes from the layer as
+        # given, epsilon0_wild's own scale from the reduced one
+        tri = LegendreTriple(WittVector(1, (poly(field, a0), poly(field, a1))),
+                             poly(field, b))
+        chi = character_for_triple(tri)
+        assert chi.reduced_wild()[0] != tri.a
+        oracle = field.q ** tri.n <= 729
+        rep = verify_laumon(chi, tri.b, oracle=oracle)
+        assert rep.ok and rep.oracle_match is (True if oracle else None)
+        eps = epsilon0_wild(chi, AdditiveCharacter(tri.db))
+        assert eps.value == rep.epsilon_value
 
     def test_wrong_source_point(self):
         a = WittVector(0, [poly(F3, [(-2, 1)])])
