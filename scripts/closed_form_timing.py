@@ -1,0 +1,60 @@
+"""Time the epsilon closed form per (q, m, a) class at input windows 24 and
+96: seeded characters and additive characters with random digits over the
+whole window, the wild part reduced first, then ``epsilon0`` timed alone.
+Prints one line ``q m a ms@24 ms@96`` per class, each the median over the
+class's draws.  Run it on two checkouts to compare them on the same draws:
+
+    PYTHONPATH=src python scripts/closed_form_timing.py
+"""
+
+import random
+import statistics
+import time
+
+from ramify.characters import AdditiveCharacter, QuasiCharacter, conductor
+from ramify.cyclo import root_of_unity
+from ramify.epsilon import epsilon0
+from ramify.fields import field_from_q
+from ramify.series import LaurentSeries
+from ramify.witt import WittVector
+
+CLASSES = [(3, 0, 2), (3, 0, 3), (3, 0, 5), (3, 1, 2), (3, 1, 3), (3, 1, 5),
+           (5, 0, 2), (5, 0, 4), (5, 1, 2), (5, 1, 3), (9, 0, 2), (9, 1, 2)]
+WINDOWS = (24, 96)
+DRAWS = 7
+
+
+def series(field, rng, vmin, prec, lead):
+    terms = {e: field.from_index(rng.randrange(field.q)) for e in range(vmin, prec)}
+    terms[lead] = field.from_index(rng.randrange(1, field.q))
+    return LaurentSeries.from_terms(field, terms, prec)
+
+
+def epsilon0_ms(q, m, a, prec, rng):
+    """One draw of conductor exactly a: the ms that ``epsilon0`` takes."""
+    field, sw = field_from_q(q), a - 1
+    while True:
+        entries = [series(field, rng, -(sw // field.p ** (m - i)), prec, -sw if i == m else 1)
+                   for i in range(m + 1)]
+        chi = QuasiCharacter(field, rng.randrange(q - 1), root_of_unity(8, rng.randrange(8)),
+                             WittVector(m, entries))
+        if conductor(chi)[0] == a:
+            break
+    d = rng.randrange(-1, 2)
+    psi = AdditiveCharacter(series(field, rng, d, prec, d))
+    start = time.perf_counter()
+    epsilon0(chi, psi)
+    return (time.perf_counter() - start) * 1e3
+
+
+def main():
+    for q, m, a in CLASSES:
+        cols = []
+        for prec in WINDOWS:
+            rng = random.Random(f"{q} {m} {a}")
+            cols.append(statistics.median(epsilon0_ms(q, m, a, prec, rng) for _ in range(DRAWS)))
+        print(q, m, a, " ".join(f"{ms:.3f}" for ms in cols))
+
+
+if __name__ == "__main__":
+    main()

@@ -20,7 +20,9 @@ Sign conventions, fixed once and used everywhere downstream:
     normalization in which uniformizers act as geometric Frobenius;
   * w_m(z) = sum_j p^j * (z_j~)^(p^(m-j)) for any coefficient-wise lift z~ of
     the entries into the length-(m+1) Witt coefficient ring.  The value mod
-    p^(m+1) does not depend on the lift.
+    p^(m+1) does not depend on the lift.  As dlog(u~) has no pole beyond
+    t^(-1), the pairing reads w_m(z) only mod t^1; ``pairing_window`` cuts
+    the entries to that, so its cost does not grow with the input window.
 
 Character values take one route to a cyclotomic number: ``char_eval_exponents``
 writes chi(u) = chi(t)^v * zeta_L^e, L = chi.level() = (q-1) p^(m+1), and
@@ -31,8 +33,8 @@ chi^{-1}(c) psi(c) adds its exponents and calls ``char_value`` once.
 from .cyclo import CycloNumber, root_of_unity, session_level
 from .errors import LengthMismatch, ZeroArgument, ZeroInput
 from .fields import WittCoeffRing
-from .series import LaurentSeries, map_coefficients, residue
-from .witt import WittVector, fil_level, lift_entries, reduce_vector
+from .series import LaurentSeries, map_coefficients, residue_product
+from .witt import WittVector, fil_level, pairing_window, reduce_vector
 
 
 # -- residue pairing ---------------------------------------------------------
@@ -41,17 +43,20 @@ def pairing_series(z: WittVector, entry_lifts=None):
     """(R, w) with [z, u) = -Tr_R(res(w * dlog(u~))) for every unit u.
 
     R is the Witt coefficient ring of length z.m + 1 and w the top ghost
-    component of a coefficient-wise lift of z.  Computing w once and sweeping
-    u is the cheap way to evaluate the pairing against many units.
+    component of a coefficient-wise lift of z, mod t^1 (all the pairing
+    reads): the lifts are cut by ``pairing_window``, each at its own
+    valuation.  Computing w once and sweeping u is the cheap way to
+    evaluate the pairing against many units.
     """
     field = z.ring
     R = WittCoeffRing.for_field(field, z.m)
     p = field.p
-    lifted = entry_lifts if entry_lifts is not None else lift_entries(z, R)
-    if len(lifted) != z.m + 1:
-        raise LengthMismatch(f"expected {z.m + 1} entry lifts, got {len(lifted)}")
+    if entry_lifts is None:
+        entry_lifts = [map_coefficients(e, R.lift, R) for e in pairing_window(z.entries, p)]
+    if len(entry_lifts) != z.m + 1:
+        raise LengthMismatch(f"expected {z.m + 1} entry lifts, got {len(entry_lifts)}")
     w = None
-    for j, zj in enumerate(lifted):
+    for j, zj in enumerate(pairing_window(entry_lifts, p)):
         term = (zj ** (p ** (z.m - j))).scale(R.from_int(p ** j))
         w = term if w is None else w + term
     return R, w
@@ -88,7 +93,7 @@ def _pair(R, w, u: LaurentSeries, unit_lift=None) -> int:
     if unit_lift is None:
         u = u.truncate(u.valuation() + max(1, 1 - w.ord_lower_bound()))
         unit_lift = map_coefficients(u, R.lift, R)
-    return (-R.trace(residue(w * unit_lift.dlog()))) % R.modulus_int
+    return (-R.trace(residue_product(w, unit_lift.dlog()))) % R.modulus_int
 
 
 # -- multiplicative characters ------------------------------------------------
@@ -273,7 +278,7 @@ def gauge(psi: AdditiveCharacter) -> LaurentSeries:
 
 def psi_eval_exponent(psi: AdditiveCharacter, x: LaurentSeries) -> int:
     """Tr_{k/F_p}(res(x * omega)) in Z/p."""
-    return psi.field.trace_to_prime(residue(x * psi.omega))
+    return psi.field.trace_to_prime(residue_product(x, psi.omega))
 
 
 def psi_eval(psi: AdditiveCharacter, x: LaurentSeries) -> CycloNumber:

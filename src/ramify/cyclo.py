@@ -305,8 +305,11 @@ class CycloNumber:
         return Fraction(self.num[0], self.den)
 
     def galois(self, a: int) -> "CycloNumber":
-        """The automorphism zeta -> zeta^a (gcd(a, N) must be 1)."""
+        """The automorphism zeta -> zeta^a; IncompatibleLevels unless
+        gcd(a, N) = 1, as zeta -> zeta^a is then no automorphism."""
         N = self.N
+        if gcd(a, N) != 1:
+            raise IncompatibleLevels(f"zeta -> zeta^{a} is no automorphism of Q(zeta_{N})")
         buf = [0] * N
         for j, c in enumerate(self.num):
             if c:

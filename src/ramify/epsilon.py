@@ -46,7 +46,7 @@ from .errors import (
     ZeroInput,
 )
 from .series import LaurentSeries, decompose_over_base
-from .witt import witt_differential
+from .witt import WittVector, pairing_window, witt_differential
 
 DEFAULT_COSET_CAP = 300_000
 
@@ -115,6 +115,10 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
     omega = g dt: chi(1+x+x^2/2) = psi(c x) on m^r, r = ceil(n/2).  The value
     depends only on the coset c(1 + m^(n-r+1)), which the returned ``c``, cut
     to length r+1, fixes.  ``pi`` defaults to t; the symbol does not depend on it.
+
+    As chi(c) and psi(c) = psi_k(res(c omega)) read c only mod 1 + m^a
+    (Tate), c is taken at relative length a = n+1: alpha mod t^0, from the
+    layer cut by ``pairing_window``, over g cut to length a.
     """
     field = chi.field
     _a, n = conductor(chi)
@@ -122,7 +126,9 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
         raise TameInput("the wild part reduces to an unramified class")
     c = c_override
     if c is None:
-        c = -(witt_differential(chi.reduced_wild()[0]) * psi.omega.inverse())
+        red = chi.reduced_wild()[0]
+        alpha = witt_differential(WittVector(red.m, pairing_window(red.entries, field.p)))
+        c = -(alpha * psi.omega.truncate(psi.ord + n + 1).inverse())
     v, e = char_eval_exponents(chi, c)
     value = char_value(chi, -v, psi_eval_exponent(psi, c) * (chi.level() // field.p) - e)
     value = value * Fraction(field.q) ** (-c.valuation())
@@ -133,10 +139,10 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
     if n % 2 == 0:
         branch = "wild-even"
         if pi is None:
-            pi = LaurentSeries.t_power(field, 1, max(4, c.prec - c.valuation()))
-        beta = gauge(psi)
-        sym = hilbert_symbol((beta * c).scale(field.from_int(-2)), pi)
-        if sym < 0:
+            pi = LaurentSeries.t_power(field, 1, 2)
+        lead = field.from_int(-2) * psi.omega.leading_coefficient() * c.leading_coefficient()
+        k = psi.ord + 1 + c.valuation()  # the leading term of -2 beta c, all the symbol reads
+        if hilbert_symbol(LaurentSeries.monomial(field, lead, k, k + 1), pi) < 0:
             value = -value
     return EpsilonResult(value, branch, c=c.truncate(c.valuation() + (n + 1) // 2 + 1))
 

@@ -40,7 +40,7 @@ class DivisionByZero(RamifyError):
 
 
 class IncompatibleLevels(RamifyError):
-    """embed(M -> N) requires M | N."""
+    """embed(M -> N) requires M | N; galois(a) at level N, gcd(a, N) = 1."""
 
 
 # -- series ------------------------------------------------------------------

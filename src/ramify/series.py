@@ -269,6 +269,19 @@ def residue(g: LaurentSeries):
     return g.coefficient(-1)
 
 
+def residue_product(x: LaurentSeries, y: LaurentSeries):
+    """residue(x * y) as one dot product, without forming the product;
+    raises PrecisionExhausted on exactly the inputs where that does."""
+    x._check_ring(y)
+    if min(x.prec + y.ord_lower_bound(), y.prec + x.ord_lower_bound()) <= -1:
+        raise PrecisionExhausted("residue window not guaranteed")
+    if x.val is None or y.val is None:
+        return x.ring.zero
+    k, xs, ys = -1 - x.val - y.val, x.coeffs, y.coeffs
+    return sum((xs[i] * ys[k - i] for i in range(max(0, k - len(ys) + 1), min(len(xs), k + 1))),
+               x.ring.zero)
+
+
 def substitute_dilated(s: LaurentSeries, r: int, theta) -> LaurentSeries:
     """s(t * (1 + theta * t^r)) computed exactly on the retained window.
 

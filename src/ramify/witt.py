@@ -418,6 +418,16 @@ def _ceil_div(x: int, y: int) -> int:
     return -((-x) // y)
 
 
+def pairing_window(entries, p: int):
+    """Entries of a length-(m+1) vector, or their lifts, cut to what w_m mod
+    t^1 and witt_differential mod t^0 read: entry j at t^max(1, 1 - (N-1) v),
+    N = p^(m-j), v its valuation, as (t^v U)^N reads U only mod t^(1 - N v).
+    Only ever cut, so a window that is too short still raises."""
+    m = len(entries) - 1
+    return [e.truncate(max(1, 1 - (p ** (m - j) - 1) * e.ord_lower_bound()))
+            for j, e in enumerate(entries)]
+
+
 def witt_differential(a: WittVector) -> LaurentSeries:
     """The coefficient of dt in sum_i a_i^(p^(m-i)-1) d a_i."""
     p, m = a.ring.p, a.m

@@ -137,6 +137,19 @@ def test_conjugate_product_norm():
     assert x * x.galois(2) == 3
 
 
+def test_galois_needs_a_unit_exponent():
+    # zeta -> zeta^2 is no automorphism at N = 12: on numbers it would give
+    # (z * z^5).galois(2) = -1 but z.galois(2) * (z^5).galois(2) = -1 - 2 zeta_3
+    z = root_of_unity(12)
+    for x in (z, z * z ** 5, CycloNumber.from_rational(12, 3)):
+        for a in (0, 2, 3, 6, -4, 12):
+            with pytest.raises(IncompatibleLevels):
+                x.galois(a)
+    for a in (1, 5, 7, 11, -1, 13):
+        assert (z * z ** 5).galois(a) == z.galois(a) * (z ** 5).galois(a)
+    assert CycloNumber.from_rational(1, 3).galois(2) == 3
+
+
 def test_pretty_and_minimal_form():
     G = CycloNumber(3, [1, 2])
     assert pretty(G) == "1+2*z3"

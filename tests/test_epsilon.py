@@ -50,7 +50,7 @@ from ramify.errors import (
     WildInput,
     ZeroInput,
 )
-from ramify.fields import make_field
+from ramify.fields import FqElement, WittCoeffRing, make_field
 from ramify.series import LaurentSeries
 from ramify.witt import WittVector, witt_differential
 
@@ -252,6 +252,69 @@ def test_wild_closed_form_matches_tate_integral(field, m, vals, a_cap, cases, se
         res = epsilon0(chi, psi)
         assert res.branch.startswith("wild")
         assert epsilon_tate_oracle(chi, psi) == res.value
+
+
+def _count_ring_muls(monkeypatch):
+    """Patch F_q and Z_q/p^(m+1) multiplication to count their calls."""
+    calls = Counter()
+    fq_mul, witt_mul = FqElement.__mul__, WittCoeffRing.mul
+
+    def counted_fq(a, b):
+        calls["fq"] += 1
+        return fq_mul(a, b)
+
+    def counted_witt(ring, a, b):
+        calls["witt"] += 1
+        return witt_mul(ring, a, b)
+
+    monkeypatch.setattr(FqElement, "__mul__", counted_fq)
+    monkeypatch.setattr(WittCoeffRing, "mul", counted_witt)
+    return calls
+
+
+@pytest.mark.parametrize("field,m,seed", [(F3, 0, 31), (F3, 1, 32), (F5, 0, 33),
+                                          (F5, 1, 34), (F9, 0, 35), (F9, 1, 36)])
+def test_closed_form_does_not_depend_on_the_input_window(field, m, seed, monkeypatch):
+    # the same digits at prec 24 and prec 120: the closed form reads c only
+    # mod 1 + m^a and w_m(a) only mod t^1, so value, c, the character's
+    # exponents and the count of ring products all agree
+    rng = random.Random(seed)
+    p = field.p
+    WittCoeffRing.for_field(field, m)  # built once, outside the count
+    calls = _count_ring_muls(monkeypatch)
+
+    def at(terms, prec):
+        return LaurentSeries.from_terms(field, terms, prec)
+
+    def digits(vmin, lead=None):
+        terms = {e: field.from_index(rng.randrange(field.q)) for e in range(vmin, 24)}
+        if lead is not None:
+            terms[lead] = field.from_index(rng.randrange(1, field.q))
+        return terms
+
+    compared = 0
+    for a in range(2, 6):
+        for _ in range(2):
+            sw, d = a - 1, rng.randrange(-1, 2)
+            wild = [digits(-(sw // p ** (m - i)), -sw if i == m else None) for i in range(m + 1)]
+            omega = digits(d, d)
+            units = [digits(v, v) for v in (rng.randrange(-3, 4), 0)]
+            tame, k = rng.randrange(field.q - 1), rng.randrange(8)
+            chis = [QuasiCharacter(field, tame, root_of_unity(8, k),
+                                   WittVector(m, [at(t, prec) for t in wild])) for prec in (24, 120)]
+            # the reduction runs here, outside the count
+            if [conductor(chi)[0] for chi in chis] != [a, a]:
+                continue
+            runs = []
+            for chi, prec in zip(chis, (24, 120)):
+                calls.clear()
+                res = epsilon0_wild(chi, AdditiveCharacter(at(omega, prec)))
+                exps = [char_eval_exponents(chi, at(u, prec)) for u in units]
+                runs.append((res.value, (res.c.val, res.c.coeffs, res.c.prec), exps, dict(calls)))
+            assert runs[0] == runs[1], (a, runs)
+            assert runs[0][3]["witt"] > 0
+            compared += 1
+    assert compared >= 6
 
 
 def test_epsilon_twist_scales_by_character_value():

@@ -1,6 +1,8 @@
 """Laurent-series window arithmetic: exactness and precision propagation."""
 
 import pytest
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from ramify.errors import (
@@ -16,6 +18,7 @@ from ramify.series import (
     default_precision,
     promote,
     residue,
+    residue_product,
     substitute_dilated,
 )
 
@@ -180,6 +183,43 @@ def test_residue():
     assert residue(g) == F3.from_int(2)
     with pytest.raises(PrecisionExhausted):
         residue(poly(F3, [(-3, 1)], -1))
+
+
+def _random_window(ring, rng, draw):
+    """A seeded series on [val, val + length): length 0 or all-zero digits
+    give the zero-to-precision state, sparse digits a late valuation."""
+    val, length = rng.randrange(-6, 5), rng.choice((0, 1, 2, 3, 5, 8))
+    dense = rng.random() < 0.6
+    return LaurentSeries.make(
+        ring, val, [draw() if dense or rng.random() < 0.2 else ring.zero
+                    for _ in range(length)], val + length)
+
+
+@pytest.mark.parametrize("ring,seed", [(F3, 3), (make_field(3, 2), 9), (WittCoeffRing(F5, 1), 25)],
+                         ids=["F3", "F9", "W2(F5)"])
+def test_residue_product_matches_residue_of_product(ring, seed):
+    # the dot product against residue(x * y): same value, and
+    # PrecisionExhausted on exactly the same pairs
+    rng = random.Random(seed)
+    if isinstance(ring, WittCoeffRing):
+        draw = lambda: ring.from_int(rng.randrange(ring.modulus_int))
+    else:
+        draw = lambda: ring.from_index(rng.randrange(ring.q))
+    seen = {"nonzero": 0, "zero operand": 0, "raised": 0}
+    for _ in range(600):
+        x, y = _random_window(ring, rng, draw), _random_window(ring, rng, draw)
+        try:
+            want = residue(x * y)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                residue_product(x, y)
+            seen["raised"] += 1
+            continue
+        assert residue_product(x, y) == want, (x, y)
+        if x.is_zero() or y.is_zero():
+            seen["zero operand"] += 1
+        seen["nonzero"] += not want.is_zero()
+    assert min(seen.values()) >= 20, seen
 
 
 def test_dlog_residue_is_valuation_mod_p():
