@@ -35,7 +35,7 @@ def jobs():
     for q, m, seed in itertools.product((3, 5, 9), (0, 1), range(10)):
         tri = random_legendre_triple(field_from_q(q), m, random.Random(seed))
         a = json.dumps(jsonio.witt_to_json(tri.a))
-        b, c = (json.dumps(jsonio.series_to_json(s)) for s in (tri.b, tri.c))
+        b, c, c_full = (json.dumps(jsonio.series_to_json(s)) for s in (tri.b, tri.c, tri.c_full))
         chi = json.dumps(jsonio.char_to_json(character_for_triple(tri)))
         tag, fq, fm = f"q{q}-m{m}-s{seed}", ["--q", str(q)], ["--q", str(q), "--m", str(m)]
         yield f"legendre-{tag}", ["legendre-check", *fm, "--a", a, "--b", b]
@@ -53,8 +53,12 @@ def jobs():
         if q != 9:  # left out at q = 9, where an oracle job takes seconds
             yield f"laumon-oracle-{tag}", ["verify-laumon", *fm, "--seed", str(seed), "--oracle"]
         for which in ("key1", "key6", "key7"):
-            yield f"{which}-{tag}", ["congruence", *fm, "--which", which,
-                                     "--theta-samples", "2", "--seed", str(seed)]
+            argv = ["congruence", *fm, "--which", which,
+                    "--theta-samples", "2", "--seed", str(seed)]
+            yield f"{which}-{tag}", argv
+            yield f"{which}-prec96-{tag}", argv + ["--prec", "96"]
+            if which != "key1":  # the triple's own operands, at the full-window scale
+                yield f"{which}-abc-{tag}", argv + ["--a", a, "--b", b, "--c", c_full]
 
 
 if __name__ == "__main__":

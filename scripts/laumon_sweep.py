@@ -3,8 +3,9 @@
 
 For every sampled triple the script checks, in exact arithmetic, that the
 three factors (determinant twist, stationary local constant, lambda of the
-covering) multiply to 1 and that both derivations of the local constant
-agree; it tallies the quadratic-symbol parity branches that were hit.
+covering) multiply to 1, and, on every N-th triple with --oracle-every N,
+that the closed-form local constant equals the Tate-integral oracle; it
+tallies the quadratic-symbol parity branches that were hit.
 
     python3 scripts/laumon_sweep.py --count 40 --oracle-every 10
 """

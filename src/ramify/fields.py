@@ -480,21 +480,28 @@ class WittCoeffElement:
         self.ring = ring
         self.coeffs = tuple(c % ring.modulus_int for c in coeffs)
 
+    @staticmethod
+    def _reduced(ring, coeffs):
+        """An element from a tuple already reduced mod p^(m+1)."""
+        x = object.__new__(WittCoeffElement)
+        x.ring, x.coeffs = ring, coeffs
+        return x
+
     def __add__(self, other):
         m = self.ring.modulus_int
-        return WittCoeffElement(
+        return self._reduced(
             self.ring, tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other):
         m = self.ring.modulus_int
-        return WittCoeffElement(
+        return self._reduced(
             self.ring, tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self):
         m = self.ring.modulus_int
-        return WittCoeffElement(self.ring, tuple((-a) % m for a in self.coeffs))
+        return self._reduced(self.ring, tuple((-a) % m for a in self.coeffs))
 
     def __mul__(self, other):
         return self.ring.mul(self, other)
@@ -585,7 +592,7 @@ class WittCoeffRing:
                 row = self._reduction_rows[j]
                 for i in range(f):
                     out[i] += c * row[i]
-        return WittCoeffElement(self, tuple(c % M for c in out))
+        return WittCoeffElement._reduced(self, tuple(c % M for c in out))
 
     def inverse(self, a: WittCoeffElement) -> WittCoeffElement:
         red = a.reduce()

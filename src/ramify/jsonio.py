@@ -88,10 +88,6 @@ def element_from_json(field: FiniteField, value, what):
     return field.from_index(idx)
 
 
-def element_to_json(x) -> int:
-    return x.idx
-
-
 def element_str(x) -> str:
     return str(x.idx)
 
@@ -275,7 +271,3 @@ def psi_from_json(field: FiniteField, obj, what, default_prec=None) -> AdditiveC
     check_keys(obj, what, required=("omega",), optional=())
     omega = series_from_json(field, obj["omega"], f"{what}.omega", default_prec)
     return AdditiveCharacter(omega)
-
-
-def psi_to_json(psi: AdditiveCharacter) -> dict:
-    return {"omega": series_to_json(psi.omega)}

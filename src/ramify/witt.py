@@ -418,14 +418,29 @@ def _ceil_div(x: int, y: int) -> int:
     return -((-x) // y)
 
 
-def pairing_window(entries, p: int):
-    """Entries of a length-(m+1) vector, or their lifts, cut to what w_m mod
-    t^1 and witt_differential mod t^0 read: entry j at t^max(1, 1 - (N-1) v),
-    N = p^(m-j), v its valuation, as (t^v U)^N reads U only mod t^(1 - N v).
-    Only ever cut, so a window that is too short still raises."""
+def pairing_window(entries, p: int, prec: int = 0):
+    """Entries of a length-(m+1) vector, or their lifts, cut to what
+    witt_differential mod t^prec reads, and at prec 0 what w_m mod t^1 reads:
+    entry j at t^max(ceil((prec+1)/N), prec + 1 - (N-1) v), N = p^(m-j), v its
+    valuation, as (t^v U)^N reads U only mod t^(1 - N v). Only ever cut, so
+    a window that is too short still raises."""
     m = len(entries) - 1
-    return [e.truncate(max(1, 1 - (p ** (m - j) - 1) * e.ord_lower_bound()))
+    return [e.truncate(max(_ceil_div(prec + 1, p ** (m - j)),
+                           prec + 1 - (p ** (m - j) - 1) * e.ord_lower_bound()))
             for j, e in enumerate(entries)]
+
+
+def sum_window(level: int, n: int, p: int, m: int):
+    """The windows to which entries 0..m of the summands of a Witt sum or
+    difference of vectors in fil_n must be known for in_fil(sum, level):
+    entry j to t^max_{i>=j} (ceil(-level/p^(m-i)) + floor(n (p^i-p^j)/p^m)).
+    in_fil reads entry i of the sum to t^ceil(-level/p^(m-i)), and S_i is
+    isobaric of weight p^i, so the other factors of a monomial of S_i that
+    holds entry j have order >= -n (p^i - p^j)/p^m. A sum of such sums
+    needs no more. At level <= n no window is below fil_n's bound on its
+    entry, so summands cut to these windows stay in fil_n."""
+    return [max(_ceil_div(-level, p ** (m - i)) + n * (p**i - p**j) // p**m
+                for i in range(j, m + 1)) for j in range(m + 1)]
 
 
 def witt_differential(a: WittVector) -> LaurentSeries:

@@ -2,6 +2,7 @@
 congruences, local Fourier transform descriptors, vanishing-cycle supports,
 dimension bookkeeping, and the determinant identity."""
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from ramify.errors import (
     WrongSourcePoint,
     ZeroInput,
 )
-from ramify.fields import make_field
+from ramify.fields import FqElement, make_field
 from ramify.lft import (
     DKInput,
     LegendreTriple,
@@ -54,6 +55,7 @@ from ramify.witt import (
     dilate,
     fil_level,
     reduce_vector,
+    sum_window,
     verschiebung_power,
     witt_add,
     witt_differential,
@@ -306,6 +308,25 @@ def test_quadratic_substitute_doubles_exponents():
 # -- dilation congruences -------------------------------------------------------------
 
 
+def congruence_operands(which, field, m, r, seed, prec):
+    """A seeded key1/key6/key7 instance drawn at window 200 and cut to
+    `prec`: key6 takes the exact stationary scale, key7 that scale moved by
+    a term at exactly the depth its hypothesis asks for."""
+    rng = random.Random(seed)
+    tri = random_legendre_triple(field, m, rng, prec=200)
+    while which != "key1" and tri.nu_b + tri.nu_c >= (field.p - 2) * r:
+        tri = random_legendre_triple(field, m, rng, prec=200)
+    a = WittVector(m, [e.truncate(prec) for e in tri.a.entries])
+    if which == "key1":
+        return a, None, None
+    b = tri.b.truncate(prec)
+    c = -(witt_differential(a) * b.derivative().inverse())
+    if which == "key7":
+        k = -tri.n + tri.nu_c + r - b.derivative().valuation()
+        c = c + LaurentSeries.t_power(field, k, c.prec)
+    return a, b, c
+
+
 class TestCongruences:
     def test_key1_depth_one(self):
         a = WittVector(0, [poly(F3, [(-1, 1)])])
@@ -399,6 +420,63 @@ class TestCongruences:
         for samples in (0, -3):
             with pytest.raises(InconsistentInput):
                 congruence_check("key1", a, r=1, theta_samples=samples)
+
+    @pytest.mark.parametrize("which", ["key1", "key6", "key7"])
+    @pytest.mark.parametrize("m,r", [(0, 1), (0, 2), (1, 1), (1, 2)])
+    def test_report_does_not_depend_on_the_input_window(self, which, m, r, monkeypatch):
+        # the theta loop reads each operand only as far as sum_window says,
+        # so the same digits at windows 56 and 200 give the same report from
+        # the same count of products over the splitting field
+        products = []
+        fq_mul = FqElement.__mul__
+
+        def counted(x, y):
+            if x.field is not F5:
+                products.append(1)
+            return fq_mul(x, y)
+
+        congruence_check(which, *congruence_operands(which, F5, m, r, 5, 56), r=r)
+        monkeypatch.setattr(FqElement, "__mul__", counted)
+        runs = []
+        for prec in (56, 200):
+            ops = congruence_operands(which, F5, m, r, 5, prec)
+            assert ops[0].entries[m].prec == prec
+            products.clear()
+            runs.append((congruence_check(which, *ops, r=r), len(products)))
+        assert runs[0] == runs[1] and runs[0][0].ok and runs[0][1] > 0, runs
+
+    @pytest.mark.parametrize("which", ["key1", "key6", "key7"])
+    def test_planted_wrong_claim_fails_on_cut_windows(self, which, monkeypatch):
+        # twice the claimed term (dilation_defect_sum for key1, dlog(c) in
+        # the quadratic term for key6/key7) must fail the refinement always
+        double = lambda f: lambda *args: (lambda x: x + x)(f(*args))
+        monkeypatch.setattr(ramify.lft, "dilation_defect_sum",
+                            double(ramify.lft.dilation_defect_sum))
+        monkeypatch.setattr(LaurentSeries, "dlog", double(LaurentSeries.dlog))
+        for field, m, r, seed in itertools.product((F3, F5), (0, 1), (1, 2), (2, 5)):
+            ops = congruence_operands(which, field, m, r, seed, 56)
+            rep = congruence_check(which, *ops, r=r, theta_samples=4)
+            assert rep.failures == tuple((j, "refinement") for j in range(4)), (
+                field.q, m, r, seed, rep)
+
+    @pytest.mark.parametrize("which", ["key1", "key6", "key7"])
+    def test_input_shorter_than_the_window_rule_raises(self, which):
+        # the linear term of S_m reads entry m of a to t^-L, L the
+        # refinement level, so one coefficient less raises; at m = 0 that
+        # is all the rule asks of a, and exactly that window suffices
+        for m, r in ((0, 1), (0, 2), (1, 1), (1, 2)):
+            a, b, c = congruence_operands(which, F5, m, r, 2, 56)
+            full = congruence_check(which, a, b, c, r=r)
+            need = sum_window(full.refinement_level, full.n, 5, m)[m]
+            assert need == -full.refinement_level
+
+            def cut(k):
+                return WittVector(m, a.entries[:m] + (a.entries[m].truncate(k),))
+
+            with pytest.raises(PrecisionExhausted):
+                congruence_check(which, cut(need - 1), b, c, r=r)
+            if m == 0:
+                assert congruence_check(which, cut(need), b, c, r=r) == full
 
     def test_randomized_key7_suite(self):
         rng = random.Random(41)
