@@ -105,16 +105,16 @@ def epsilon0_tame(chi: QuasiCharacter, psi: AdditiveCharacter) -> EpsilonResult:
 
 
 def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
-                  pi: LaurentSeries | None = None,
                   c_override: LaurentSeries | None = None) -> EpsilonResult:
     """a(chi) >= 2 closed form.
 
     value = chi^{-1}(c) psi(c) q^{-ord(c)} kappa0(-1)^C(n+1,2) G^{-n-1},
-    times the Hilbert symbol (-2 beta c, pi)_K when n = sw(chi) is even.
+    times the Hilbert symbol (-2 beta c, t)_K when n = sw(chi) is even.
     c (unless ``c_override``) is the stationary-phase scale -alpha/g with
     omega = g dt: chi(1+x+x^2/2) = psi(c x) on m^r, r = ceil(n/2).  The value
     depends only on the coset c(1 + m^(n-r+1)), which the returned ``c``, cut
-    to length r+1, fixes.  ``pi`` defaults to t; the symbol does not depend on it.
+    to length r+1, fixes.  For even n, -2 beta c has even order -n, so the
+    symbol does not depend on the uniformizer t.
 
     As chi(c) and psi(c) = psi_k(res(c omega)) read c only mod 1 + m^a
     (Tate), c is taken at relative length a = n+1: alpha mod t^0, from the
@@ -138,11 +138,10 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
     branch = "wild-odd"
     if n % 2 == 0:
         branch = "wild-even"
-        if pi is None:
-            pi = LaurentSeries.t_power(field, 1, 2)
         lead = field.from_int(-2) * psi.omega.leading_coefficient() * c.leading_coefficient()
         k = psi.ord + 1 + c.valuation()  # the leading term of -2 beta c, all the symbol reads
-        if hilbert_symbol(LaurentSeries.monomial(field, lead, k, k + 1), pi) < 0:
+        if hilbert_symbol(LaurentSeries.monomial(field, lead, k, k + 1),
+                          LaurentSeries.t_power(field, 1, 2)) < 0:
             value = -value
     return EpsilonResult(value, branch, c=c.truncate(c.valuation() + (n + 1) // 2 + 1))
 

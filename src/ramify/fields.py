@@ -3,7 +3,7 @@
 Elements of F_q are stored as integer indices in [0, q): the index encodes the
 coefficient vector (c_0, ..., c_{f-1}) of the element sum(c_i * x^i) in base p,
 least significant digit = constant term.  Multiplication goes through a dense
-discrete-log table (hence the default cap q <= 2^16); addition is digit-wise.
+discrete-log table (hence the cap q <= 2^16); addition is digit-wise.
 
 Everything is deterministic: the modulus is the first irreducible monic
 polynomial in lexicographic coefficient order, the generator is the smallest
@@ -220,7 +220,7 @@ class FqElement:
 class FiniteField:
     """F_q with q = p^f, p an odd prime, built deterministically."""
 
-    def __init__(self, p: int, f: int, cap: int = DEFAULT_Q_CAP):
+    def __init__(self, p: int, f: int):
         if p == 2:
             raise EvenCharacteristic("characteristic 2 is out of scope (p > 2)")
         if not _is_prime(p):
@@ -228,8 +228,8 @@ class FiniteField:
         if f < 1:
             raise NotPrime(f"f = {f} must be >= 1")
         q = p**f
-        if q > cap:
-            raise CapExceeded(f"q = {q} exceeds the dlog-table cap {cap}")
+        if q > DEFAULT_Q_CAP:
+            raise CapExceeded(f"q = {q} exceeds the dlog-table cap {DEFAULT_Q_CAP}")
         self.p = p
         self.f = f
         self.q = q
@@ -410,11 +410,11 @@ class FiniteField:
         d = self.digit_table[x.idx]
         return sum(c * t for c, t in zip(d, self._trace_basis)) % self.p
 
-    def extension(self, s: int, cap: int = DEFAULT_Q_CAP):
+    def extension(self, s: int):
         """Return (E, embed) with E = F_{q^s} and embed: F_q -> E a ring embedding."""
         if s == 1:
             return self, FieldEmbedding(self, self, None)
-        E = make_field(self.p, self.f * s, cap=cap)
+        E = make_field(self.p, self.f * s)
         root = _find_root(self.modulus, E)
         return E, FieldEmbedding(self, E, root)
 
@@ -648,10 +648,10 @@ class WittCoeffRing:
 _FIELD_CACHE: dict = {}
 
 
-def make_field(p: int, f: int, cap: int = DEFAULT_Q_CAP) -> FiniteField:
-    key = (p, f, cap)
+def make_field(p: int, f: int) -> FiniteField:
+    key = (p, f)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FiniteField(p, f, cap=cap)
+        _FIELD_CACHE[key] = FiniteField(p, f)
     return _FIELD_CACHE[key]
 
 

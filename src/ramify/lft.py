@@ -512,8 +512,7 @@ class CongruenceReport:
 def congruence_check(which: str, a: WittVector,
                      b: LaurentSeries | None = None,
                      c: LaurentSeries | None = None, *,
-                     r: int, theta_samples: int = 20, seed: int = 0,
-                     splitting_degree: int | None = None) -> CongruenceReport:
+                     r: int, theta_samples: int = 20, seed: int = 0) -> CongruenceReport:
     """Test one of three congruences for the dilation
     u: t -> t (1 + theta t^r) at ``theta_samples`` values of theta sampled
     from a splitting field F_{q^s} with q^s > 4 (p r + n); the report shows
@@ -592,7 +591,7 @@ def congruence_check(which: str, a: WittVector,
             )
         membership_level = n - nu_c - 2 * r
         refinement_level = n - nu_c - 2 * r - 1
-    s = splitting_degree or next(e for e in itertools.count(1) if k.q ** e > 4 * (p * r + n))
+    s = next(e for e in itertools.count(1) if k.q ** e > 4 * (p * r + n))
     big, emb = k.extension(s)
     # The hypotheses hold on the windows as given; the theta loop runs on
     # copies cut by sum_window: the summands of diff to `win`, and each series

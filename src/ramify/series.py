@@ -376,8 +376,3 @@ def decompose_over_base(s: LaurentSeries, b: LaurentSeries):
         else:
             gs.append(LaurentSeries.zero(ring, kprec))
     return gs, guaranteed
-
-
-def default_precision(n_max: int, r_max: int, p: int) -> int:
-    """Working-window headroom: 4 * (n_max + p * r_max) coefficients of slack."""
-    return 4 * (n_max + p * r_max)

@@ -4,13 +4,9 @@ The group law is evaluated through the universal addition polynomials,
 computed once per (p, length) by the ghost recursion in exact integer
 arithmetic (each step asserts exact divisibility by p^n), then applied
 mod p; with RAMIFY_WITT_CACHE set, the tables are also kept on disk, which
-saves their derivation for p >= 11 at length 3.  The same table carries the
-twist-difference polynomials: with z_i = x_i (1 + y_i),
-
-    z - x = (T_0(x, y), ..., T_m(x, y))
-
-which gives an oracle for dilation congruences that is independent of the
-series-level Taylor expansion.
+saves their derivation for p >= 11 at length 3.  A cache file that cannot be
+read, is malformed or fails the weight check is a miss: the table is derived
+again and the file rewritten.
 
 Also here: the weighted-valuation filtration (entry i of a length-(m+1)
 vector carries weight p^(m-i)), the derivation-after-Frobenius map
@@ -36,7 +32,7 @@ from .errors import (
 )
 from .series import LaurentSeries
 
-LENGTH_CAP = 3  # vectors of length m+1 <= 3 unless a caller raises the cap
+LENGTH_CAP = 3  # vectors of length m+1 <= 3; the tables grow fast with the length
 CACHE_ENV = "RAMIFY_WITT_CACHE"
 _REDUCE_ITER_CAP = 4000
 
@@ -78,8 +74,8 @@ def _poly_pow(a, k):
 
 
 def _build_tables(p: int, length: int):
-    """Universal addition and twist-difference polynomials by the ghost
-    recursion, in exact integer arithmetic."""
+    """Universal addition polynomials by the ghost recursion, in exact
+    integer arithmetic."""
 
     def var(i):
         e = [0] * (2 * length)
@@ -93,17 +89,6 @@ def _build_tables(p: int, length: int):
             _poly_add(acc, _poly_pow(w, p ** (n - i)), p**i)
         return acc
 
-    def solve(target):
-        # the W_n with ghost(W, n) = target(n) for every n < length
-        ws = []
-        for n in range(length):
-            acc = target(n)
-            _poly_add(acc, ghost(ws, n), -1)
-            if any(c % p**n for c in acc.values()):
-                raise AssertionError("non-integer coefficient in universal polynomial")
-            ws.append({e: c // p**n for e, c in acc.items()})
-        return ws
-
     def term_list(poly, n):
         # (coefficient, X_0..X_n exponents, Y_0..Y_n exponents), sorted
         # lex-descending on the exponents as one tuple
@@ -113,38 +98,37 @@ def _build_tables(p: int, length: int):
 
     xs = [var(i) for i in range(length)]
     ys = [var(length + i) for i in range(length)]
-    one = {(0,) * (2 * length): 1}
-    zs = [_poly_mul(x, {**one, **y}) for x, y in zip(xs, ys)]  # x_i (1 + y_i)
-
-    def sum_target(n):
+    # S_n with ghost(S, n) = ghost(xs, n) + ghost(ys, n) for every n < length
+    ss = []
+    for n in range(length):
         acc = ghost(xs, n)
         _poly_add(acc, ghost(ys, n))
-        return acc
-
-    def twist_target(n):
-        acc = ghost(zs, n)
-        _poly_add(acc, ghost(xs, n), -1)
-        return acc
-
-    sum_terms = [term_list(w, n) for n, w in enumerate(solve(sum_target))]
-    twist_terms = [term_list(w, n) for n, w in enumerate(solve(twist_target))]
-    _assert_weights(p, sum_terms, twist_terms)
-    return sum_terms, twist_terms
+        _poly_add(acc, ghost(ss, n), -1)
+        if any(c % p**n for c in acc.values()):
+            raise AssertionError("non-integer coefficient in universal polynomial")
+        ss.append({e: c // p**n for e, c in acc.items()})
+    sum_terms = [term_list(w, n) for n, w in enumerate(ss)]
+    _check_table(p, length, sum_terms)
+    return sum_terms
 
 
-def _assert_weights(p, sum_terms, twist_terms):
+def _check_table(p, length, sum_terms):
+    """ValueError unless sum_terms lists S_0..S_{length-1}, each term an int
+    coefficient with the exponents of X_0..X_n and of Y_0..Y_n, and S_n
+    isobaric of weight p^n (X_i and Y_i of weight p^i).  Tables read from
+    disk pass through here too."""
+    if len(sum_terms) != length:
+        raise ValueError(f"{len(sum_terms)} addition polynomials for length {length}")
     for n, terms in enumerate(sum_terms):
-        for _, ex, ey in terms:
+        for c, ex, ey in terms:
+            if not (type(c) is int and len(ex) == len(ey) == n + 1
+                    and all(type(e) is int and e >= 0 for e in ex + ey)):
+                raise ValueError(f"malformed term in addition polynomial {n}")
             w = sum(e * p**i for i, e in enumerate(ex)) + sum(
                 e * p**i for i, e in enumerate(ey)
             )
-            assert w == p**n, "addition polynomial not homogeneous"
-    for n, terms in enumerate(twist_terms):
-        for _, ex, ey in terms:
-            assert sum(e * p**i for i, e in enumerate(ex)) == p**n, (
-                "twist-difference polynomial has wrong x-weight"
-            )
-            assert sum(ey) >= 1, "twist-difference polynomial misses the y-ideal"
+            if w != p**n:
+                raise ValueError("addition polynomial not homogeneous")
 
 
 _TABLE_CACHE: dict = {}
@@ -152,13 +136,12 @@ _TABLE_LOCK = threading.Lock()
 
 
 class UniversalWittTable:
-    """Addition and twist-difference polynomials for one (p, length)."""
+    """The universal addition polynomials S_0..S_{length-1} for one p."""
 
-    def __init__(self, p: int, length: int, sum_terms, twist_terms):
+    def __init__(self, p: int, length: int, sum_terms):
         self.p = p
         self.length = length
         self._sum = sum_terms
-        self._twist = twist_terms
 
     @classmethod
     def get(cls, p: int, length: int) -> "UniversalWittTable":
@@ -169,8 +152,7 @@ class UniversalWittTable:
             return hit
         table = cls._load_from_disk(p, length)
         if table is None:
-            sum_terms, twist_terms = _build_tables(p, length)
-            table = cls(p, length, sum_terms, twist_terms)
+            table = cls(p, length, _build_tables(p, length))
             table._store_to_disk()
         with _TABLE_LOCK:
             _TABLE_CACHE.setdefault(key, table)
@@ -178,9 +160,6 @@ class UniversalWittTable:
 
     def sum_terms(self, i: int):
         return self._sum[i]
-
-    def twist_terms(self, n: int):
-        return self._twist[n]
 
     # disk cache is best-effort: absent or unwritable directories are ignored
     @staticmethod
@@ -195,19 +174,17 @@ class UniversalWittTable:
         path = cls._cache_path(p, length)
         if path is None or not os.path.exists(path):
             return None
+        # a file of any other shape is a miss; keys besides these are ignored
         try:
             with open(path) as fh:
                 blob = json.load(fh)
-            if blob.get("p") != p or blob.get("length") != length:
+            if blob["p"] != p or blob["length"] != length:
                 return None
-            unpack = lambda ts: [
-                (int(c), tuple(ex), tuple(ey)) for c, ex, ey in ts
-            ]
-            sum_terms = [unpack(ts) for ts in blob["sum"]]
-            twist_terms = [unpack(ts) for ts in blob["twist"]]
-            _assert_weights(p, sum_terms, twist_terms)
-            return cls(p, length, sum_terms, twist_terms)
-        except (OSError, ValueError, KeyError, AssertionError):
+            sum_terms = [[(c, tuple(ex), tuple(ey)) for c, ex, ey in ts]
+                         for ts in blob["sum"]]
+            _check_table(p, length, sum_terms)
+            return cls(p, length, sum_terms)
+        except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def _store_to_disk(self):
@@ -216,8 +193,7 @@ class UniversalWittTable:
             return
         pack = lambda ts: [[c, list(ex), list(ey)] for c, ex, ey in ts]
         blob = {"p": self.p, "length": self.length,
-                "sum": [pack(ts) for ts in self._sum],
-                "twist": [pack(ts) for ts in self._twist]}
+                "sum": [pack(ts) for ts in self._sum]}
         try:
             # write a temporary file beside the target and rename it into
             # place, so a reader never sees a half-written table
@@ -236,9 +212,6 @@ class UniversalWittTable:
 
     def eval_sum(self, i: int, xs, ys) -> LaurentSeries:
         return _eval_terms(self._sum[i], xs, ys)
-
-    def eval_twist(self, n: int, xs, ys) -> LaurentSeries:
-        return _eval_terms(self._twist[n], xs, ys)
 
 
 def _eval_terms(terms, xs, ys) -> LaurentSeries:
@@ -468,30 +441,7 @@ def witt_differential(a: WittVector) -> LaurentSeries:
     return acc
 
 
-# -- auxiliary universal polynomials --------------------------------------------
-
-
-def twist_difference(n: int, xs, ys) -> LaurentSeries:
-    """Value of the n-th twist-difference polynomial on series vectors."""
-    if n + 1 > LENGTH_CAP:
-        raise CapExceeded(f"index {n} beyond table cap {LENGTH_CAP - 1}")
-    ring = xs[0].ring
-    table = UniversalWittTable.get(ring.p, n + 1)
-    return table.eval_twist(n, list(xs)[: n + 1], list(ys)[: n + 1])
-
-
-def trunc_log(y: LaurentSeries) -> LaurentSeries:
-    """sum_{i=1}^{p-1} (-1)^(i+1) y^i / i with 1/i taken in the coefficient ring."""
-    ring = y.ring
-    p = ring.p
-    acc = None
-    for i in range(1, p):
-        c = ring.from_int(i).inverse()
-        if i % 2 == 0:
-            c = -c
-        term = (y**i).scale(c)
-        acc = term if acc is None else acc + term
-    return acc
+# -- dilations --------------------------------------------------------------------
 
 
 def dilate(a: WittVector, r: int, theta) -> WittVector:

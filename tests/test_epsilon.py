@@ -213,9 +213,12 @@ def test_wild_depth_two_frozen_even_branch():
     assert res.branch == "wild-even"
     assert res.value == quad_gauss(F3) * Fraction(3)
     assert epsilon_tate_oracle(chi, psi) == res.value
-    # the Hilbert-symbol factor does not depend on the chosen uniformizer
-    alt = epsilon0_wild(chi, psi, pi=poly(F3, [(1, 1), (2, 1)], 20))
-    assert alt.value == res.value
+    # the Hilbert-symbol factor (-2 beta c, t) does not depend on the
+    # uniformizer: -2 beta c has even order -n
+    x = (psi.omega * res.c).shift(1).scale(F3.from_int(-2))
+    assert x.valuation() == -2
+    for pi in (poly(F3, [(1, 1), (2, 1)], 20), poly(F3, [(1, 2), (3, 1)], 20)):
+        assert hilbert_symbol(x, pi) == hilbert_symbol(x, LaurentSeries.t_power(F3, 1, 20))
 
 
 def test_wild_value_constant_on_c_coset():

@@ -75,8 +75,9 @@ def test_not_prime_rejected():
 
 
 def test_cap():
+    # 3^11 = 177147 > 2^16, rejected before any table is built
     with pytest.raises(CapExceeded):
-        FiniteField(3, 2, cap=5)
+        FiniteField(3, 11)
 
 
 def test_decoded_fields_are_interned():

@@ -330,15 +330,16 @@ def congruence_operands(which, field, m, r, seed, prec):
 class TestCongruences:
     def test_key1_depth_one(self):
         a = WittVector(0, [poly(F3, [(-1, 1)])])
-        rep = congruence_check("key1", a, r=1, splitting_degree=2)
-        assert rep.ok and rep.samples == 20 and rep.splitting_degree == 2
+        rep = congruence_check("key1", a, r=1)
+        assert rep.ok and rep.samples == 20 and rep.splitting_degree == 3
         assert rep.membership_level == 0 and rep.refinement_level == -2
 
     def test_key1_default_splitting_policy(self):
-        a = WittVector(0, [poly(F3, [(-1, 1)])])
-        rep = congruence_check("key1", a, r=1)
-        # smallest s with 3^s > 4 (3 * 1 + 1) = 16
-        assert rep.splitting_degree == 3 and rep.ok
+        # smallest s with q^s > 4 (3 * 1 + 1) = 16: 3^3 over F3, 9^2 over F9
+        for field, s in ((F3, 3), (F9, 2)):
+            a = WittVector(0, [poly(field, [(-1, 1)])])
+            rep = congruence_check("key1", a, r=1)
+            assert rep.splitting_degree == s and rep.ok
 
     def test_key1_level_two(self):
         a = WittVector(1, [poly(F3, [(-1, 1)]), poly(F3, [(-4, 2), (-2, 1)])])

@@ -15,7 +15,6 @@ from ramify.fields import WittCoeffRing, make_field
 from ramify.series import (
     LaurentSeries,
     decompose_over_base,
-    default_precision,
     promote,
     residue,
     residue_product,
@@ -396,7 +395,3 @@ def test_promote_through_field_embedding():
     pa, pb = promote(a, emb, big), promote(b, emb, big)
     assert promote(a * b, emb, big) == pa * pb
     assert pa.valuation() == a.valuation() and pa.prec == a.prec
-
-
-def test_default_precision_formula():
-    assert default_precision(4, 2, 3) == 4 * (4 + 3 * 2)

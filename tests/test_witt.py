@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,8 +34,6 @@ from ramify.witt import (
     reduce_vector,
     refined_swan,
     swan_conductor,
-    trunc_log,
-    twist_difference,
     verschiebung,
     verschiebung_power,
     witt_add,
@@ -105,70 +102,27 @@ def test_addition_polynomials_frozen_p5():
     ]
 
 
-def test_twist_polynomial_q0():
-    tab = UniversalWittTable.get(3, 1)
-    assert tab.twist_terms(0) == [(1, (1,), (1,))]
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_twist_polynomial_congruence(p):
-    # Q_n = sum_{i<n} X_i^(p^(n-i)) L(Y_i) + X_n Y_n  modulo p and (Y)^p,
-    # where L is the shifted truncated logarithm.
-    tab = UniversalWittTable.get(p, 3)
-    for n in range(3):
-        delta = {}
-
-        def bump(ex, ey, c):
-            key = (tuple(ex), tuple(ey))
-            delta[key] = delta.get(key, Fraction(0)) + c
-
-        for c, ex, ey in tab.twist_terms(n):
-            bump(ex, ey, Fraction(c))
-        for i in range(n):
-            for j in range(1, p):
-                ex = [0] * (n + 1)
-                ey = [0] * (n + 1)
-                ex[i] = p ** (n - i)
-                ey[i] = j
-                bump(ex, ey, -Fraction((-1) ** (j + 1), j))
-        ex = [0] * (n + 1)
-        ey = [0] * (n + 1)
-        ex[n] = ey[n] = 1
-        bump(ex, ey, Fraction(-1))
-
-        for (ex, ey), c in delta.items():
-            if c == 0:
-                continue
-            assert c.denominator % p != 0
-            assert c.numerator % p == 0 or sum(ey) >= p
-
-
 def sympy_tables(p, length):
-    """The universal tables by a symbolic ghost recursion over Q: the
-    reference for the integer derivation, term order included."""
+    """The universal addition table by a symbolic ghost recursion over Q:
+    the reference for the integer derivation, term order included."""
     sympy = pytest.importorskip("sympy")
     xs = list(sympy.symbols([f"X{i}" for i in range(length)]))
     ys = list(sympy.symbols([f"Y{i}" for i in range(length)]))
 
-    def solve(target):
-        exprs, tables = [], []
-        for n in range(length):
-            known = sum(p**i * exprs[i] ** (p ** (n - i)) for i in range(n))
-            expr = sympy.expand((target(n) - known) / sympy.Integer(p) ** n)
-            exprs.append(expr)
-            terms = []
-            for exps, c in sympy.Poly(expr, *xs[: n + 1], *ys[: n + 1]).terms():
-                assert sympy.Rational(c).q == 1
-                terms.append((int(c), tuple(exps[: n + 1]), tuple(exps[n + 1:])))
-            tables.append(terms)
-        return tables
-
     def ghost(zs, n):
         return sum(p**i * zs[i] ** (p ** (n - i)) for i in range(n + 1))
 
-    zs = [x * (1 + y) for x, y in zip(xs, ys)]
-    return (solve(lambda n: ghost(xs, n) + ghost(ys, n)),
-            solve(lambda n: ghost(zs, n) - ghost(xs, n)))
+    exprs, tables = [], []
+    for n in range(length):
+        known = sum(p**i * exprs[i] ** (p ** (n - i)) for i in range(n))
+        expr = sympy.expand((ghost(xs, n) + ghost(ys, n) - known) / sympy.Integer(p) ** n)
+        exprs.append(expr)
+        terms = []
+        for exps, c in sympy.Poly(expr, *xs[: n + 1], *ys[: n + 1]).terms():
+            assert sympy.Rational(c).q == 1
+            terms.append((int(c), tuple(exps[: n + 1]), tuple(exps[n + 1:])))
+        tables.append(terms)
+    return tables
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -202,11 +156,102 @@ def test_table_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(wmod.CACHE_ENV, str(tmp_path))
     wmod._TABLE_CACHE.pop((3, 2), None)
     first = UniversalWittTable.get(3, 2)
-    assert (tmp_path / "witt-p3-len2.json").exists()
+    path = tmp_path / "witt-p3-len2.json"
+    assert json.loads(path.read_text()) == {"p": 3, "length": 2, "sum": packed(3, 2)}
     wmod._TABLE_CACHE.pop((3, 2), None)
     second = UniversalWittTable.get(3, 2)
     assert second.sum_terms(1) == first.sum_terms(1)
-    assert second.twist_terms(1) == first.twist_terms(1)
+
+
+# the (3, 2) table as older versions wrote it, with a "twist" list of
+# polynomials beside the addition ones
+OLDER_FORMAT_P3_LEN2 = (
+    '{"p": 3, "length": 2, "sum": [[[1, [1], [0]], [1, [0], [1]]], '
+    '[[-1, [2, 0], [1, 0]], [-1, [1, 0], [2, 0]], [1, [0, 1], [0, 0]], '
+    '[1, [0, 0], [0, 1]]]], "twist": [[[1, [1], [1]]], [[1, [3, 0], [2, 0]], '
+    '[1, [3, 0], [1, 0]], [1, [0, 1], [0, 1]]]]}'
+)
+
+
+def packed(p, length):
+    """The table for (p, length) as the disk cache stores its "sum"."""
+    return [[[c, list(ex), list(ey)] for c, ex, ey in ts] for ts in _build_tables(p, length)]
+
+
+def p3_len2_with_s1_term(term):
+    blob = json.loads(OLDER_FORMAT_P3_LEN2)
+    blob["sum"][1].append(term)
+    return json.dumps(blob)
+
+
+def count_builds(monkeypatch):
+    calls = []
+
+    def build(p, length):
+        calls.append((p, length))
+        return _build_tables(p, length)
+
+    monkeypatch.setattr(ramify.witt, "_build_tables", build)
+    return calls
+
+
+def test_table_disk_cache_reads_the_older_format(tmp_path, monkeypatch):
+    # an older file is a disk hit: its "twist" key is ignored, nothing derived
+    (tmp_path / "witt-p3-len2.json").write_text(OLDER_FORMAT_P3_LEN2)
+    monkeypatch.setenv(ramify.witt.CACHE_ENV, str(tmp_path))
+    monkeypatch.delitem(ramify.witt._TABLE_CACHE, (3, 2), raising=False)
+    calls = count_builds(monkeypatch)
+    table = UniversalWittTable.get(3, 2)
+    assert calls == []
+    assert [table.sum_terms(i) for i in range(2)] == _build_tables(3, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "null",
+        "[1, 2]",
+        '{"p": 3, "length": 2, "sum": [5]}',
+        '{"p": 3, "length": 2, "sum": [[[1, [1], [0]], [1, [0], [1]]]]}',
+        OLDER_FORMAT_P3_LEN2[:60],
+        p3_len2_with_s1_term([1, [1, 0], [0, 0]]),
+        p3_len2_with_s1_term([1, [6, -1], [0, 0]]),
+        p3_len2_with_s1_term([1, [3], [0, 0]]),
+        p3_len2_with_s1_term(["1", [0, 1], [0, 0]]),
+    ],
+    ids=["null", "list", "sum-of-ints", "no-S1", "truncated", "wrong-weight",
+         "negative-exponent", "short-exponents", "string-coefficient"],
+)
+def test_malformed_cache_file_is_a_miss(tmp_path, monkeypatch, text):
+    # whatever the file holds, the table is derived again and the file
+    # rewritten, as if it were absent
+    path = tmp_path / "witt-p3-len2.json"
+    path.write_text(text)
+    monkeypatch.setenv(ramify.witt.CACHE_ENV, str(tmp_path))
+    monkeypatch.delitem(ramify.witt._TABLE_CACHE, (3, 2), raising=False)
+    calls = count_builds(monkeypatch)
+    table = UniversalWittTable.get(3, 2)
+    assert calls == [(3, 2)]
+    assert [table.sum_terms(i) for i in range(2)] == _build_tables(3, 2)
+    assert json.loads(path.read_text()) == {"p": 3, "length": 2, "sum": packed(3, 2)}
+
+
+def test_wrong_weight_table_rejected_under_optimize(tmp_path):
+    # the weight check on a file read from disk raises without assert, so
+    # python -O also rejects S_1 + X_0 and derives the table again
+    (tmp_path / "witt-p3-len2.json").write_text(p3_len2_with_s1_term([1, [1, 0], [0, 0]]))
+    code = (
+        "import json\n"
+        "from ramify.witt import UniversalWittTable\n"
+        "table = UniversalWittTable.get(3, 2)\n"
+        "print(json.dumps([table.sum_terms(i) for i in range(2)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ramify.witt.__file__).parents[1]))
+    env["RAMIFY_WITT_CACHE"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == packed(3, 2)
 
 
 def test_table_disk_cache_write_is_atomic(tmp_path, monkeypatch):
@@ -283,47 +328,6 @@ def test_ghost_oracle_for_addition(m):
             mod = 3 ** (j + 1)
             for _, c in diff.terms():
                 assert all(digit % mod == 0 for digit in c.coeffs)
-
-
-def test_twist_difference_oracle():
-    # z_i = x_i (1 + y_i)  ==>  z - x = (T_0(x,y), T_1(x,y))
-    rng = random.Random(5)
-    for _ in range(6):
-        xs = []
-        for _ in range(2):
-            v = rng.randint(-3, 1)
-            xs.append(
-                LaurentSeries.make(
-                    F3,
-                    v,
-                    [F3.from_index(rng.randint(0, 2)) for _ in range(16 - v)],
-                    16,
-                )
-            )
-        ys = [poly(F3, [(1, 1), (2, 2)], 16), poly(F3, [(1, 2)], 16)]
-        one = tpow(F3, 0, 16)
-        z = WittVector(1, [x * (one + y) for x, y in zip(xs, ys)])
-        diff = witt_sub(z, WittVector(1, xs))
-        assert diff.entries[0] == twist_difference(0, xs[:1], ys[:1])
-        assert diff.entries[1] == twist_difference(1, xs, ys)
-
-
-def test_twist_difference_cap():
-    with pytest.raises(CapExceeded):
-        twist_difference(3, [tpow(F3, 0)] * 4, [tpow(F3, 1)] * 4)
-
-
-def test_trunc_log_frozen():
-    # p=3: L(y) = y + y^2  (since -1/2 = 1 mod 3)
-    out = trunc_log(tpow(F3, 1, 9))
-    assert out == poly(F3, [(1, 1), (2, 1)], 9)
-    # p=5: L(y) = y + 2y^2 + 2y^3 + y^4
-    out5 = trunc_log(tpow(F5, 1, 9))
-    assert out5 == poly(F5, [(1, 1), (2, 2), (3, 2), (4, 1)], 9)
-
-
-def test_trunc_log_of_zero():
-    assert trunc_log(LaurentSeries.zero(F3, 6)).is_zero()
 
 
 # -- Frobenius / shift operators ------------------------------------------------
