@@ -1,7 +1,10 @@
 """Fingerprint a fixed list of seeded CLI jobs: prints one line
-``name exit sha256(stdout)`` per job.  Run it on two checkouts and diff
-the outputs to confirm that a refactor leaves every byte of these jobs
-unchanged:  PYTHONPATH=src python scripts/cli_fingerprint.py > after.txt
+``name exit sha256(stdout)`` per job, then one line
+``name exit sha256(stdout + stderr)`` for ``ramify --help``, for each
+``ramify <command> --help`` and for one usage error per command.  Run it on
+two checkouts and diff the outputs to confirm that a refactor leaves every
+byte of these jobs and pages unchanged:
+PYTHONPATH=src python scripts/cli_fingerprint.py > after.txt
 """
 
 import contextlib
@@ -9,6 +12,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
 
 from ramify import cli, jsonio
@@ -61,9 +65,39 @@ def jobs():
                 yield f"{which}-abc-{tag}", argv + ["--a", a, "--b", b, "--c", c_full]
 
 
-if __name__ == "__main__":
-    for name, argv in jobs():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def usage_error(command):
+    """An integer flag of the command given "x": the subcommand's own usage
+    error, which prints its usage line."""
+    flag = next(f for f in cli.COMMAND_TABLE[command].flags if f.kind in ("field", "int"))
+    return [command, "--p" if flag.kind == "field" else "--" + flag.key, "x"]
+
+
+def pages():
+    yield "help", ["--help"]
+    for command in cli.COMMAND_TABLE:
+        yield f"help-{command}", [command, "--help"]
+        yield f"usage-{command}", usage_error(command)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
             code = cli.main(argv)
-        print(name, code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
+    for name, argv in jobs():
+        code, out, _ = run(argv)
+        print(name, code, digest(out))
+    for name, argv in pages():
+        code, out, err = run(argv)
+        print(name, code, digest(out + err))

@@ -19,44 +19,20 @@ import json
 import random
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field as _dcfield
 
+# Only what every job needs is imported here; each command imports the
+# modules it runs, so a job pays start-up for those alone.
 from . import jsonio
-from .characters import conductor, hilbert_symbol
-from .cyclo import CycloNumber, pretty
-from .epsilon import (
-    TotallyRamifiedExt,
-    epsilon0,
-    epsilon_tate_oracle,
-    gauss_sum,
-    lambda_factor,
-    quad_gauss,
-)
 from .errors import NotLegendre, RamifyError, SchemaError, VerificationFailure
 from .fields import field_from_q
 from .jsonio import DEFAULT_PREC
-from .lft import (
-    DKInput,
-    character_for_triple,
-    congruence_check,
-    dk_dimension,
-    dk_phi,
-    gamma,
-    guaranteed_mod_t,
-    lft_descriptor,
-    random_legendre_triple,
-    square_class_checks,
-    stationary_c,
-    verify_laumon,
-    LegendreTriple,
-)
-from .witt import CACHE_ENV, refined_swan, swan_conductor
+from .witt import CACHE_ENV
 
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(namedtuple("Flag", "key kind help required default",
+                      defaults=(None, False, None))):
     """One command-line flag and the payload key it fills.
 
     ``kind`` is "int", "bool", a tuple of choices, "json" (a raw JSON
@@ -66,11 +42,7 @@ class Flag:
     is absent or null.
     """
 
-    key: str
-    kind: object
-    help: str | None = None
-    required: bool = False
-    default: object = None
+    __slots__ = ()
 
 
 # help text, implementation, flags in --help order
@@ -87,8 +59,7 @@ _FIELD_ARGS = (
 )
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(namedtuple("JobSpec", "command payload")):
     """One validated job: a command name plus its canonical JSON payload.
 
     The payload holds the residue-field spec, operand encodings, and flags
@@ -97,18 +68,20 @@ class JobSpec:
     as an absent key, and absent keys take the flag's default.
     """
 
-    command: str
-    payload: dict = _dcfield(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.command not in COMMAND_TABLE:
-            raise SchemaError(f"unknown command {self.command!r}")
+    def __new__(cls, command, payload=None):
+        if command not in COMMAND_TABLE:
+            raise SchemaError(f"unknown command {command!r}")
+        return super().__new__(cls, command, {} if payload is None else payload)
 
 
 # -- command implementations: each takes the decoded payload ---------------------
 
 
 def _op_swan(job):
+    from .witt import refined_swan, swan_conductor
+
     sw, reduced, _ = swan_conductor(job.a)
     if sw == 0:
         result = {"swan": 0, "conductor": 0, "rsw": None}
@@ -123,6 +96,8 @@ def _op_swan(job):
 
 
 def _op_rsw(job):
+    from .witt import refined_swan, swan_conductor
+
     _sw, reduced, _ = swan_conductor(job.a)
     n, coeff = refined_swan(reduced)
     result = {"n": n, "coeff": jsonio.element_str(coeff), "swan": n}
@@ -130,6 +105,10 @@ def _op_rsw(job):
 
 
 def _op_epsilon(job):
+    from .characters import conductor
+    from .cyclo import pretty
+    from .epsilon import epsilon0, epsilon_tate_oracle
+
     chi, psi = job.char, job.psi
     eps = epsilon0(chi, psi)
     oracle_match = None
@@ -156,6 +135,9 @@ def _op_epsilon(job):
 
 
 def _op_lambda(job):
+    from .cyclo import pretty
+    from .epsilon import TotallyRamifiedExt, lambda_factor
+
     ext = TotallyRamifiedExt(job.b)
     lam = lambda_factor(ext)
     result = {
@@ -168,11 +150,16 @@ def _op_lambda(job):
 
 
 def _op_hilbert(job):
+    from .characters import hilbert_symbol
+
     result = {"symbol": hilbert_symbol(job.x, job.y)}
     return result, f"(x, y) = {result['symbol']}"
 
 
 def _op_gauss(job):
+    from .cyclo import CycloNumber, pretty
+    from .epsilon import gauss_sum, quad_gauss
+
     field = job.field
     G = quad_gauss(field)
     G2 = G * G
@@ -194,6 +181,10 @@ def _check_witt_length(name, m, job):
 
 
 def _op_legendre_check(job):
+    from .lft import (
+        LegendreTriple, gamma, guaranteed_mod_t, square_class_checks, stationary_c,
+    )
+
     a, b = job.a, job.b
     _check_witt_length("a", a.m, job)
     try:
@@ -231,6 +222,10 @@ def _op_legendre_check(job):
 
 
 def _op_lft(job):
+    from .characters import conductor
+    from .cyclo import pretty
+    from .lft import guaranteed_mod_t, lft_descriptor
+
     chi, b = job.char, job.b
     desc = lft_descriptor(chi, b, job.c, source=job.source)
     result = {
@@ -247,11 +242,16 @@ def _op_lft(job):
 
 
 def _op_verify_laumon(job):
+    from .cyclo import pretty
+    from .lft import character_for_triple, random_legendre_triple, verify_laumon
+
     if job.char is not None:
         if job.b is None:
             raise SchemaError("verify-laumon: explicit char needs b as well")
         _check_witt_length("char", job.char.m, job)
         chi, b, c = job.char, job.b, job.c
+    elif job.b is not None or job.c is not None:
+        raise SchemaError("verify-laumon: b and c need an explicit char")
     else:
         rng = random.Random(job.seed)
         triple = random_legendre_triple(job.field, job.m, rng, prec=job.prec)
@@ -282,11 +282,15 @@ def _op_verify_laumon(job):
 
 
 def _op_congruence(job):
+    from .lft import congruence_check, guaranteed_mod_t, random_legendre_triple
+
     which = job.which
     if job.a is not None:
         a, b, c = job.a, job.b, job.c
         if which != "key1" and (b is None or c is None):
             raise SchemaError(f"{which} needs both b and c")
+    elif job.b is not None or job.c is not None:
+        raise SchemaError("congruence: b and c need an explicit a")
     else:
         rng = random.Random(job.seed)
         for _ in range(20):  # key6/key7 redraw until nu(b) + nu(c) < (p-2) r
@@ -334,6 +338,8 @@ def _op_congruence(job):
 
 
 def _op_dk_dim(job):
+    from .lft import DKInput, dk_dimension, dk_phi
+
     horizontal, vertical = job.horizontal, job.vertical
     if not isinstance(horizontal, list) or not isinstance(vertical, list):
         raise SchemaError("dk-dim: horizontal and vertical must be lists")
@@ -361,6 +367,14 @@ def _op_dk_dim(job):
 
 
 def _op_selftest(job):
+    from .cyclo import CycloNumber
+    from .epsilon import quad_gauss
+    from .lft import (
+        DKInput, character_for_triple, congruence_check, dk_dimension,
+        random_legendre_triple, verify_laumon,
+    )
+    from .witt import swan_conductor
+
     seed = job.seed
     checks = []
 
@@ -551,7 +565,9 @@ def _field_payload(args) -> dict:
     return {"p": args.p, "f": args.f}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The ``ramify`` parser.  Every subcommand is registered with its help
+    line; only those named in ``commands`` (default: all) get their flags."""
     parser = _Parser(
         prog="ramify",
         description=__doc__,
@@ -564,6 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMAND_TABLE.items():
         cmd = sub.add_parser(name, help=command.help)
+        if commands is not None and name not in commands:
+            continue
         for flag in command.flags:
             if flag.kind == "field":
                 for option, kwargs in _FIELD_ARGS:
@@ -608,8 +626,13 @@ def _emit(obj) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse hands the rest of argv to the first command name in it (a
+    # positional before that one is a usage error), so that command alone
+    # needs its flags
+    commands = [arg for arg in argv if arg in COMMAND_TABLE][:1]
     try:
-        job = build_job(build_parser().parse_args(argv))
+        job = build_job(build_parser(commands).parse_args(argv))
         result, summary = run(job)
     except VerificationFailure as exc:
         diagnostic = {"error": "verification-failure", "message": str(exc)}

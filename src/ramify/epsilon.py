@@ -21,7 +21,7 @@ the psi exponent the additive digits of u.  The oracle shares no formula
 with the closed forms, only chi.level() and the memoized pairing series.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .characters import (
@@ -80,14 +80,15 @@ def quad_gauss_power(field, k: int) -> CycloNumber:
 
 # -- epsilon factors (closed forms) --------------------------------------------
 
-@dataclass
-class EpsilonResult:
-    value: CycloNumber
-    branch: str
-    c: LaurentSeries | None = None
+class EpsilonResult(namedtuple("EpsilonResult", "value branch c")):
+    """A nonzero epsilon value, the closed-form branch that produced it and,
+    on the wild branch, the stationary scale c it read."""
 
-    def __post_init__(self):
-        assert not self.value.is_zero()
+    __slots__ = ()
+
+    def __new__(cls, value: CycloNumber, branch: str, c: LaurentSeries | None = None):
+        assert not value.is_zero()
+        return super().__new__(cls, value, branch, c)
 
 
 def epsilon0_tame(chi: QuasiCharacter, psi: AdditiveCharacter) -> EpsilonResult:

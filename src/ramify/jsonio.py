@@ -29,10 +29,9 @@ fails loudly instead of being silently reinterpreted.
 """
 
 import re
-from fractions import Fraction
 
-from .characters import AdditiveCharacter, QuasiCharacter, conductor
-from .cyclo import CycloNumber, pretty, root_of_unity
+# characters, cyclo and fractions are imported by the codecs that use them,
+# so that a job without a character or a cyclotomic operand never loads them
 from .errors import SchemaError
 from .fields import FiniteField, make_field
 from .series import LaurentSeries
@@ -156,6 +155,8 @@ def series_to_json(s: LaurentSeries) -> dict:
 
 def witt_from_json(field: FiniteField, obj, what, default_prec=None) -> WittVector:
     if isinstance(obj, list):
+        if not obj:
+            raise SchemaError(f"{what}: a Witt vector needs at least one entry")
         obj = {"m": len(obj) - 1, "entries": obj}
     elif _looks_like_terms(obj) or (isinstance(obj, dict) and set(obj) <= {"terms", "prec"}):
         obj = {"m": 0, "entries": [obj]}
@@ -182,7 +183,9 @@ def witt_to_json(a: WittVector) -> dict:
 # -- cyclotomic numbers ----------------------------------------------------------
 
 
-def _fraction_from_string(text, what) -> Fraction:
+def _fraction_from_string(text, what):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -195,8 +198,10 @@ def _fraction_from_string(text, what) -> Fraction:
 _PRETTY_TERM = r"(?=[+-]?[\dz])([+-]?)(\d+(?:/\d+)?)?(?:(?(2)\*)z(\d+)(?:\^(\d+))?)?"
 
 
-def _cyclo_from_pretty(text, what) -> CycloNumber:
+def _cyclo_from_pretty(text, what):
     """Parse what ``pretty`` prints: a sum of signed terms at one level N."""
+    from .cyclo import CycloNumber
+
     monomials, levels = [], set()
     for term in re.split(r"(?<=.)(?=[+-])", text):
         match = re.fullmatch(_PRETTY_TERM, term)
@@ -211,7 +216,9 @@ def _cyclo_from_pretty(text, what) -> CycloNumber:
     return CycloNumber.from_monomials(levels.pop(), monomials)
 
 
-def cyclo_from_json(value, what) -> CycloNumber:
+def cyclo_from_json(value, what):
+    from .cyclo import CycloNumber, root_of_unity
+
     if isinstance(value, bool):
         raise SchemaError(f"{what}: expected a cyclotomic number, got {value!r}")
     if isinstance(value, int):
@@ -231,14 +238,18 @@ def cyclo_from_json(value, what) -> CycloNumber:
     raise SchemaError(f"{what}: unsupported encoding {value!r}")
 
 
-def cyclo_to_json(x: CycloNumber) -> str:
+def cyclo_to_json(x) -> str:
+    from .cyclo import pretty
+
     return pretty(x)
 
 
 # -- characters ------------------------------------------------------------------
 
 
-def char_from_json(field: FiniteField, obj, what, default_prec=None) -> QuasiCharacter:
+def char_from_json(field: FiniteField, obj, what, default_prec=None):
+    from .characters import QuasiCharacter, conductor
+
     check_keys(
         obj, what,
         required=(),
@@ -257,7 +268,7 @@ def char_from_json(field: FiniteField, obj, what, default_prec=None) -> QuasiCha
     return chi
 
 
-def char_to_json(chi: QuasiCharacter) -> dict:
+def char_to_json(chi) -> dict:
     return {
         "tame_exponent": chi.tame_exponent,
         "uniformizer_value": cyclo_to_json(chi.uniformizer_value),
@@ -265,7 +276,9 @@ def char_to_json(chi: QuasiCharacter) -> dict:
     }
 
 
-def psi_from_json(field: FiniteField, obj, what, default_prec=None) -> AdditiveCharacter:
+def psi_from_json(field: FiniteField, obj, what, default_prec=None):
+    from .characters import AdditiveCharacter
+
     if _looks_like_terms(obj) or (isinstance(obj, dict) and set(obj) <= {"terms", "prec"}):
         obj = {"omega": obj}
     check_keys(obj, what, required=("omega",), optional=())

@@ -41,7 +41,6 @@ those sampled points only.  The samples read each operand only as far as
 import itertools
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field as _dcfield
 from fractions import Fraction
 
 from .characters import (
@@ -234,36 +233,30 @@ def check_legendre(a: WittVector, b: LaurentSeries, c: LaurentSeries):
     return True, (n, nu_b, nu_c), diag
 
 
-@dataclass(frozen=True, eq=False)
 class LegendreTriple:
     """An admissible triple, c defaulting to ``stationary_c(a, b)``.
 
     The constructor validates the triple with ``check_legendre`` and keeps
     what it derived: the conductor, alpha, b' = ``db`` and the full-window
     stationary scale ``c_full``, at which every c-dependent value is
-    evaluated.  It raises NotLegendre with the first violated condition."""
+    evaluated.  It raises NotLegendre with the first violated condition.
+    A triple is immutable."""
 
-    a: WittVector
-    b: LaurentSeries
-    c: LaurentSeries | None = None
-    n: int = _dcfield(init=False)
-    nu_b: int = _dcfield(init=False)
-    nu_c: int = _dcfield(init=False)
-    alpha: LaurentSeries = _dcfield(init=False)
-    db: LaurentSeries = _dcfield(init=False)
-    c_full: LaurentSeries = _dcfield(init=False)
+    __slots__ = ("a", "b", "c", "n", "nu_b", "nu_c", "alpha", "db", "c_full")
 
-    def __post_init__(self):
-        if self.c is None:
-            object.__setattr__(self, "c", stationary_c(self.a, self.b))
-        ok, cond, diag = check_legendre(self.a, self.b, self.c)
+    def __init__(self, a: WittVector, b: LaurentSeries, c: LaurentSeries | None = None):
+        if c is None:
+            c = stationary_c(a, b)
+        ok, cond, diag = check_legendre(a, b, c)
         if not ok:
             raise NotLegendre(diag["first_violation"])
-        data = stationary_data(self.a, self.b)
-        derived = dict(zip(("n", "nu_b", "nu_c"), cond), alpha=data.alpha,
-                       db=data.db, c_full=data.c)
-        for name, value in derived.items():
+        data = stationary_data(a, b)
+        for name, value in zip(self.__slots__,
+                               (a, b, c, *cond, data.alpha, data.db, data.c)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a LegendreTriple")
 
     @property
     def field(self):
@@ -325,13 +318,11 @@ def gamma(triple: LegendreTriple):
     return half * triple.alpha.leading_coefficient() * lead_dlog
 
 
-@dataclass(frozen=True)
-class SquareClassReport:
+class SquareClassReport(namedtuple(
+        "SquareClassReport", "parity_even argument_valuation leading_is_square")):
     """Outcome of the parity-matched square-class normalization."""
 
-    parity_even: bool
-    argument_valuation: int
-    leading_is_square: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -360,8 +351,8 @@ def square_class_checks(triple: LegendreTriple) -> SquareClassReport:
 # -- local Fourier transform descriptor ----------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LFTDescriptor:
+class LFTDescriptor(namedtuple(
+        "LFTDescriptor", "source target degree swan rank pushed gauss_twist scale")):
     """Shape of the local Fourier transform of the direct image of a
     rank-1 character along the covering presented by b.
 
@@ -372,14 +363,7 @@ class LFTDescriptor:
     twist whose Frobenius value is ``gauss_twist`` (minus the quadratic
     Gauss sum); ``scale`` is the stationary scale c it was computed with."""
 
-    source: str
-    target: str
-    degree: int
-    swan: int
-    rank: int
-    pushed: QuasiCharacter
-    gauss_twist: CycloNumber
-    scale: LaurentSeries
+    __slots__ = ()
 
 
 def _check_operands(chi: QuasiCharacter, b: LaurentSeries,
@@ -489,20 +473,12 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
 # -- dilation congruences -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(namedtuple("CongruenceReport", (
+        "which n r nu_b nu_c membership_level refinement_level "
+        "splitting_degree samples failures"))):
     """Result of sampling one dilation congruence over a splitting field."""
 
-    which: str
-    n: int
-    r: int
-    nu_b: int | None
-    nu_c: int | None
-    membership_level: int
-    refinement_level: int
-    splitting_degree: int
-    samples: int
-    failures: tuple
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -644,8 +620,10 @@ def congruence_check(which: str, a: WittVector,
 # -- vanishing-cycle support -----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class VanishingSupport:
+class VanishingSupport(namedtuple("VanishingSupport", (
+        "scale depth order_c order_b_prime multiplicity "
+        "primitive_order splitting_degree splitting_field points "
+        "drop psi0_vanishes"), defaults=(True,))):
     """Support and drops of the nearby-cycle complex attached to the pair
     (b, c) at depth n, read off the unit scale of t^(n+1) c b'.
 
@@ -655,17 +633,7 @@ class VanishingSupport:
     degree-0 part vanishes identically.  ``splitting_field`` is the
     smallest extension of k containing the support."""
 
-    scale: object
-    depth: int
-    order_c: int
-    order_b_prime: int
-    multiplicity: int
-    primitive_order: int
-    splitting_degree: int
-    splitting_field: object
-    points: tuple
-    drop: int
-    psi0_vanishes: bool = True
+    __slots__ = ()
 
 
 def vanishing_support(a: WittVector, b: LaurentSeries,
@@ -719,17 +687,14 @@ def vanishing_support(a: WittVector, b: LaurentSeries,
 # -- dimension bookkeeping --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DKInput:
+class DKInput(namedtuple("DKInput", "horizontal vertical delta", defaults=(0,))):
     """Input of the degeneration dimension count: ``horizontal`` lists the
     boundary points of the generic fiber as (residue degree, Swan) pairs,
     ``vertical`` lists the special-fiber branches as ("unramified", swan)
     or ("ramified", form_order) pairs, and ``delta`` is the nonnegative
     contact defect of the special fiber."""
 
-    horizontal: tuple
-    vertical: tuple
-    delta: int = 0
+    __slots__ = ()
 
 
 def dimtot_horizontal(degree: int, swan: int) -> int:
@@ -883,8 +848,9 @@ def lft_rank(z: str, zcheck: str, *, swan: int, rank: int, slopes) -> int:
 # -- the determinant identity ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LaumonReport:
+class LaumonReport(namedtuple("LaumonReport", (
+        "conductor degree lhs rhs product_identity lhs_equals_rhs "
+        "det_factor lambda_value epsilon_value oracle_match mismatch"))):
     """Exact evaluation of the determinant identity
 
         det(-Frob on the transform at x-check)^(-1)
@@ -895,17 +861,7 @@ class LaumonReport:
     "epsilon-closed-form" if the oracle disagrees with the closed form and
     "determinant-factor" otherwise."""
 
-    conductor: tuple
-    degree: int
-    lhs: CycloNumber
-    rhs: CycloNumber
-    product_identity: bool
-    lhs_equals_rhs: bool
-    det_factor: CycloNumber
-    lambda_value: CycloNumber
-    epsilon_value: CycloNumber
-    oracle_match: bool | None
-    mismatch: str | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -1,6 +1,9 @@
 """Wire formats and the command-line driver: schemas, exit codes, pinned outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +158,25 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"] == "SchemaError"
 
+    def test_empty_witt_list_is_exit_1(self, capsys):
+        code, out, _ = invoke(capsys, "swan", "--p", "3", "--a", "[]")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "SchemaError", "message": "a: a Witt vector needs at least one entry",
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-laumon", "--q", "3", "--b", '{"1":1}'),
+        ("verify-laumon", "--q", "3", "--b", '{"1":1}', "--c", '{"-2":1}'),
+        ("congruence", "--which", "key6", "--q", "5", "--seed", "13",
+         "--b", '{"1":1}', "--c", '{"-9":1}'),
+    ], ids=["laumon-b", "laumon-b-c", "congruence-b-c"])
+    def test_seeded_job_rejects_explicit_operands(self, capsys, argv):
+        # a seeded job draws its own operands; it must not drop the given ones
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["error"] == "SchemaError"
+
     @pytest.mark.parametrize("argv", [
         ("verify-laumon", "--p", "3", "--m", "-1"),
         ("congruence", "--p", "3", "--which", "key1", "--m", "-1"),
@@ -210,6 +232,76 @@ class TestExitCodes:
         body = json.loads(out)
         assert body["error"] == "SchemaError"
         assert "job says m = " + m in body["message"]
+
+
+# -- start-up and the one-command parser --------------------------------------------
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from ramify import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _modules_loaded_by(*argv):
+    """The modules a fresh interpreter has loaded after running one job."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    code, modules = json.loads(out.stdout)
+    assert code == 0, out.stderr
+    return set(modules)
+
+
+def _usage_error(command):
+    """An integer flag of the command given "x": the subcommand's own usage error."""
+    flag = next(f for f in cli.COMMAND_TABLE[command].flags if f.kind in ("field", "int"))
+    return [command, "--p" if flag.kind == "field" else "--" + flag.key, "x"]
+
+
+class TestStartUp:
+    def test_swan_loads_only_the_witt_layer(self):
+        loaded = _modules_loaded_by("swan", "--p", "3", "--a", '{"-4": 1}')
+        unwanted = {"ramify.lft", "ramify.epsilon", "ramify.characters", "ramify.cyclo",
+                    "fractions", "dataclasses"}
+        assert "ramify.witt" in loaded
+        assert not loaded & unwanted
+
+    def test_gauss_does_not_load_lft(self):
+        loaded = _modules_loaded_by("gauss", "--q", "3")
+        assert "ramify.epsilon" in loaded
+        assert "ramify.lft" not in loaded
+
+    def test_package_does_not_use_dataclasses(self):
+        package = Path(cli.__file__).parent
+        assert not [path.name for path in package.glob("*.py")
+                    if "dataclass" in path.read_text()]
+
+    @pytest.mark.parametrize("command", [None, *cli.COMMAND_TABLE])
+    def test_one_command_parser_prints_what_the_full_parser_prints(
+        self, capsys, monkeypatch, command
+    ):
+        argvs = ([["--help"]] if command is None
+                 else [[command, "--help"], _usage_error(command)])
+
+        def outputs():
+            seen = []
+            for argv in argvs:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # --help
+                    code = exc.code
+                seen.append((code, capsys.readouterr()))
+            return seen
+
+        one_command = outputs()
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda commands=None: full())
+        assert outputs() == one_command
+        assert one_command[-1][0] == (0 if command is None else 1)
 
 
 # -- individual commands ----------------------------------------------------------
