@@ -1,5 +1,5 @@
-"""Fingerprint a fixed list of seeded CLI jobs: prints one line
-``name exit sha256(stdout)`` per job, then one line
+"""Fingerprint a fixed list of CLI jobs, every command included: prints one
+line ``name exit sha256(stdout)`` per job, then one line
 ``name exit sha256(stdout + stderr)`` for ``ramify --help``, for each
 ``ramify <command> --help`` and for one usage error per command.  Run it on
 two checkouts and diff the outputs to confirm that a refactor leaves every
@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import random
+from pathlib import Path
 
 from ramify import cli, jsonio
 from ramify.fields import field_from_q
@@ -65,6 +66,35 @@ def jobs():
                 yield f"{which}-abc-{tag}", argv + ["--a", a, "--b", b, "--c", c_full]
 
 
+BENCH_JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.json"
+# commands that the seeded triples above do not reach
+OTHER_COMMANDS = ("swan", "rsw", "gauss", "hilbert", "lambda", "dk-dim", "selftest")
+
+
+def other_jobs():
+    for job in json.loads(BENCH_JOBS.read_text())["jobs"]:
+        if job["argv"][0] in OTHER_COMMANDS:
+            yield f"bench-{job['name']}", job["argv"]
+    # an integral class and classes whose leading exponent p divides
+    for name, a in (("integral", {"2": 1}), ("nonreduced", {"-3": 1, "-1": 1}),
+                    ("nonreduced-m1", {"m": 1, "entries": [{"-3": 1}, {"-1": 1}]})):
+        for command in ("swan", "rsw"):
+            yield f"{command}-{name}", [command, "--p", "3", "--a", json.dumps(a)]
+    for q in (3, 5, 7, 9, 25, 27):
+        yield f"gauss-q{q}", ["gauss", "--q", str(q)]
+    yield "dk-dim-bad-row", ["dk-dim", "--horizontal", "[[1]]", "--vertical", "[]"]
+    yield "dk-dim-unbalanced", ["dk-dim", "--horizontal", "[[1, 0]]",
+                                "--vertical", '[["unramified", 4]]']
+    # every row of the rank table at infinity, and its degenerate cells
+    for q, n, d in itertools.product((3, 5), range(1, 7), range(1, 5)):
+        if n % q and d % q:
+            yield f"lft-infinity-q{q}-n{n}-d{d}", [
+                "lft", "--q", str(q), "--char", json.dumps({"wild": {str(-n): 1}}),
+                "--b", json.dumps({str(-d): 1}), "--source", "infinity"]
+    for seed in range(10):
+        yield f"selftest-s{seed}", ["selftest", "--seed", str(seed)]
+
+
 def usage_error(command):
     """An integer flag of the command given "x": the subcommand's own usage
     error, which prints its usage line."""
@@ -95,7 +125,7 @@ def digest(text):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
-    for name, argv in jobs():
+    for name, argv in itertools.chain(jobs(), other_jobs()):
         code, out, _ = run(argv)
         print(name, code, digest(out))
     for name, argv in pages():

@@ -211,11 +211,7 @@ def _op_legendre_check(job):
         "conductor": list(cond),
         "parity_even": triple.parity_even,
         "gamma": jsonio.element_str(g),
-        "square_class": {
-            "parity_even": sq.parity_even,
-            "argument_valuation": sq.argument_valuation,
-            "leading_is_square": sq.leading_is_square,
-        },
+        "square_class": sq._asdict(),
         "guaranteed_mod_t": guaranteed_mod_t(a, b, triple.c),
     }
     return result, f"admissible, conductor triple {tuple(cond)}"
@@ -318,19 +314,8 @@ def _op_congruence(job):
                 "samples": report.samples,
             },
         )
-    result = {
-        "ok": True,
-        "which": which,
-        "n": report.n,
-        "r": report.r,
-        "nu_b": report.nu_b,
-        "nu_c": report.nu_c,
-        "membership_level": report.membership_level,
-        "refinement_level": report.refinement_level,
-        "splitting_degree": report.splitting_degree,
-        "samples": report.samples,
-        "guaranteed_mod_t": stamp,
-    }
+    result = {"ok": True, **report._asdict(), "guaranteed_mod_t": stamp}
+    del result["failures"]  # empty: the report is ok
     return result, (
         f"{which}: {report.samples} specializations inside level "
         f"{report.membership_level}"
@@ -367,20 +352,30 @@ def _op_dk_dim(job):
 
 
 def _op_selftest(job):
-    from .cyclo import CycloNumber
-    from .epsilon import quad_gauss
-    from .lft import (
-        DKInput, character_for_triple, congruence_check, dk_dimension,
-        random_legendre_triple, verify_laumon,
-    )
-    from .witt import swan_conductor
-
     seed = job.seed
-    checks = []
-
-    def check(name, fn):
+    # (name, command, payload, predicate on the result beyond the command's
+    # own checks); a laumon step draws its triple at random_legendre_triple's
+    # default window
+    steps = [
+        *((f"gauss-square-q{p ** f}", "gauss", {"field": {"p": p, "f": f}}, None)
+          for p, f in ((3, 1), (5, 1), (3, 2))),
+        ("swan-monomial-depth4", "swan", {"field": {"p": 3}, "a": {"-4": 1}},
+         lambda result: result["swan"] == 4),
+        *((f"laumon-q{p}-m{m}", "verify-laumon",
+           {"field": {"p": p}, "m": m, "seed": seed, "prec": 4 * (8 + p) + 12}, None)
+          for p, m in ((3, 0), (5, 0), (3, 1))),
+        ("congruence-key1", "congruence", {"field": {"p": 3}, "which": "key1",
+                                           "a": {"-1": 1}, "theta_samples": 8, "seed": seed},
+         None),
+        ("dk-balance", "dk-dim", {"horizontal": [[1, 4]], "vertical": [["unramified", 0]]},
+         lambda result: result["dimension"] == 4),
+    ]
+    for name, command, payload, holds in steps:
         try:
-            ok = bool(fn())
+            result, _ = run(JobSpec(command, payload))
+            ok = holds is None or holds(result)
+        except VerificationFailure:
+            ok = False
         except RamifyError as exc:
             raise VerificationFailure(
                 "selftest step raised unexpectedly",
@@ -392,44 +387,7 @@ def _op_selftest(job):
                 "selftest step came out false",
                 detail={"failed": name},
             )
-        checks.append(name)
-
-    for q in (3, 5, 9):
-        fq = field_from_q(q)
-        check(
-            f"gauss-square-q{q}",
-            lambda fq=fq: quad_gauss(fq) * quad_gauss(fq)
-            == CycloNumber.from_rational(1, fq.kappa0(-fq.one) * fq.q),
-        )
-    f3 = field_from_q(3)
-    check(
-        "swan-monomial-depth4",
-        lambda: swan_conductor(
-            jsonio.witt_from_json(f3, {"-4": 1}, "a", DEFAULT_PREC)
-        )[0] == 4,
-    )
-    for q, m in ((3, 0), (5, 0), (3, 1)):
-        fq = field_from_q(q)
-
-        def laumon_ok(fq=fq, m=m):
-            rng = random.Random(seed)
-            triple = random_legendre_triple(fq, m, rng)
-            report = verify_laumon(character_for_triple(triple), triple.b, triple.c)
-            return report.ok
-
-        check(f"laumon-q{q}-m{m}", laumon_ok)
-
-    def key1_ok():
-        a = jsonio.witt_from_json(f3, {"-1": 1}, "a", DEFAULT_PREC)
-        return congruence_check("key1", a, r=1, theta_samples=8, seed=seed).ok
-
-    check("congruence-key1", key1_ok)
-    check(
-        "dk-balance",
-        lambda: dk_dimension(
-            DKInput(((1, 4),), (("unramified", 0),), 0)
-        ) == 4,
-    )
+    checks = [name for name, *_ in steps]
     result = {"ok": True, "seed": seed, "checks": checks}
     return result, f"{len(checks)} checks passed"
 

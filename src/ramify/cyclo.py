@@ -27,6 +27,7 @@ from math import gcd, lcm
 from operator import add, mul, sub
 
 from .errors import DivisionByZero, IncompatibleLevels, LengthMismatch
+from .fields import _prime_factors
 
 _phi_lock = threading.Lock()
 _CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
@@ -37,20 +38,6 @@ def euler_phi(n: int) -> int:
     for ell in _prime_factors(n):
         out -= out // ell
     return out
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def _intpoly_div_exact(num, den):

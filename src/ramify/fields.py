@@ -16,6 +16,7 @@ in a fraction of a second.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import (
     CapExceeded,
@@ -29,19 +30,9 @@ from .errors import (
 DEFAULT_Q_CAP = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n: int):
-    """The distinct primes dividing n, by trial division."""
+@lru_cache(maxsize=None)
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, by trial division; () for n < 2."""
     primes, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -51,7 +42,11 @@ def _prime_factors(n: int):
         d += 1
     if n > 1:
         primes.append(n)
-    return primes
+    return tuple(primes)
+
+
+def _is_prime(n: int) -> bool:
+    return _prime_factors(n) == (n,)
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +108,21 @@ def _poly_powmod(base, e: int, h, p):
 
 
 def _is_irreducible(h, p):
-    """Rabin test for a monic polynomial h over F_p."""
+    """Rabin test for a monic polynomial h over F_p of degree f: h divides
+    x^(p^f) - x and is prime to x^(p^(f/l)) - x for each prime l | f."""
     f = len(h) - 1
+
+    def x_power_minus_x(k):  # x^(p^k) - x mod h
+        out = list(_poly_powmod([0, 1], p**k, h, p)) + [0, 0]
+        out[1] = (out[1] - 1) % p
+        return _poly_trim(out)
+
     if f == 1:
         return True
-    xq = list(_poly_powmod([0, 1], p**f, h, p)) + [0, 0]
-    xq[1] = (xq[1] - 1) % p
-    if _poly_trim(xq) != []:
+    if x_power_minus_x(f):
         return False
-    ell = 2
-    ff = f
-    checked = set()
-    while ff > 1:
-        while ff % ell:
-            ell += 1
-        if ell not in checked:
-            checked.add(ell)
-            xe = _poly_powmod([0, 1], p ** (f // ell), h, p)
-            diff = list(xe) + [0, 0]
-            diff[1] = (diff[1] - 1) % p
-            g = _poly_gcd(_poly_trim(diff), h, p)
-            if len(g) - 1 > 0:
-                return False
-        ff //= ell
-    return True
+    return all(len(_poly_gcd(x_power_minus_x(f // ell), h, p)) == 1
+               for ell in _prime_factors(f))
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +255,8 @@ class FiniteField:
 
     def _mul_raw(self, a_digits, b_digits):
         """Tuple-level multiplication mod the modulus — used only during setup."""
-        p, f = self.p, self.f
-        conv = [0] * (2 * f - 1)
-        for i, ai in enumerate(a_digits):
-            if ai:
-                for j, bj in enumerate(b_digits):
-                    conv[i + j] = (conv[i + j] + ai * bj) % p
-        h = self.modulus
-        for k in range(2 * f - 2, f - 1, -1):
-            lead = conv[k]
-            if lead:
-                conv[k] = 0
-                for i in range(f):
-                    conv[k - f + i] = (conv[k - f + i] - lead * h[i]) % p
-        return tuple(conv[:f])
+        digits = _poly_mod(_poly_mul(a_digits, b_digits, self.p), self.modulus, self.p)
+        return tuple(digits) + (0,) * (self.f - len(digits))
 
     def _build_dlog(self):
         p, q = self.p, self.q
@@ -657,10 +631,8 @@ def make_field(p: int, f: int) -> FiniteField:
 
 def field_from_q(q: int) -> FiniteField:
     """The interned F_q for a prime power q; SchemaError for any other q."""
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    f, r = 0, q
-    while p and r % p == 0:
-        r, f = r // p, f + 1
-    if p is None or r != 1:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise SchemaError(f"q = {q} is not a prime power")
-    return make_field(p, f)
+    p = primes[0]
+    return make_field(p, next(f for f in itertools.count(1) if p**f == q))

@@ -12,11 +12,12 @@ Encoding conventions (all exact, no floats anywhere):
                          A bare ``{"-4": 1}`` dict is accepted as shorthand.
 * length-(m+1) Witt vector  ``{"m": 1, "entries": [<series>, <series>]}``,
                          or a plain list of series (m inferred), or a single
-                         series dict (m = 0)
+                         series (m = 0), bare or as ``series_to_json`` prints it
 * multiplicative character  ``{"tame_exponent": 1, "uniformizer_value": 1,
                          "wild": <witt> | null}``; an optional ``"conductor"``
                          pair [a, sw], as ``lft`` prints it, must agree
-* additive character     ``{"omega": <series>}`` for the 1-form omega dt
+* additive character     ``{"omega": <series>}`` for the 1-form omega dt, or
+                         the series omega alone
 * cyclotomic number      inputs: an integer, an ``"a/b"`` string, a pair
                          ``[N, k]`` meaning the k-th power of a primitive
                          N-th root of unity, or a pretty string; outputs are
@@ -106,6 +107,13 @@ def _looks_like_terms(obj) -> bool:
     return True
 
 
+def _is_one_series(obj) -> bool:
+    """A series where a Witt vector or an additive character may stand: bare
+    terms, or a series object as ``series_to_json`` prints it."""
+    return _looks_like_terms(obj) or (
+        isinstance(obj, dict) and set(obj) <= {"terms", "prec", "val"})
+
+
 def series_from_json(field: FiniteField, obj, what, default_prec=None) -> LaurentSeries:
     if _looks_like_terms(obj):
         obj = {"terms": obj}
@@ -158,7 +166,7 @@ def witt_from_json(field: FiniteField, obj, what, default_prec=None) -> WittVect
         if not obj:
             raise SchemaError(f"{what}: a Witt vector needs at least one entry")
         obj = {"m": len(obj) - 1, "entries": obj}
-    elif _looks_like_terms(obj) or (isinstance(obj, dict) and set(obj) <= {"terms", "prec"}):
+    elif _is_one_series(obj):
         obj = {"m": 0, "entries": [obj]}
     check_keys(obj, what, required=("m", "entries"), optional=())
     m = strict_int(obj["m"], f"{what}.m")
@@ -279,7 +287,7 @@ def char_to_json(chi) -> dict:
 def psi_from_json(field: FiniteField, obj, what, default_prec=None):
     from .characters import AdditiveCharacter
 
-    if _looks_like_terms(obj) or (isinstance(obj, dict) and set(obj) <= {"terms", "prec"}):
+    if _is_one_series(obj):
         obj = {"omega": obj}
     check_keys(obj, what, required=("omega",), optional=())
     omega = series_from_json(field, obj["omega"], f"{what}.omega", default_prec)

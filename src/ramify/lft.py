@@ -38,31 +38,14 @@ those sampled points only.  The samples read each operand only as far as
 `witt.sum_window` and `witt.pairing_window` say.
 """
 
+from __future__ import annotations
+
 import itertools
 import random
 from collections import namedtuple
-from fractions import Fraction
 
-from .characters import (
-    AdditiveCharacter,
-    QuasiCharacter,
-    char_eval_exponents,
-    char_value,
-    conductor,
-    hilbert_symbol,
-    kummer_char,
-    psi_eval_exponent,
-)
-from .cyclo import CycloNumber
-from .epsilon import (
-    TotallyRamifiedExt,
-    epsilon0_wild,
-    epsilon_tate_oracle,
-    induced_swan,
-    lambda_factor,
-    quad_gauss,
-    quad_gauss_power,
-)
+# characters, cyclo, epsilon and fractions are imported by the functions that
+# use them, so that the integer and series bookkeeping loads without them
 from .errors import (
     CapExceeded,
     DegenerateOrder,
@@ -76,7 +59,7 @@ from .errors import (
     WrongSourcePoint,
     ZeroInput,
 )
-from .series import LaurentSeries, promote, substitute_dilated
+from .series import LaurentSeries, map_coefficients, substitute_dilated
 from .witt import (
     WittVector,
     _ceil_div,
@@ -109,6 +92,11 @@ StationaryData = namedtuple("StationaryData", "alpha n db nu_b c")
 _latest = (None, None, None)  # (a, b, datum) of the latest derivation
 
 
+def _nu(s: LaurentSeries, ds: LaurentSeries) -> int:
+    """nu(s) = ord(t s'/s) = 1 + ord(s') - ord(s), for s and ds = s' nonzero."""
+    return 1 + ds.valuation() - s.valuation()
+
+
 def stationary_data(a: WittVector, b: LaurentSeries) -> StationaryData:
     """The stationary datum of the pair (a, b).
 
@@ -134,7 +122,7 @@ def stationary_data(a: WittVector, b: LaurentSeries) -> StationaryData:
     if db.is_zero():
         raise InseparableB("db/dt = 0: no stationary scale exists over b")
     data = StationaryData(alpha, -(alpha.valuation() + 1), db,
-                          1 + db.valuation() - b.valuation(),
+                          _nu(b, db),
                           -(alpha * db.inverse()))
     _latest = (a, b, data)
     return data
@@ -156,7 +144,7 @@ def stationary_c(a: WittVector, b: LaurentSeries) -> LaurentSeries:
         raise PrecisionExhausted(
             f"dc/dt is 0 mod t^{dc.prec}; nu(c) cannot be certified"
         )
-    nu_c = 1 + dc.valuation() - c.valuation()
+    nu_c = _nu(c, dc)
     window = max(_ceil_div(data.n + nu_c, 2) + 1, nu_c + 2, 2)
     if c.prec - c.valuation() < window:
         raise PrecisionExhausted(
@@ -204,8 +192,7 @@ def check_legendre(a: WittVector, b: LaurentSeries, c: LaurentSeries):
     dc = c.derivative()
     if dc.is_zero():
         return fail("c is inseparable: dc/dt = 0 to precision")
-    nu_c = 1 + dc.valuation() - c.valuation()
-    diag["nu_c"] = nu_c
+    nu_c = diag["nu_c"] = _nu(c, dc)
     diag["n_minus_nu_c"] = n - nu_c
     diag["parity_even"] = (n - nu_c) % 2 == 0
     diag["ord_t_bprime_c"] = 1 + data.db.valuation() + c.valuation()
@@ -386,6 +373,8 @@ def _character_triple(chi: QuasiCharacter, b: LaurentSeries,
                       c: LaurentSeries | None) -> LegendreTriple:
     """The triple (wild layer of chi, b, c), c defaulting to the stationary
     scale; its depth is the Swan conductor of chi."""
+    from .characters import conductor
+
     triple = LegendreTriple(chi.wild, b, c)
     assert conductor(chi)[1] == triple.n
     return triple
@@ -407,6 +396,11 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     transform drops them.  The defects of the pair (wild layer of chi, b)
     raise the errors of ``stationary_data`` before the source point is
     checked."""
+    from fractions import Fraction
+
+    from .characters import QuasiCharacter, kummer_char
+    from .epsilon import TotallyRamifiedExt, induced_swan, quad_gauss
+
     _check_operands(chi, b, c)
     if source == ORIGIN:
         if b.valuation() < 1:
@@ -433,12 +427,10 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
         )
     triple = _character_triple(chi, b, c)
     degree = abs(triple.c.valuation())
-    if source == ORIGIN:
-        target, expected = INFINITY, swan + rank
-    elif swan > rank:
-        target, expected = INFINITY, swan - rank
-    else:
-        target, expected = ORIGIN, rank - swan
+    # the direct image has the single slope swan / rank
+    target = INFINITY if source == ORIGIN or swan > rank else ORIGIN
+    expected = lft_rank(source, target, swan=swan, rank=rank,
+                        slopes=(Fraction(swan, rank),))
     if degree != expected:
         raise VerificationFailure(
             "transform degree disagrees between its two derivations",
@@ -546,7 +538,7 @@ def congruence_check(which: str, a: WittVector,
             raise PrecisionExhausted(
                 f"derivative is 0 mod t^{dc.prec}; nu cannot be certified"
             )
-        nu_b, nu_c = data.nu_b, 1 + dc.valuation() - c.valuation()
+        nu_b, nu_c = data.nu_b, _nu(c, dc)
         if not nu_b + nu_c < (p - 2) * r:
             raise HypothesisViolated(
                 f"nu(b) + nu(c) = {nu_b + nu_c} is not < (p-2) r = {(p - 2) * r}"
@@ -574,11 +566,12 @@ def congruence_check(which: str, a: WittVector,
     # that enters through V^m (whose zero entries carry its window) to
     # win[0]. b, c and alpha keep their leading terms, so their orders stay.
     win = sum_window(refinement_level, n, p, m)
-    cut = lambda x, w: promote(x.truncate(max(w, x.ord_lower_bound() + 1)), emb, big)
-    a_E = WittVector(m, [promote(e.truncate(w), emb, big) for e, w in zip(a.entries, win)])
+    cut = lambda x, w: map_coefficients(x.truncate(max(w, x.ord_lower_bound() + 1)), emb, big)
+    a_E = WittVector(m, [map_coefficients(e.truncate(w), emb, big)
+                         for e, w in zip(a.entries, win)])
     if which == "key1":  # dilation_defect_sum is known to t^(prec(alpha) + 1 + r)
         cut_a = WittVector(m, pairing_window(a.entries, p, win[0] - r - 1))
-        alpha_E = promote(witt_differential(cut_a), emb, big)
+        alpha_E = map_coefficients(witt_differential(cut_a), emb, big)
     else:
         # c (u(b) - b) and alpha dlog(c) t^(2r+2) to t^win[0], where
         # ord(u(b) - b) >= ord(b) + r and dlog(c) is known to t^(prec(c) - 1 - ord(c))
@@ -803,6 +796,8 @@ def lft_rank(z: str, zcheck: str, *, swan: int, rank: int, slopes) -> int:
 
     Slope multisets straddling the applicable threshold are rejected with
     InconsistentInput: split the input by slope first."""
+    from fractions import Fraction
+
     if swan < 0 or rank < 1:
         raise InconsistentInput(
             f"need swan >= 0 and rank >= 1, got ({swan}, {rank})"
@@ -895,6 +890,15 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
     c defaults to the stationary scale, and the defects of the pair (wild
     layer of chi, b) raise the errors of ``stationary_data``.
     """
+    from .characters import (
+        AdditiveCharacter, char_eval_exponents, char_value, hilbert_symbol,
+        psi_eval_exponent,
+    )
+    from .epsilon import (
+        TotallyRamifiedExt, epsilon0_wild, epsilon_tate_oracle, lambda_factor,
+        quad_gauss_power,
+    )
+
     _check_operands(chi, b, c)
     if b.valuation() < 1:
         raise WrongSourcePoint(
@@ -1004,6 +1008,9 @@ def character_for_triple(triple: LegendreTriple, tame_exponent: int = 0,
                          ) -> QuasiCharacter:
     """Wrap the wild layer of a triple as a full character datum, with an
     optional tame decoration."""
+    from .characters import QuasiCharacter
+    from .cyclo import CycloNumber
+
     if uniformizer_value is None:
         uniformizer_value = CycloNumber.from_rational(1, 1)
     return QuasiCharacter(

@@ -310,16 +310,9 @@ def substitute_dilated(s: LaurentSeries, r: int, theta) -> LaurentSeries:
     return acc
 
 
-def promote(s: LaurentSeries, embedding, new_ring) -> LaurentSeries:
-    """Map coefficients through an explicit embedding into new_ring."""
-    if s.val is None:
-        return LaurentSeries.zero(new_ring, s.prec)
-    return LaurentSeries.make(
-        new_ring, s.val, [embedding(c) for c in s.coeffs], s.prec
-    )
-
-
 def map_coefficients(s: LaurentSeries, fn, new_ring) -> LaurentSeries:
+    """Map each coefficient through fn into new_ring, such as a field
+    embedding or ``WittCoeffRing.lift``."""
     if s.val is None:
         return LaurentSeries.zero(new_ring, s.prec)
     return LaurentSeries.make(new_ring, s.val, [fn(c) for c in s.coeffs], s.prec)

@@ -12,7 +12,7 @@ import pytest
 from ramify import cli, jsonio
 from ramify.cli import JobSpec, build_job, build_parser, main, run
 from ramify.cyclo import CycloNumber, pretty, root_of_unity
-from ramify.errors import SchemaError, VerificationFailure
+from ramify.errors import PrecisionExhausted, SchemaError, VerificationFailure
 from ramify.fields import make_field
 
 F3 = make_field(3, 1)
@@ -87,6 +87,29 @@ class TestDeterminism:
         assert body["ok"] is True
         assert "gauss-square-q9" in body["checks"]
         assert "laumon-q3-m1" in body["checks"]
+
+    def test_selftest_step_that_comes_out_false(self, capsys, monkeypatch):
+        import ramify.epsilon
+
+        monkeypatch.setattr(ramify.epsilon, "quad_gauss",
+                            lambda field: CycloNumber.from_rational(1, 1))
+        code, out, _ = invoke(capsys, "selftest")
+        assert code == 2
+        assert out == ('{"error":"verification-failure","message":"selftest step '
+                       'came out false","failed":"gauss-square-q3"}')
+
+    def test_selftest_step_that_raises(self, capsys, monkeypatch):
+        import ramify.lft
+
+        def starved(*args, **kwargs):
+            raise PrecisionExhausted("forced for the selftest path")
+
+        monkeypatch.setattr(ramify.lft, "verify_laumon", starved)
+        code, out, _ = invoke(capsys, "selftest")
+        assert code == 2
+        # the step's "error" and "message" take the places of the diagnostic's own
+        assert out == ('{"error":"PrecisionExhausted","message":"forced for the '
+                       'selftest path","failed":"laumon-q3-m0"}')
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -270,6 +293,16 @@ class TestStartUp:
         assert "ramify.witt" in loaded
         assert not loaded & unwanted
 
+    @pytest.mark.parametrize("argv", [
+        ("dk-dim", "--horizontal", "[[1,4]]", "--vertical", '[["unramified",0]]'),
+        ("legendre-check", "--p", "5", "--a", '{"-3":1}', "--b", '{"1":1}'),
+    ], ids=["dk-dim", "legendre-check"])
+    def test_lft_bookkeeping_loads_no_character_layer(self, argv):
+        loaded = _modules_loaded_by(*argv)
+        unwanted = {"ramify.epsilon", "ramify.characters", "ramify.cyclo", "fractions"}
+        assert "ramify.lft" in loaded
+        assert not loaded & unwanted
+
     def test_gauss_does_not_load_lft(self):
         loaded = _modules_loaded_by("gauss", "--q", "3")
         assert "ramify.epsilon" in loaded
@@ -413,6 +446,17 @@ class TestCommands:
         code, out, _ = invoke(capsys, "epsilon", "--p", "5", "--char", json.dumps(pushed))
         assert code == 1
         assert json.loads(out)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("argv, terms", [
+        (["swan", "--q", "3", "--a"], {"-4": 1}),
+        (["epsilon", "--q", "3", "--char", '{"wild":{"-2":1}}', "--psi"], {"-1": 1}),
+    ], ids=["witt", "psi"])
+    def test_printed_series_reads_back_as_witt_and_psi(self, capsys, argv, terms):
+        # series_to_json adds "val", which the single-series shorthand must take
+        printed = jsonio.series_to_json(jsonio.series_from_json(F3, terms, "s"))
+        bare = invoke(capsys, *argv, json.dumps(terms))
+        assert bare[0] == 0
+        assert invoke(capsys, *argv, json.dumps(printed)) == bare
 
     def test_congruence_explicit_key1(self, capsys):
         code, out, _ = invoke(

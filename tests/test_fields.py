@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -104,6 +105,15 @@ def test_field_from_q(q, pf):
 def test_field_from_q_rejects_non_prime_powers(q):
     with pytest.raises(SchemaError):
         field_from_q(q)
+
+
+def test_large_prime_q_reaches_the_cap_at_once():
+    # q is factored by trial division up to sqrt(q), not by a scan of every
+    # candidate divisor up to q
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        field_from_q(10**9 + 7)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3), (11, 1)])

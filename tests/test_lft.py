@@ -49,7 +49,7 @@ from ramify.lft import (
     vanishing_support,
     verify_laumon,
 )
-from ramify.series import LaurentSeries, promote, substitute_dilated
+from ramify.series import LaurentSeries, map_coefficients, substitute_dilated
 from ramify.witt import (
     WittVector,
     dilate,
@@ -363,10 +363,10 @@ class TestCongruences:
         tri = LegendreTriple(a, b, stationary_c(a, b))
         r = (tri.n - tri.nu_c) // 2
         big, emb = F5.extension(2)
-        a_E = WittVector(0, [promote(tri.a.entries[0], emb, big)])
-        b_E = promote(tri.b, emb, big)
-        c_E = promote(-(witt_differential(tri.a) * tri.b.derivative().inverse()),
-                      emb, big)
+        a_E = WittVector(0, [map_coefficients(tri.a.entries[0], emb, big)])
+        b_E = map_coefficients(tri.b, emb, big)
+        c_E = map_coefficients(-(witt_differential(tri.a) * tri.b.derivative().inverse()),
+                               emb, big)
         g_E = emb(gamma(tri))
         for idx in (1, 5, 11):
             theta = big.from_index(idx)

@@ -15,7 +15,7 @@ from ramify.fields import WittCoeffRing, make_field
 from ramify.series import (
     LaurentSeries,
     decompose_over_base,
-    promote,
+    map_coefficients,
     residue,
     residue_product,
     substitute_dilated,
@@ -392,6 +392,6 @@ def test_promote_through_field_embedding():
     big, emb = F3.extension(2)
     a = poly(F3, [(-1, 2), (0, 1)], 8)
     b = poly(F3, [(1, 1), (2, 2)], 8)
-    pa, pb = promote(a, emb, big), promote(b, emb, big)
-    assert promote(a * b, emb, big) == pa * pb
+    pa, pb = map_coefficients(a, emb, big), map_coefficients(b, emb, big)
+    assert map_coefficients(a * b, emb, big) == pa * pb
     assert pa.valuation() == a.valuation() and pa.prec == a.prec

@@ -18,7 +18,7 @@ from ramify.errors import (
     ZeroVector,
 )
 from ramify.fields import WittCoeffRing, make_field
-from ramify.series import LaurentSeries, promote
+from ramify.series import LaurentSeries, map_coefficients
 from ramify.witt import (
     UniversalWittTable,
     _build_tables,
@@ -513,7 +513,7 @@ def test_dilation_congruence(m, entry_vals, r):
     big, emb = F3.extension(3)
     a = WittVector(m, tuple(tpow(F3, v, prec) for v in entry_vals))
     n = fil_level(a)
-    aL = WittVector(m, tuple(promote(e, emb, big) for e in a.entries))
+    aL = WittVector(m, tuple(map_coefficients(e, emb, big) for e in a.entries))
     alpha = witt_differential(aL)
     thetas = [big.from_index(i) for i in range(1, 22)]
     for theta in thetas:
@@ -527,7 +527,7 @@ def test_dilation_congruence_is_sharp():
     big, emb = F3.extension(3)
     a = WittVector(1, (tpow(F3, -1, 30), tpow(F3, -2, 30)))
     n = fil_level(a)
-    aL = WittVector(1, tuple(promote(e, emb, big) for e in a.entries))
+    aL = WittVector(1, tuple(map_coefficients(e, emb, big) for e in a.entries))
     theta = big.from_index(5)
     lhs = witt_sub(dilate(aL, 1, theta), aL)
     rhs = verschiebung_power(
