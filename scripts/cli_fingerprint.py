@@ -93,6 +93,16 @@ def other_jobs():
                 "--b", json.dumps({str(-d): 1}), "--source", "infinity"]
     for seed in range(10):
         yield f"selftest-s{seed}", ["selftest", "--seed", str(seed)]
+    # lft and verify-laumon read a character through its reduced wild layer:
+    # the class of t^-1 at p = 3 by three layers, an integral class, and a
+    # level-15 layer of form depth 6 at q = 5
+    for name, q, wild, b in (("t-1", 3, {"-1": 1}, {"1": 1}), ("t-3", 3, {"-3": 1}, {"1": 1}),
+                             ("t-3+t-1", 3, {"-3": 1, "-1": 1}, {"1": 1}),
+                             ("integral", 3, {"-3": 1, "-1": 2}, {"1": 1}),
+                             ("level15", 5, {"-15": 1, "-6": 1, "-3": 4, "-2": 3}, {"1": 1, "2": 2})):
+        argv = ["--q", str(q), "--char", json.dumps({"wild": wild}), "--b", json.dumps(b)]
+        yield f"lft-class-{name}", ["lft", *argv]
+        yield f"laumon-class-{name}", ["verify-laumon", *argv, "--oracle"]
 
 
 def usage_error(command):

@@ -128,7 +128,8 @@ class QuasiCharacter:
         return self.wild is not None and not self.wild.is_zero()
 
     def reduced_wild(self):
-        """(reduced vector, witness) for the wild part, memoized."""
+        """(reduced vector, witness) for the wild part, memoized; the reduced
+        vector is the representative that every computation on chi reads."""
         if self.wild is None:
             raise ZeroInput("character has no wild part")
         if self._reduced is None:

@@ -379,8 +379,8 @@ def _op_selftest(job):
         except RamifyError as exc:
             raise VerificationFailure(
                 "selftest step raised unexpectedly",
-                detail={"failed": name, "error": type(exc).__name__,
-                        "message": str(exc)},
+                detail={"failed": name, "raised": {"error": type(exc).__name__,
+                                                   "message": str(exc)}},
             )
         if not ok:
             raise VerificationFailure(
@@ -593,9 +593,8 @@ def main(argv=None) -> int:
         job = build_job(build_parser(commands).parse_args(argv))
         result, summary = run(job)
     except VerificationFailure as exc:
-        diagnostic = {"error": "verification-failure", "message": str(exc)}
-        diagnostic.update(exc.detail)
-        print(_emit(diagnostic))
+        head = {"error": "verification-failure", "message": str(exc)}
+        print(_emit(head | exc.detail | head))  # no detail key replaces the head
         print(f"FAILED: {exc}", file=sys.stderr)
         return 2
     except RamifyError as exc:

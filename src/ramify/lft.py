@@ -30,6 +30,11 @@ scale -alpha/b' -- is derived once, by `stationary_data`, the only code
 that raises for a defect of the pair: ZeroInput when a or b is zero,
 PrecisionExhausted when alpha is 0 to precision, InseparableB when b' = 0.
 
+A character is a class of wild layers modulo (F - 1)W: `lft_descriptor`
+and `verify_laumon` read it through `QuasiCharacter.reduced_wild`, as the
+conductor and the epsilon factor do; the functions that take a layer read
+it as given.
+
 Dilation congruences (`congruence_check`) test the effect of the
 substitution t -> t (1 + theta t^r) on a and on the combined phase
 a + V^m(c b) inside W(F_{q^s}((t))), at `theta_samples` values of theta
@@ -354,10 +359,12 @@ class LFTDescriptor(namedtuple(
 
 
 def _check_operands(chi: QuasiCharacter, b: LaurentSeries,
-                    c: LaurentSeries | None) -> None:
+                    c: LaurentSeries | None) -> WittVector:
     """Input checks shared by ``lft_descriptor`` and ``verify_laumon``: one
     residue field for every operand, a wild layer, and the defects of the
-    pair (wild layer, b), raised by ``stationary_data``."""
+    pair (reduced wild layer, b), raised by ``stationary_data``.  Returns
+    the reduced wild layer, the one representative of chi's class that
+    both entry points read."""
     field = chi.field
     if field is not b.ring or (c is not None and field is not c.ring):
         raise InconsistentInput(
@@ -366,42 +373,34 @@ def _check_operands(chi: QuasiCharacter, b: LaurentSeries,
         )
     if chi.wild is None:
         raise NotLegendre("character has no wild layer")
-    stationary_data(chi.wild, b)
-
-
-def _character_triple(chi: QuasiCharacter, b: LaurentSeries,
-                      c: LaurentSeries | None) -> LegendreTriple:
-    """The triple (wild layer of chi, b, c), c defaulting to the stationary
-    scale; its depth is the Swan conductor of chi."""
-    from .characters import conductor
-
-    triple = LegendreTriple(chi.wild, b, c)
-    assert conductor(chi)[1] == triple.n
-    return triple
+    red = chi.reduced_wild()[0]
+    stationary_data(red, b)
+    return red
 
 
 def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
                    c: LaurentSeries | None = None,
                    source: str = ORIGIN) -> LFTDescriptor:
     """Descriptor of the local Fourier transform of the direct image of
-    the character chi along the covering presented by b, using the
-    stationary scale c (by default ``stationary_c(chi.wild, b)``, taken
-    once the source point and the slope condition are checked).
+    the character chi along the covering presented by b.  chi is read
+    through its reduced wild layer red, so the descriptor is a function of
+    the class; c is a stationary scale of (red, b), by default
+    ``stationary_c(red, b)``, taken once the source point and the slope
+    condition are checked.
 
     ``source`` names the point of the source line the covering is centered
     at: "0" (ord(b) >= 1) or "infinity" (ord(b) <= -1).  The target and
     degree follow from the comparison of the Swan conductor of the direct
     image with its generic rank; for source "infinity" equal slope-1
     contributions are rejected with SlopeConditionViolated since the
-    transform drops them.  The defects of the pair (wild layer of chi, b)
-    raise the errors of ``stationary_data`` before the source point is
-    checked."""
+    transform drops them.  The defects of the pair (red, b) raise the
+    errors of ``stationary_data`` before the source point is checked."""
     from fractions import Fraction
 
     from .characters import QuasiCharacter, kummer_char
     from .epsilon import TotallyRamifiedExt, induced_swan, quad_gauss
 
-    _check_operands(chi, b, c)
+    red = _check_operands(chi, b, c)
     if source == ORIGIN:
         if b.valuation() < 1:
             raise WrongSourcePoint(
@@ -425,7 +424,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
             "direct image at infinity has Swan = rank; slope-1 parts "
             "are dropped by the transform and carry no descriptor"
         )
-    triple = _character_triple(chi, b, c)
+    triple = LegendreTriple(red, b, c)
     degree = abs(triple.c.valuation())
     # the direct image has the single slope swan / rank
     target = INFINITY if source == ORIGIN or swan > rank else ORIGIN
@@ -443,7 +442,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
         * triple.db.inverse().scale(-field.from_int(2).inverse())
     )
     gauss_twist = -quad_gauss(field)
-    wild = witt_add(chi.wild, verschiebung_power(b * c_eval, chi.m))
+    wild = witt_add(red, verschiebung_power(b * c_eval, chi.m))
     pushed = QuasiCharacter(
         field,
         (chi.tame_exponent + kummer.tame_exponent) % (field.q - 1),
@@ -882,13 +881,11 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
     form of ``epsilon0_wild`` taken at the triple's c.  The product of the
     determinant factor, the stationary factor, and the lambda factor is
     checked against 1 exactly; ``lhs_equals_rhs`` states the same identity
-    as lhs = rhs.  The epsilon value depends only on the coset of c that
-    the closed form pins, so the triple's c (from the layer as given) and
-    the closed form's own scale (from the reduced layer) give one value.
-    ``oracle=True`` recomputes the epsilon factor by the shell-sum integral
-    as an independent anchor.
-    c defaults to the stationary scale, and the defects of the pair (wild
-    layer of chi, b) raise the errors of ``stationary_data``.
+    as lhs = rhs.  ``oracle=True`` recomputes the epsilon factor by the
+    shell-sum integral as an independent anchor.
+    As in ``lft_descriptor``, chi is read through its reduced wild layer
+    red, c defaults to ``stationary_c(red, b)``, and the defects of the
+    pair (red, b) raise the errors of ``stationary_data``.
     """
     from .characters import (
         AdditiveCharacter, char_eval_exponents, char_value, hilbert_symbol,
@@ -899,13 +896,13 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
         quad_gauss_power,
     )
 
-    _check_operands(chi, b, c)
+    red = _check_operands(chi, b, c)
     if b.valuation() < 1:
         raise WrongSourcePoint(
             "the identity is stated for a covering of the origin: "
             "need ord(b) >= 1"
         )
-    triple = _character_triple(chi, b, c)
+    triple = LegendreTriple(red, b, c)
     field, n, db, c_eval = chi.field, triple.n, triple.db, triple.c_full
     i = -triple.c.valuation()
     assert 1 + db.valuation() - i == -n

@@ -107,9 +107,38 @@ class TestDeterminism:
         monkeypatch.setattr(ramify.lft, "verify_laumon", starved)
         code, out, _ = invoke(capsys, "selftest")
         assert code == 2
-        # the step's "error" and "message" take the places of the diagnostic's own
-        assert out == ('{"error":"PrecisionExhausted","message":"forced for the '
-                       'selftest path","failed":"laumon-q3-m0"}')
+        # the diagnostic keeps its own "error" and "message"; the step's go
+        # under "raised"
+        assert out == ('{"error":"verification-failure","message":"selftest step '
+                       'raised unexpectedly","failed":"laumon-q3-m0","raised":'
+                       '{"error":"PrecisionExhausted","message":"forced for the '
+                       'selftest path"}}')
+
+
+# -- a character is read through its reduced wild layer ----------------------------
+
+
+class TestCharacterClasses:
+    # t^-1 as given and two unreduced layers of its class at p = 3:
+    # t^-3 = t^-1 + F(t^-1) - t^-1, and t^-3 + t^-1 (the class of 2 t^-1)
+    @pytest.mark.parametrize("wild", [{"-1": 1}, {"-3": 1}, {"-3": 1, "-1": 1}],
+                             ids=["t-1", "t-3", "t-3+t-1"])
+    def test_depth_one_classes(self, capsys, wild):
+        operands = ("--p", "3", "--char", json.dumps({"wild": wild}), "--b", '{"1": 1}')
+        code, out, _ = invoke(capsys, "verify-laumon", *operands, "--oracle")
+        assert code == 0 and json.loads(out)["oracle_match"] is True
+        code, out, _ = invoke(capsys, "lft", *operands)
+        assert code == 0 and json.loads(out)["pushed"]["conductor"] == [2, 1]
+
+    @pytest.mark.parametrize("command", ["lft", "verify-laumon"])
+    def test_integral_class_is_the_zero_layer(self, capsys, command):
+        # t^-3 + 2 t^-1 = F(t^-1) - t^-1 at p = 3
+        results = [invoke(capsys, command, "--p", "3", "--char", json.dumps({"wild": wild}),
+                          "--b", '{"1": 1}')
+                   for wild in ({"-3": 1, "-1": 2}, {"terms": {}})]
+        assert results[0] == results[1]
+        code, out, _ = results[0]
+        assert code == 1 and json.loads(out)["error"] == "ZeroInput"
 
 
 # -- exit codes -------------------------------------------------------------------
