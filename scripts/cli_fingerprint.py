@@ -103,6 +103,11 @@ def other_jobs():
         argv = ["--q", str(q), "--char", json.dumps({"wild": wild}), "--b", json.dumps(b)]
         yield f"lft-class-{name}", ["lft", *argv]
         yield f"laumon-class-{name}", ["verify-laumon", *argv, "--oracle"]
+    # non-reduced length-3 classes, whose reduction adds through the derived
+    # length-3 addition table
+    for p in (5, 7, 11):
+        a = {"m": 2, "entries": [{str(-p): 1, "-1": 1}, {"-3": 2}, {"-10": 1}]}
+        yield f"swan-len3-p{p}", ["swan", "--p", str(p), "--a", json.dumps(a)]
 
 
 def usage_error(command):

@@ -9,9 +9,7 @@ malformed input, a usage error or an insufficient precision window.
 
 Randomized subcommands (verify-laumon and congruence without explicit
 operands, selftest) draw from ``random.Random(seed)``; the default seed
-is 0 and identical jobs produce byte-identical output.  The environment
-variable RAMIFY_WITT_CACHE points the universal Witt-table cache at a
-directory of choice.
+is 0 and identical jobs produce byte-identical output.
 """
 
 import argparse
@@ -26,7 +24,6 @@ from . import jsonio
 from .errors import NotLegendre, RamifyError, SchemaError, VerificationFailure
 from .fields import field_from_q
 from .jsonio import DEFAULT_PREC
-from .witt import CACHE_ENV
 
 DEFAULT_SEED = 0
 
@@ -530,10 +527,7 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
         prog="ramify",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "operand flags take JSON; see the package README for the wire "
-            f"formats. Witt-table cache directory: ${CACHE_ENV}."
-        ),
+        epilog="operand flags take JSON; see the package README for the wire formats.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMAND_TABLE.items():

@@ -1,12 +1,11 @@
 """Witt vectors of finite length over Laurent-series fields of odd characteristic.
 
 The group law is evaluated through the universal addition polynomials,
-computed once per (p, length) by the ghost recursion in exact integer
-arithmetic (each step asserts exact divisibility by p^n), then applied
-mod p; with RAMIFY_WITT_CACHE set, the tables are also kept on disk, which
-saves their derivation for p >= 11 at length 3.  A cache file that cannot be
-read, is malformed or fails the weight check is a miss: the table is derived
-again and the file rewritten.
+derived once per (p, length) and process by the ghost recursion in exact
+integer arithmetic (each step asserts exact divisibility by p^n), then
+applied mod p.  The powers S_i^(p^(n-i)) the recursion needs are expanded
+as trinomials, S_i = X_i + Y_i + g_i with g_i free of X_i and Y_i, so only
+powers of the short g_i are ever multiplied out.
 
 Also here: the weighted-valuation filtration (entry i of a length-(m+1)
 vector carries weight p^(m-i)), the derivation-after-Frobenius map
@@ -17,10 +16,8 @@ depth/leading-coefficient invariants read off a reduced vector.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
+from math import comb
 
 from .errors import (
     CapExceeded,
@@ -33,7 +30,6 @@ from .errors import (
 from .series import LaurentSeries
 
 LENGTH_CAP = 3  # vectors of length m+1 <= 3; the tables grow fast with the length
-CACHE_ENV = "RAMIFY_WITT_CACHE"
 _REDUCE_ITER_CAP = 4000
 
 
@@ -62,32 +58,36 @@ def _poly_mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
-def _poly_pow(a, k):
-    acc = None
-    while k:
-        if k & 1:
-            acc = a if acc is None else _poly_mul(acc, a)
-        k >>= 1
-        if k:
-            a = _poly_mul(a, a)
-    return acc
+def _trinomial_pow(g, i, length, k):
+    """(X_i + Y_i + g)^k for g free of X_i and Y_i: the sum over
+    a + b + c = k of k!/(a! b! c!) X_i^a Y_i^b g^c.  The exponents of
+    distinct (a, b) never meet, so each term is written once."""
+    out = {}
+    g_pow = {(0,) * (2 * length): 1}
+    for c in range(k + 1):
+        if c:
+            g_pow = _poly_mul(g_pow, g)
+            if not g_pow:  # g = 0: the binomial case
+                break
+        for a in range(k - c + 1):
+            coef = comb(k, c) * comb(k - c, a)
+            for e, v in g_pow.items():
+                e = list(e)
+                e[i], e[length + i] = a, k - c - a
+                out[tuple(e)] = coef * v
+    return out
 
 
 def _build_tables(p: int, length: int):
     """Universal addition polynomials by the ghost recursion, in exact
-    integer arithmetic."""
+    integer arithmetic:
+        p^n S_n = sum_{i<=n} p^i (X_i^(p^(n-i)) + Y_i^(p^(n-i)))
+                  - sum_{i<n} p^i S_i^(p^(n-i))."""
 
-    def var(i):
+    def monomial(pos, k):
         e = [0] * (2 * length)
-        e[i] = 1
+        e[pos] = k
         return {tuple(e): 1}
-
-    def ghost(polys, n):
-        # sum_{i <= n} p^i polys[i]^(p^(n-i)) over the polys there are
-        acc = {}
-        for i, w in enumerate(polys[: n + 1]):
-            _poly_add(acc, _poly_pow(w, p ** (n - i)), p**i)
-        return acc
 
     def term_list(poly, n):
         # (coefficient, X_0..X_n exponents, Y_0..Y_n exponents), sorted
@@ -96,39 +96,22 @@ def _build_tables(p: int, length: int):
         terms.sort(key=lambda t: t[1] + t[2], reverse=True)
         return terms
 
-    xs = [var(i) for i in range(length)]
-    ys = [var(length + i) for i in range(length)]
-    # S_n with ghost(S, n) = ghost(xs, n) + ghost(ys, n) for every n < length
-    ss = []
+    tables, gs = [], []  # gs[n] = S_n - X_n - Y_n
     for n in range(length):
-        acc = ghost(xs, n)
-        _poly_add(acc, ghost(ys, n))
-        _poly_add(acc, ghost(ss, n), -1)
+        acc = {}
+        for i in range(n + 1):
+            _poly_add(acc, monomial(i, p ** (n - i)), p**i)
+            _poly_add(acc, monomial(length + i, p ** (n - i)), p**i)
+        for i, g in enumerate(gs):
+            _poly_add(acc, _trinomial_pow(g, i, length, p ** (n - i)), -p**i)
         if any(c % p**n for c in acc.values()):
             raise AssertionError("non-integer coefficient in universal polynomial")
-        ss.append({e: c // p**n for e, c in acc.items()})
-    sum_terms = [term_list(w, n) for n, w in enumerate(ss)]
-    _check_table(p, length, sum_terms)
-    return sum_terms
-
-
-def _check_table(p, length, sum_terms):
-    """ValueError unless sum_terms lists S_0..S_{length-1}, each term an int
-    coefficient with the exponents of X_0..X_n and of Y_0..Y_n, and S_n
-    isobaric of weight p^n (X_i and Y_i of weight p^i).  Tables read from
-    disk pass through here too."""
-    if len(sum_terms) != length:
-        raise ValueError(f"{len(sum_terms)} addition polynomials for length {length}")
-    for n, terms in enumerate(sum_terms):
-        for c, ex, ey in terms:
-            if not (type(c) is int and len(ex) == len(ey) == n + 1
-                    and all(type(e) is int and e >= 0 for e in ex + ey)):
-                raise ValueError(f"malformed term in addition polynomial {n}")
-            w = sum(e * p**i for i, e in enumerate(ex)) + sum(
-                e * p**i for i, e in enumerate(ey)
-            )
-            if w != p**n:
-                raise ValueError("addition polynomial not homogeneous")
+        s = {e: c // p**n for e, c in acc.items()}
+        tables.append(term_list(s, n))
+        _poly_add(s, monomial(n, 1), -1)
+        _poly_add(s, monomial(length + n, 1), -1)
+        gs.append(s)
+    return tables
 
 
 _TABLE_CACHE: dict = {}
@@ -150,65 +133,13 @@ class UniversalWittTable:
             hit = _TABLE_CACHE.get(key)
         if hit is not None:
             return hit
-        table = cls._load_from_disk(p, length)
-        if table is None:
-            table = cls(p, length, _build_tables(p, length))
-            table._store_to_disk()
+        table = cls(p, length, _build_tables(p, length))
         with _TABLE_LOCK:
             _TABLE_CACHE.setdefault(key, table)
             return _TABLE_CACHE[key]
 
     def sum_terms(self, i: int):
         return self._sum[i]
-
-    # disk cache is best-effort: absent or unwritable directories are ignored
-    @staticmethod
-    def _cache_path(p, length):
-        root = os.environ.get(CACHE_ENV)
-        if not root:
-            return None
-        return os.path.join(root, f"witt-p{p}-len{length}.json")
-
-    @classmethod
-    def _load_from_disk(cls, p, length):
-        path = cls._cache_path(p, length)
-        if path is None or not os.path.exists(path):
-            return None
-        # a file of any other shape is a miss; keys besides these are ignored
-        try:
-            with open(path) as fh:
-                blob = json.load(fh)
-            if blob["p"] != p or blob["length"] != length:
-                return None
-            sum_terms = [[(c, tuple(ex), tuple(ey)) for c, ex, ey in ts]
-                         for ts in blob["sum"]]
-            _check_table(p, length, sum_terms)
-            return cls(p, length, sum_terms)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def _store_to_disk(self):
-        path = self._cache_path(self.p, self.length)
-        if path is None:
-            return
-        pack = lambda ts: [[c, list(ex), list(ey)] for c, ex, ey in ts]
-        blob = {"p": self.p, "length": self.length,
-                "sum": [pack(ts) for ts in self._sum]}
-        try:
-            # write a temporary file beside the target and rename it into
-            # place, so a reader never sees a half-written table
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            try:
-                os.chmod(tmp, 0o644)  # as readable as a plain open() would leave it
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(blob, fh)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-        except OSError:
-            pass
 
     def eval_sum(self, i: int, xs, ys) -> LaurentSeries:
         return _eval_terms(self._sum[i], xs, ys)

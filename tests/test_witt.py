@@ -131,9 +131,67 @@ def test_integer_tables_match_sympy(p, length):
     assert _build_tables(p, length) == sympy_tables(p, length)
 
 
+def squaring_tables(p, length):
+    """The universal addition table by the ghost recursion in integers, with
+    each power S_i^(p^(n-i)) taken by repeated squaring of whole
+    polynomials: the reference past sympy's reach, term order included."""
+
+    def add(acc, a, scale):
+        for e, c in a.items():
+            acc[e] = acc.get(e, 0) + scale * c
+            if not acc[e]:
+                del acc[e]
+
+    def mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(u + v for u, v in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return {e: c for e, c in out.items() if c}
+
+    def power(a, k):
+        acc = {(0,) * (2 * length): 1}
+        while k:
+            if k & 1:
+                acc = mul(acc, a)
+            k >>= 1
+            if k:
+                a = mul(a, a)
+        return acc
+
+    def var(i):
+        return {tuple(int(j == i) for j in range(2 * length)): 1}
+
+    def ghost(polys, n):
+        acc = {}
+        for i, w in enumerate(polys[: n + 1]):
+            add(acc, power(w, p ** (n - i)), p**i)
+        return acc
+
+    xs = [var(i) for i in range(length)]
+    ys = [var(length + i) for i in range(length)]
+    ss, tables = [], []
+    for n in range(length):
+        acc = ghost(xs, n)
+        add(acc, ghost(ys, n), 1)
+        add(acc, ghost(ss, n), -1)
+        assert all(c % p**n == 0 for c in acc.values())
+        ss.append({e: c // p**n for e, c in acc.items()})
+        terms = [(c, e[: n + 1], e[length: length + n + 1]) for e, c in ss[-1].items()]
+        tables.append(sorted(terms, key=lambda t: t[1] + t[2], reverse=True))
+    return tables
+
+
+def test_integer_tables_match_repeated_squaring():
+    # p = 11 at length 3 is out of sympy's reach in test time
+    assert _build_tables(11, 3) == squaring_tables(11, 3)
+
+
 def test_cold_start_does_not_import_sympy(tmp_path):
-    # a job that derives its Witt tables on an empty cache runs on the
-    # standard library alone (seed 3 draws a triple that adds Witt vectors)
+    # a job that derives its Witt tables runs on the standard library alone
+    # and writes no table to disk, even where RAMIFY_WITT_CACHE names a
+    # directory (seed 3 draws a triple that adds Witt vectors)
     code = (
         "import sys\n"
         "from ramify import cli\n"
@@ -147,132 +205,7 @@ def test_cold_start_does_not_import_sympy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["product_identity"] is True
-    assert (tmp_path / "witt-p3-len2.json").exists()
-
-
-def test_table_disk_cache(tmp_path, monkeypatch):
-    import ramify.witt as wmod
-
-    monkeypatch.setenv(wmod.CACHE_ENV, str(tmp_path))
-    wmod._TABLE_CACHE.pop((3, 2), None)
-    first = UniversalWittTable.get(3, 2)
-    path = tmp_path / "witt-p3-len2.json"
-    assert json.loads(path.read_text()) == {"p": 3, "length": 2, "sum": packed(3, 2)}
-    wmod._TABLE_CACHE.pop((3, 2), None)
-    second = UniversalWittTable.get(3, 2)
-    assert second.sum_terms(1) == first.sum_terms(1)
-
-
-# the (3, 2) table as older versions wrote it, with a "twist" list of
-# polynomials beside the addition ones
-OLDER_FORMAT_P3_LEN2 = (
-    '{"p": 3, "length": 2, "sum": [[[1, [1], [0]], [1, [0], [1]]], '
-    '[[-1, [2, 0], [1, 0]], [-1, [1, 0], [2, 0]], [1, [0, 1], [0, 0]], '
-    '[1, [0, 0], [0, 1]]]], "twist": [[[1, [1], [1]]], [[1, [3, 0], [2, 0]], '
-    '[1, [3, 0], [1, 0]], [1, [0, 1], [0, 1]]]]}'
-)
-
-
-def packed(p, length):
-    """The table for (p, length) as the disk cache stores its "sum"."""
-    return [[[c, list(ex), list(ey)] for c, ex, ey in ts] for ts in _build_tables(p, length)]
-
-
-def p3_len2_with_s1_term(term):
-    blob = json.loads(OLDER_FORMAT_P3_LEN2)
-    blob["sum"][1].append(term)
-    return json.dumps(blob)
-
-
-def count_builds(monkeypatch):
-    calls = []
-
-    def build(p, length):
-        calls.append((p, length))
-        return _build_tables(p, length)
-
-    monkeypatch.setattr(ramify.witt, "_build_tables", build)
-    return calls
-
-
-def test_table_disk_cache_reads_the_older_format(tmp_path, monkeypatch):
-    # an older file is a disk hit: its "twist" key is ignored, nothing derived
-    (tmp_path / "witt-p3-len2.json").write_text(OLDER_FORMAT_P3_LEN2)
-    monkeypatch.setenv(ramify.witt.CACHE_ENV, str(tmp_path))
-    monkeypatch.delitem(ramify.witt._TABLE_CACHE, (3, 2), raising=False)
-    calls = count_builds(monkeypatch)
-    table = UniversalWittTable.get(3, 2)
-    assert calls == []
-    assert [table.sum_terms(i) for i in range(2)] == _build_tables(3, 2)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "null",
-        "[1, 2]",
-        '{"p": 3, "length": 2, "sum": [5]}',
-        '{"p": 3, "length": 2, "sum": [[[1, [1], [0]], [1, [0], [1]]]]}',
-        OLDER_FORMAT_P3_LEN2[:60],
-        p3_len2_with_s1_term([1, [1, 0], [0, 0]]),
-        p3_len2_with_s1_term([1, [6, -1], [0, 0]]),
-        p3_len2_with_s1_term([1, [3], [0, 0]]),
-        p3_len2_with_s1_term(["1", [0, 1], [0, 0]]),
-    ],
-    ids=["null", "list", "sum-of-ints", "no-S1", "truncated", "wrong-weight",
-         "negative-exponent", "short-exponents", "string-coefficient"],
-)
-def test_malformed_cache_file_is_a_miss(tmp_path, monkeypatch, text):
-    # whatever the file holds, the table is derived again and the file
-    # rewritten, as if it were absent
-    path = tmp_path / "witt-p3-len2.json"
-    path.write_text(text)
-    monkeypatch.setenv(ramify.witt.CACHE_ENV, str(tmp_path))
-    monkeypatch.delitem(ramify.witt._TABLE_CACHE, (3, 2), raising=False)
-    calls = count_builds(monkeypatch)
-    table = UniversalWittTable.get(3, 2)
-    assert calls == [(3, 2)]
-    assert [table.sum_terms(i) for i in range(2)] == _build_tables(3, 2)
-    assert json.loads(path.read_text()) == {"p": 3, "length": 2, "sum": packed(3, 2)}
-
-
-def test_wrong_weight_table_rejected_under_optimize(tmp_path):
-    # the weight check on a file read from disk raises without assert, so
-    # python -O also rejects S_1 + X_0 and derives the table again
-    (tmp_path / "witt-p3-len2.json").write_text(p3_len2_with_s1_term([1, [1, 0], [0, 0]]))
-    code = (
-        "import json\n"
-        "from ramify.witt import UniversalWittTable\n"
-        "table = UniversalWittTable.get(3, 2)\n"
-        "print(json.dumps([table.sum_terms(i) for i in range(2)]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(ramify.witt.__file__).parents[1]))
-    env["RAMIFY_WITT_CACHE"] = str(tmp_path)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == packed(3, 2)
-
-
-def test_table_disk_cache_write_is_atomic(tmp_path, monkeypatch):
-    # a store that fails halfway through the write leaves no truncated
-    # table behind for the next process to load
-    import ramify.witt as wmod
-
-    def half_dump(obj, fh):
-        fh.write(json.dumps(obj)[:40])
-        raise OSError("disk full")
-
-    table = UniversalWittTable.get(3, 2)
-    monkeypatch.setenv(wmod.CACHE_ENV, str(tmp_path))
-    monkeypatch.setattr(wmod.json, "dump", half_dump)
-    table._store_to_disk()
     assert list(tmp_path.iterdir()) == []
-    monkeypatch.undo()
-    monkeypatch.setenv(wmod.CACHE_ENV, str(tmp_path))
-    table._store_to_disk()
-    assert [f.name for f in tmp_path.iterdir()] == ["witt-p3-len2.json"]
-    assert wmod.UniversalWittTable._load_from_disk(3, 2).sum_terms(1) == table.sum_terms(1)
 
 
 # -- group law -----------------------------------------------------------------
