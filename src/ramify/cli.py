@@ -22,7 +22,7 @@ from collections import namedtuple
 # modules it runs, so a job pays start-up for those alone.
 from . import jsonio
 from .errors import NotLegendre, RamifyError, SchemaError, VerificationFailure
-from .fields import field_from_q
+from .fields import field_from_q, make_field
 from .jsonio import DEFAULT_PREC
 
 DEFAULT_SEED = 0
@@ -30,13 +30,13 @@ DEFAULT_SEED = 0
 
 class Flag(namedtuple("Flag", "key kind help required default",
                       defaults=(None, False, None))):
-    """One command-line flag and the payload key it fills.
+    """One command-line flag, ``--key``, and the job attribute it fills.
 
     ``kind`` is "int", "bool", a tuple of choices, "json" (a raw JSON
-    value), "field" (the --p/--f/--q group, payload key "field"), or the
+    value), "field" (the --p/--f/--q group, attribute "field"), or the
     name of the ``jsonio`` decoder of a JSON operand: "witt", "series",
-    "char" or "psi".  ``default`` is the payload value used when the key
-    is absent or null.
+    "char" or "psi".  ``default`` is the value used when the flag is
+    absent or null.
     """
 
     __slots__ = ()
@@ -56,24 +56,7 @@ _FIELD_ARGS = (
 )
 
 
-class JobSpec(namedtuple("JobSpec", "command payload")):
-    """One validated job: a command name plus its canonical JSON payload.
-
-    The payload holds the residue-field spec, operand encodings, and flags
-    (oracle, precision, seed).  ``run`` checks it against the command's
-    flags before dispatch: unknown keys are rejected, a null value counts
-    as an absent key, and absent keys take the flag's default.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, command, payload=None):
-        if command not in COMMAND_TABLE:
-            raise SchemaError(f"unknown command {command!r}")
-        return super().__new__(cls, command, {} if payload is None else payload)
-
-
-# -- command implementations: each takes the decoded payload ---------------------
+# -- command implementations: each takes the decoded flags -----------------------
 
 
 def _op_swan(job):
@@ -350,26 +333,25 @@ def _op_dk_dim(job):
 
 def _op_selftest(job):
     seed = job.seed
-    # (name, command, payload, predicate on the result beyond the command's
-    # own checks); a laumon step draws its triple at random_legendre_triple's
-    # default window
+    # (name, argv, predicate on the result beyond the command's own checks);
+    # a laumon step draws its triple at random_legendre_triple's default window
     steps = [
-        *((f"gauss-square-q{p ** f}", "gauss", {"field": {"p": p, "f": f}}, None)
-          for p, f in ((3, 1), (5, 1), (3, 2))),
-        ("swan-monomial-depth4", "swan", {"field": {"p": 3}, "a": {"-4": 1}},
+        *((f"gauss-square-q{q}", ["gauss", "--q", str(q)], None) for q in (3, 5, 9)),
+        ("swan-monomial-depth4", ["swan", "--p", "3", "--a", '{"-4": 1}'],
          lambda result: result["swan"] == 4),
-        *((f"laumon-q{p}-m{m}", "verify-laumon",
-           {"field": {"p": p}, "m": m, "seed": seed, "prec": 4 * (8 + p) + 12}, None)
+        *((f"laumon-q{p}-m{m}", ["verify-laumon", "--p", str(p), "--m", str(m),
+                                 "--seed", str(seed), "--prec", str(4 * (8 + p) + 12)], None)
           for p, m in ((3, 0), (5, 0), (3, 1))),
-        ("congruence-key1", "congruence", {"field": {"p": 3}, "which": "key1",
-                                           "a": {"-1": 1}, "theta_samples": 8, "seed": seed},
-         None),
-        ("dk-balance", "dk-dim", {"horizontal": [[1, 4]], "vertical": [["unramified", 0]]},
+        ("congruence-key1", ["congruence", "--p", "3", "--which", "key1", "--a", '{"-1": 1}',
+                             "--theta-samples", "8", "--seed", str(seed)], None),
+        ("dk-balance", ["dk-dim", "--horizontal", "[[1, 4]]",
+                        "--vertical", '[["unramified", 0]]'],
          lambda result: result["dimension"] == 4),
     ]
-    for name, command, payload, holds in steps:
+    parser = build_parser({argv[0] for _, argv, _ in steps})
+    for name, argv, holds in steps:
         try:
-            result, _ = run(JobSpec(command, payload))
+            result, _ = run(parser.parse_args(argv))
             ok = holds is None or holds(result)
         except VerificationFailure:
             ok = False
@@ -389,7 +371,7 @@ def _op_selftest(job):
     return result, f"{len(checks)} checks passed"
 
 
-# -- the command table: every flag, payload key and default, once ----------------
+# -- the command table: every flag and default, once -----------------------------
 
 FIELD = Flag("field", "field", required=True)
 PREC = Flag("prec", "int", f"default series window (default {DEFAULT_PREC})",
@@ -464,40 +446,46 @@ COMMAND_TABLE = {
 }
 
 
-def _decode(command, payload):
-    """The payload's values by key, checked against the command's flags
-    and decoded: the field first, then the window, then the operands."""
-    flags = COMMAND_TABLE[command].flags
-    jsonio.check_keys(payload, command, optional=[flag.key for flag in flags])
+def _field(args):
+    if args.q is not None:
+        return field_from_q(args.q)
+    if args.p is None:
+        raise SchemaError("specify the residue field with --p/--f or --q")
+    return make_field(args.p, args.f)
+
+
+def _read(flag, value):
+    """A JSON flag's text parsed; any other flag's value as argparse gives it."""
+    if value is None or not (flag.kind == "json" or flag.kind in _OPERANDS):
+        return value
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{flag.key}: not valid JSON ({exc})")
+
+
+def run(args):
+    """Decode one job's parsed flags and dispatch it; returns (result dict,
+    summary line).  The field comes first, then every JSON flag is read, then
+    the flags are decoded in order; a JSON null counts as an absent flag."""
+    command = COMMAND_TABLE[args.command]
     job = argparse.Namespace()
-    for flag in flags:
-        value, kind = payload.get(flag.key), flag.kind
+    if FIELD in command.flags:
+        job.field = _field(args)
+    given = [(flag, _read(flag, getattr(args, flag.key)))
+             for flag in command.flags if flag is not FIELD]
+    for flag, value in given:
         if value is None:
             value = flag.default
         if value is None:
             if flag.required:
-                raise SchemaError(f"{command}: missing required key {flag.key!r}")
-        elif kind == "field":
-            value = jsonio.field_from_json(value)
-        elif kind == "int":
-            value = jsonio.strict_int(value, flag.key)
-        elif kind == "bool":
-            if not isinstance(value, bool):
-                raise SchemaError(f"{flag.key}: expected true or false, got {value!r}")
-        elif isinstance(kind, tuple):
-            if value not in kind:
-                raise SchemaError(f"{flag.key} must be one of {list(kind)}, got {value!r}")
-        elif kind in _OPERANDS:
+                raise SchemaError(f"{args.command}: missing required key {flag.key!r}")
+        elif flag.kind in _OPERANDS:
             # looked up per call so wrappers installed on jsonio see it
-            decoder = getattr(jsonio, f"{kind}_from_json")
+            decoder = getattr(jsonio, f"{flag.kind}_from_json")
             value = decoder(job.field, value, flag.key, job.prec)
         setattr(job, flag.key, value)
-    return job
-
-
-def run(job: JobSpec):
-    """Dispatch one validated job; returns (result dict, summary line)."""
-    return COMMAND_TABLE[job.command].op(_decode(job.command, job.payload))
+    return command.op(job)
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -509,15 +497,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SchemaError(f"{self.prog}: {message}")
-
-
-def _field_payload(args) -> dict:
-    if args.q is not None:
-        fld = field_from_q(args.q)
-        return {"p": fld.p, "f": fld.f}
-    if args.p is None:
-        raise SchemaError("specify the residue field with --p/--f or --q")
-    return {"p": args.p, "f": args.f}
 
 
 def build_parser(commands=None) -> argparse.ArgumentParser:
@@ -554,25 +533,6 @@ def build_parser(commands=None) -> argparse.ArgumentParser:
     return parser
 
 
-def build_job(args) -> JobSpec:
-    """Canonicalize parsed flags into a JobSpec payload."""
-    payload = {}
-    for flag in COMMAND_TABLE[args.command].flags:
-        if flag.kind == "field":
-            payload["field"] = _field_payload(args)
-            continue
-        value = getattr(args, flag.key)
-        if value is None:
-            continue
-        if flag.kind == "json" or flag.kind in _OPERANDS:
-            try:
-                value = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{flag.key}: not valid JSON ({exc})")
-        payload[flag.key] = value
-    return JobSpec(args.command, payload)
-
-
 def _emit(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
@@ -584,8 +544,7 @@ def main(argv=None) -> int:
     # needs its flags
     commands = [arg for arg in argv if arg in COMMAND_TABLE][:1]
     try:
-        job = build_job(build_parser(commands).parse_args(argv))
-        result, summary = run(job)
+        result, summary = run(build_parser(commands).parse_args(argv))
     except VerificationFailure as exc:
         head = {"error": "verification-failure", "message": str(exc)}
         print(_emit(head | exc.detail | head))  # no detail key replaces the head

@@ -2,7 +2,6 @@
 
 Encoding conventions (all exact, no floats anywhere):
 
-* residue field          ``{"p": 3, "f": 2}``
 * field element          integer index; its base-p digits are the polynomial
                          coordinates of the element (index 0 is 0, index 1
                          is 1 for every field)
@@ -34,7 +33,7 @@ import re
 # characters, cyclo and fractions are imported by the codecs that use them,
 # so that a job without a character or a cyclotomic operand never loads them
 from .errors import SchemaError
-from .fields import FiniteField, make_field
+from .fields import FiniteField
 from .series import LaurentSeries
 from .witt import WittVector
 
@@ -67,18 +66,7 @@ def strict_int(value, what):
     return value
 
 
-# -- residue field and its elements --------------------------------------------
-
-
-def field_from_json(obj) -> FiniteField:
-    check_keys(obj, "field", required=("p",), optional=("f",))
-    p = strict_int(obj["p"], "field.p")
-    f = strict_int(obj.get("f", 1), "field.f")
-    return make_field(p, f)
-
-
-def field_to_json(field: FiniteField) -> dict:
-    return {"p": field.p, "f": field.f}
+# -- field elements --------------------------------------------------------------
 
 
 def element_from_json(field: FiniteField, value, what):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ramify import cli, jsonio
-from ramify.cli import JobSpec, build_job, build_parser, main, run
+from ramify.cli import main
 from ramify.cyclo import CycloNumber, pretty, root_of_unity
 from ramify.errors import PrecisionExhausted, SchemaError, VerificationFailure
 from ramify.fields import make_field
@@ -42,6 +42,10 @@ class TestPinnedOutputs:
         code, out, _ = invoke(capsys, "gauss", "--q", "3")
         assert code == 0
         assert out == '{"G":"1+2*z3","G2":"-3","identity_lef5c":true}'
+
+    def test_gauss_q_and_p_f_agree(self, capsys):
+        by_q = invoke(capsys, "gauss", "--q", "9")
+        assert by_q == invoke(capsys, "gauss", "--p", "3", "--f", "2")
 
     def test_laumon_seeded_q3(self, capsys):
         code, out, _ = invoke(capsys, "verify-laumon", "--q", "3")
@@ -191,12 +195,38 @@ class TestExitCodes:
         ("swan", "--p", "abc", "--a", '{"-4":1}'),
         ("congruence", "--p", "3", "--which", "key9"),
         ("gauss", "--q", "3", "--prec", "8"),
+        ("frobnicate",),
+        ("lft", "--p", "3", "--char", '{"wild":{"-1":1}}', "--b", '{"1":1}', "--m", "0"),
+        ("epsilon", "--p", "3", "--char", '{"wild":{"-1":1}}', "--oracle", "false"),
+        ("lft", "--p", "3", "--char", '{"wild":{"-1":1}}', "--b", '{"1":1}', "--source", "1"),
     ])
     def test_usage_error_is_exit_1(self, capsys, argv):
         code, out, _ = invoke(capsys, *argv)
         assert code == 1
         assert "\n" not in out
         assert json.loads(out)["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("lambda", "--p", "3", "--b", "null"),
+         (1, '{"error":"SchemaError","message":"lambda: missing required key \'b\'"}')),
+        (("dk-dim", "--horizontal", "null", "--vertical", "[]"),
+         (1, '{"error":"SchemaError","message":"dk-dim: missing required key \'horizontal\'"}')),
+        (("epsilon", "--p", "3", "--char", '{"wild":{"-1":1}}', "--psi", "null"), None),
+        (("legendre-check", "--p", "3", "--a", '{"-1":1}', "--b", '{"1":1}', "--c", "null"),
+         None),
+    ], ids=["lambda-b", "dk-dim-horizontal", "epsilon-psi", "legendre-check-c"])
+    def test_null_operand_is_an_absent_flag(self, capsys, argv, expected):
+        # a required flag given null is missing; an optional one takes its
+        # default, so the job prints what it prints without the flag
+        if expected is None:
+            expected = invoke(capsys, *argv[:-2])[:2]
+            assert expected[0] == 0
+        assert invoke(capsys, *argv)[:2] == expected
+
+    def test_field_fault_comes_before_an_operand_fault(self, capsys):
+        code, out, _ = invoke(capsys, "swan", "--p", "4", "--a", "bad")
+        assert code == 1
+        assert json.loads(out)["error"] == "NotPrime"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -527,73 +557,10 @@ class TestCommands:
         assert json.loads(out)["error"] == "InconsistentInput"
 
 
-# -- JobSpec ----------------------------------------------------------------------
-
-
-class TestJobSpec:
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SchemaError):
-            JobSpec("frobnicate", {})
-
-    def test_build_job_canonicalizes_q(self):
-        parser = build_parser()
-        args = parser.parse_args(["gauss", "--q", "9"])
-        job = build_job(args)
-        assert job.command == "gauss"
-        assert job.payload == {"field": {"p": 3, "f": 2}}
-
-    def test_run_rejects_extra_payload_keys(self):
-        field = {"p": 3, "f": 1}
-        minimal = {
-            "swan": {"field": field, "a": {"-1": 1}},
-            "rsw": {"field": field, "a": {"-1": 1}},
-            "epsilon": {"field": field, "char": {}},
-            "lambda": {"field": field, "b": {"1": 1}},
-            "hilbert": {"field": field, "x": {"1": 1}, "y": {"1": 1}},
-            "gauss": {"field": field},
-            "legendre-check": {"field": field, "a": {"-1": 1}, "b": {"1": 1}},
-            "lft": {"field": field, "char": {"wild": {"-1": 1}}, "b": {"1": 1}},
-            "verify-laumon": {"field": field},
-            "congruence": {"field": field, "which": "key1"},
-            "dk-dim": {"horizontal": [], "vertical": []},
-            "selftest": {},
-        }
-        assert set(minimal) == set(cli.COMMAND_TABLE)
-        for command, payload in minimal.items():
-            with pytest.raises(SchemaError, match="junk"):
-                run(JobSpec(command, {**payload, "junk": True}))
-
-    def test_run_rejects_missing_and_ill_typed_keys(self):
-        field = {"p": 3, "f": 1}
-        with pytest.raises(SchemaError, match="'a'"):
-            run(JobSpec("swan", {"field": field, "a": None}))
-        with pytest.raises(SchemaError):
-            run(JobSpec("swan", {"field": field, "a": {"-1": 1}, "prec": "32"}))
-        with pytest.raises(SchemaError):
-            run(JobSpec("lft", {"field": field, "char": {"wild": {"-1": 1}},
-                                "b": {"1": 1}, "m": 0}))
-        with pytest.raises(SchemaError):
-            run(JobSpec("lft", {"field": field, "char": {"wild": {"-1": 1}},
-                                "b": {"1": 1}, "source": "1"}))
-        for oracle in ("false", 1):
-            with pytest.raises(SchemaError, match="oracle"):
-                run(JobSpec("epsilon", {"field": field, "char": {"wild": {"-1": 1}},
-                                        "oracle": oracle}))
-
-
 # -- wire formats -----------------------------------------------------------------
 
 
 class TestJsonio:
-    def test_field_round_trip(self):
-        fld = jsonio.field_from_json({"p": 3, "f": 2})
-        assert (fld.p, fld.f) == (3, 2)
-        assert jsonio.field_to_json(fld) == {"p": 3, "f": 2}
-
-    def test_field_unknown_key(self):
-        with pytest.raises(SchemaError):
-            jsonio.field_from_json({"p": 3, "degree": 2})
-
     def test_bool_is_not_an_integer(self):
         with pytest.raises(SchemaError):
             jsonio.strict_int(True, "x")

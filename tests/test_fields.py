@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ramify import jsonio
+from ramify import cli, jsonio
 from ramify.errors import (
     CapExceeded, EvenCharacteristic, NotASquare, NotPrime, SchemaError, ZeroInput,
 )
@@ -81,11 +81,21 @@ def test_cap():
         FiniteField(3, 11)
 
 
-def test_decoded_fields_are_interned():
+def _decoded_field(monkeypatch, *flags):
+    """The field that the CLI's ``run`` decodes from a gauss job's flags."""
+    seen = []
+    gauss = cli.COMMAND_TABLE["gauss"]
+    monkeypatch.setitem(cli.COMMAND_TABLE, "gauss",
+                        gauss._replace(op=lambda job: seen.append(job.field)))
+    cli.run(cli.build_parser(["gauss"]).parse_args(["gauss", *flags]))
+    return seen.pop()
+
+
+def test_decoded_fields_are_interned(monkeypatch):
     # ring checks compare fields with `is`: every decode path must hand back
     # the one interned field, so elements of two decodes mix freely
-    first = jsonio.field_from_json({"p": 3, "f": 2})
-    second = jsonio.field_from_json({"p": 3, "f": 2})
+    first = _decoded_field(monkeypatch, "--p", "3", "--f", "2")
+    second = _decoded_field(monkeypatch, "--q", "9")
     assert first is second is make_field(3, 2) is field_from_q(9)
     x = jsonio.element_from_json(first, 5, "x")
     y = jsonio.element_from_json(second, 7, "y")
