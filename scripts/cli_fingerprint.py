@@ -30,6 +30,8 @@ INADMISSIBLE = {
     "inseparable-b": ({"-1": 1}, {"3": 1}, {"-2": 1}),
     "not-stationary": ({"-4": 1}, {"1": 1}, {"-5": 2}),
     "no-room": ({"-1": 1}, {"3": 1, "4": 1}, None),
+    "zero-c": ({"-1": 1}, {"1": 1}, {"terms": {}}),
+    "inseparable-c": ({"-1": 1}, {"1": 1}, {"3": 1}),
 }
 
 

@@ -212,7 +212,7 @@ class FiniteField:
         if not _is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if f < 1:
-            raise NotPrime(f"f = {f} must be >= 1")
+            raise SchemaError(f"f = {f} must be >= 1")
         q = p**f
         if q > DEFAULT_Q_CAP:
             raise CapExceeded(f"q = {q} exceeds the dlog-table cap {DEFAULT_Q_CAP}")

@@ -15,8 +15,10 @@ nu(s) = ord(t s'/s).  The triple must satisfy
   3. 2 nu(b) + p nu(c) < (p - 2) n        (room for the quadratic term).
 
 These force n >= 1, ord(t b' c) = -n and n - nu(c) >= 1; the tuple
-(n, nu(b), nu(c)) is the conductor of the triple.  The discriminant
-gamma(a, b, c) is the residue-field unit
+(n, nu(b), nu(c)) is the conductor of the triple.  The constructor of
+`LegendreTriple` is the admissibility test: it raises NotLegendre with the
+first violated condition.  The discriminant gamma(a, b, c) is the
+residue-field unit
 
   gamma = (1/2) * (t^(n+1) alpha) * (t^(1-nu(c)) c'/c)  mod t,
 
@@ -159,92 +161,57 @@ def stationary_c(a: WittVector, b: LaurentSeries) -> LaurentSeries:
     return c.truncate(c.valuation() + window)
 
 
-def check_legendre(a: WittVector, b: LaurentSeries, c: LaurentSeries):
-    """Non-raising admissibility test for the triple (a, b, c).
-
-    Returns (ok, conductor, diagnostics): conductor is (n, nu(b), nu(c)) when
-    ok and None otherwise; diagnostics records the first violated condition,
-    the partial invariants that were computable, and the parity of
-    n - nu(c).  Only genuine precision starvation raises
-    (PrecisionExhausted); every structural failure, the defects of the pair
-    (a, b) included, is reported in-band.
-    """
-    diag = dict.fromkeys((
-        "first_violation", "n", "nu_b", "nu_c", "n_minus_nu_c", "parity_even",
-        "ord_t_bprime_c",
-    ))
-
-    def fail(reason):
-        diag["first_violation"] = reason
-        return False, None, diag
-
-    try:
-        data = stationary_data(a, b)
-    except ZeroInput:
-        if a.is_zero():
-            return fail("wild layer is zero: no depth to anchor the triple")
-        return fail("b is zero to precision")
-    except PrecisionExhausted:
-        return fail("form coefficient of the wild layer vanishes")
-    except InseparableB:
-        return fail("b is inseparable: db/dt = 0 to precision")
-    n = diag["n"] = data.n
-    if n < 1:
-        return fail(f"depth n = {n} is not positive (tame wild layer)")
-    nu_b = diag["nu_b"] = data.nu_b
-    if c.is_zero():
-        return fail("c is zero to precision")
-    dc = c.derivative()
-    if dc.is_zero():
-        return fail("c is inseparable: dc/dt = 0 to precision")
-    nu_c = diag["nu_c"] = _nu(c, dc)
-    diag["n_minus_nu_c"] = n - nu_c
-    diag["parity_even"] = (n - nu_c) % 2 == 0
-    diag["ord_t_bprime_c"] = 1 + data.db.valuation() + c.valuation()
-    if not in_fil(a, n):
-        return fail(
-            f"wild layer exceeds its form depth: a is not inside level {n}"
-        )
-    defect = data.alpha + c * data.db
-    if not defect.has_ord_at_least(_ceil_div(-n + nu_c, 2)):
-        return fail(
-            "c is not stationary: 2 ord(alpha + c b') >= -n + nu(c) fails"
-        )
-    p = b.ring.p
-    if not 2 * nu_b + p * nu_c < (p - 2) * n:
-        return fail(
-            f"no room for the quadratic term: 2*{nu_b} + {p}*{nu_c} "
-            f">= ({p}-2)*{n}"
-        )
-    # consequences of the three conditions; failure here is a library bug
-    assert diag["ord_t_bprime_c"] == -n
-    assert n - nu_c >= 1
-    assert (data.c - c).has_ord_at_least(
-        c.valuation() + n - (n + 1) // 2 + 1
-    ), "c is outside the stationary coset"
-    return True, (n, nu_b, nu_c), diag
-
-
 class LegendreTriple:
     """An admissible triple, c defaulting to ``stationary_c(a, b)``.
 
-    The constructor validates the triple with ``check_legendre`` and keeps
-    what it derived: the conductor, alpha, b' = ``db`` and the full-window
-    stationary scale ``c_full``, at which every c-dependent value is
-    evaluated.  It raises NotLegendre with the first violated condition.
-    A triple is immutable."""
+    The constructor is the admissibility test: it checks the triple and
+    keeps what it derived, namely the conductor, alpha, b' = ``db`` and the
+    full-window stationary scale ``c_full``, at which every c-dependent
+    value is evaluated.  With the default c the defects of the pair (a, b)
+    raise the errors of ``stationary_data``; every other violated
+    condition, and with an explicit c the pair defects too, raises
+    NotLegendre with the first one.  PrecisionExhausted is raised only for
+    genuine precision starvation.  A triple is immutable."""
 
     __slots__ = ("a", "b", "c", "n", "nu_b", "nu_c", "alpha", "db", "c_full")
 
     def __init__(self, a: WittVector, b: LaurentSeries, c: LaurentSeries | None = None):
         if c is None:
             c = stationary_c(a, b)
-        ok, cond, diag = check_legendre(a, b, c)
-        if not ok:
-            raise NotLegendre(diag["first_violation"])
-        data = stationary_data(a, b)
+        try:
+            data = stationary_data(a, b)
+        except ZeroInput:
+            raise NotLegendre("wild layer is zero: no depth to anchor the triple"
+                              if a.is_zero() else "b is zero to precision") from None
+        except PrecisionExhausted:
+            raise NotLegendre("form coefficient of the wild layer vanishes") from None
+        except InseparableB:
+            raise NotLegendre("b is inseparable: db/dt = 0 to precision") from None
+        n, nu_b, db = data.n, data.nu_b, data.db
+        if n < 1:
+            raise NotLegendre(f"depth n = {n} is not positive (tame wild layer)")
+        if c.is_zero():
+            raise NotLegendre("c is zero to precision")
+        dc = c.derivative()
+        if dc.is_zero():
+            raise NotLegendre("c is inseparable: dc/dt = 0 to precision")
+        nu_c = _nu(c, dc)
+        if not in_fil(a, n):
+            raise NotLegendre(f"wild layer exceeds its form depth: a is not inside level {n}")
+        if not (data.alpha + c * db).has_ord_at_least(_ceil_div(-n + nu_c, 2)):
+            raise NotLegendre("c is not stationary: 2 ord(alpha + c b') >= -n + nu(c) fails")
+        p = b.ring.p
+        if not 2 * nu_b + p * nu_c < (p - 2) * n:
+            raise NotLegendre(f"no room for the quadratic term: "
+                              f"2*{nu_b} + {p}*{nu_c} >= ({p}-2)*{n}")
+        # consequences of the three conditions; failure here is a library bug
+        assert 1 + db.valuation() + c.valuation() == -n
+        assert n - nu_c >= 1
+        assert (data.c - c).has_ord_at_least(
+            c.valuation() + n - (n + 1) // 2 + 1
+        ), "c is outside the stationary coset"
         for name, value in zip(self.__slots__,
-                               (a, b, c, *cond, data.alpha, data.db, data.c)):
+                               (a, b, c, n, nu_b, nu_c, data.alpha, db, data.c)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -903,9 +870,8 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
             "need ord(b) >= 1"
         )
     triple = LegendreTriple(red, b, c)
-    field, n, db, c_eval = chi.field, triple.n, triple.db, triple.c_full
+    field, db, c_eval = chi.field, triple.db, triple.c_full
     i = -triple.c.valuation()
-    assert 1 + db.valuation() - i == -n
     psi_db = AdditiveCharacter(db)
     v, e = char_eval_exponents(chi, c_eval)
     e -= psi_eval_exponent(psi_db, c_eval) * (chi.level() // field.p)

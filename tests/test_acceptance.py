@@ -35,8 +35,8 @@ from ramify.fields import WittCoeffRing, make_field
 from ramify.lft import (
     INFINITY,
     ORIGIN,
+    LegendreTriple,
     character_for_triple,
-    check_legendre,
     congruence_check,
     gamma,
     lft_descriptor,
@@ -402,9 +402,7 @@ def test_criterion_06_degree_law_and_descriptor_rows():
         sw = conductor(chi)[1]
         c_used = stationary_c(chi.wild, b_used)
         # degree law: -ord(c) = sw + nu(b) + ord(b)
-        ok, cond, _diag = check_legendre(chi.wild, b_used, c_used)
-        assert ok
-        n, nu_b, _nu_c = cond
+        n, nu_b, _nu_c = LegendreTriple(chi.wild, b_used, c_used).conductor
         assert -c_used.valuation() == sw + nu_b + b_used.valuation()
         # descriptor degree equals the rank-table row computed from the
         # independent induced-Swan path

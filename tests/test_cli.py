@@ -176,6 +176,36 @@ class TestExitCodes:
         assert body["ok"] is False
         assert "level" in body["first_violation"]
 
+    @pytest.mark.parametrize("operands, reason, window", [
+        (("--q", "3", "--a", '{"terms":{}}', "--b", '{"1":1}', "--c", '{"-2":1}'),
+         "wild layer is zero: no depth to anchor the triple", 32),
+        (("--q", "3", "--a", '{"-3":1}', "--b", '{"1":1}', "--c", '{"-2":1}'),
+         "form coefficient of the wild layer vanishes", 32),
+        (("--q", "3", "--a", '{"-1":1}', "--b", '{"terms":{}}', "--c", '{"-2":1}'),
+         "b is zero to precision", 32),
+        (("--q", "3", "--a", '{"0":1,"1":1}', "--b", '{"1":1}', "--c", '{"-2":1}'),
+         "depth n = -1 is not positive (tame wild layer)", 32),
+        (("--q", "3", "--a", '{"-3":1,"-1":1}', "--b", '{"1":1}'),
+         "wild layer exceeds its form depth: a is not inside level 1", 0),
+        (("--q", "3", "--a", '{"-1":1}', "--b", '{"3":1}', "--c", '{"-2":1}'),
+         "b is inseparable: db/dt = 0 to precision", 32),
+        (("--q", "3", "--a", '{"-4":1}', "--b", '{"1":1}', "--c", '{"-5":2}'),
+         "c is not stationary: 2 ord(alpha + c b') >= -n + nu(c) fails", 32),
+        (("--q", "3", "--a", '{"-1":1}', "--b", '{"3":1,"4":1}'),
+         "no room for the quadratic term: 2*1 + 3*0 >= (3-2)*1", -3),
+        (("--p", "3", "--a", '{"-1":1}', "--b", '{"1":1}', "--c", '{"terms":{}}'),
+         "c is zero to precision", 32),
+        (("--p", "3", "--a", '{"-1":1}', "--b", '{"1":1}', "--c", '{"3":1}'),
+         "c is inseparable: dc/dt = 0 to precision", 32),
+    ], ids=["zero-a", "zero-form", "zero-b", "tame", "depth-overflow", "inseparable-b",
+            "not-stationary", "no-room", "zero-c", "inseparable-c"])
+    def test_every_inadmissible_reason_is_pinned(self, capsys, operands, reason, window):
+        # the in-band reasons of the fingerprint's INADMISSIBLE jobs, byte for byte
+        code, out, _ = invoke(capsys, "legendre-check", *operands)
+        assert code == 0
+        assert out == ('{"ok":false,"first_violation":"' + reason
+                       + f'","conductor":null,"guaranteed_mod_t":{window}}}')
+
     def test_verification_failure_is_exit_2(self, capsys, monkeypatch):
         def explode(job):
             raise VerificationFailure(
@@ -227,6 +257,11 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "swan", "--p", "4", "--a", "bad")
         assert code == 1
         assert json.loads(out)["error"] == "NotPrime"
+
+    def test_extension_degree_below_1_is_a_schema_error(self, capsys):
+        code, out, _ = invoke(capsys, "swan", "--p", "3", "--f", "0", "--a", '{"-1":1}')
+        assert code == 1
+        assert out == '{"error":"SchemaError","message":"f = 0 must be >= 1"}'
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -75,6 +75,13 @@ def test_not_prime_rejected():
         make_field(9, 1)
 
 
+@pytest.mark.parametrize("f", [0, -1])
+def test_extension_degree_below_1_rejected(f):
+    # a bad degree is a malformed input, as a bad q is for field_from_q
+    with pytest.raises(SchemaError, match=f"f = {f} must be >= 1"):
+        make_field(3, f)
+
+
 def test_cap():
     # 3^11 = 177147 > 2^16, rejected before any table is built
     with pytest.raises(CapExceeded):

@@ -30,7 +30,6 @@ from ramify.lft import (
     DKInput,
     LegendreTriple,
     character_for_triple,
-    check_legendre,
     congruence_check,
     dimtot_horizontal,
     dimtot_vertical,
@@ -85,6 +84,13 @@ def depth1_triple(field=F3):
     return LegendreTriple(a, b, stationary_c(a, b))
 
 
+def not_legendre_reason(a, b, c=None):
+    """The first violated condition that LegendreTriple(a, b, c) reports."""
+    with pytest.raises(NotLegendre) as exc:
+        LegendreTriple(a, b, c)
+    return str(exc.value)
+
+
 # -- admissibility -----------------------------------------------------------------
 
 
@@ -97,45 +103,41 @@ class TestCheckLegendre:
 
     def test_diagnostics_on_success(self):
         tri = depth1_triple()
-        ok, cond, diag = check_legendre(tri.a, tri.b, tri.c)
-        assert ok and cond == (1, 0, 0)
-        assert diag["first_violation"] is None
-        assert diag["n_minus_nu_c"] == 1
-        assert diag["parity_even"] is False
-        assert diag["ord_t_bprime_c"] == -1
+        assert tri.conductor == (1, 0, 0)
+        assert tri.n - tri.nu_c == 1
+        assert not tri.parity_even
+        assert 1 + tri.db.valuation() + tri.c.valuation() == -1
 
     def test_tame_layer_rejected(self):
         a = WittVector(0, [poly(F3, [(0, 1), (1, 1)])])
-        ok, cond, diag = check_legendre(a, poly(F3, [(1, 1)]), poly(F3, [(-2, 1)]))
-        assert not ok and cond is None
-        assert "not positive" in diag["first_violation"]
+        assert (not_legendre_reason(a, poly(F3, [(1, 1)]), poly(F3, [(-2, 1)]))
+                == "depth n = -1 is not positive (tame wild layer)")
 
     def test_depth_overflow_rejected(self):
         # the form coefficient sees only the shallow layer of (t^-3 + t^-1)
         a = WittVector(0, [poly(F3, [(-3, 1), (-1, 1)])])
         b = poly(F3, [(1, 1)])
-        ok, _, diag = check_legendre(a, b, stationary_c(a, b))
-        assert not ok
-        assert "exceeds its form depth" in diag["first_violation"]
+        assert (not_legendre_reason(a, b, stationary_c(a, b))
+                == "wild layer exceeds its form depth: a is not inside level 1")
 
     def test_inseparable_b_rejected(self):
         a = WittVector(0, [poly(F3, [(-1, 1)])])
-        ok, _, diag = check_legendre(a, poly(F3, [(3, 1)]), poly(F3, [(-2, 1)]))
-        assert not ok and "inseparable" in diag["first_violation"]
+        assert (not_legendre_reason(a, poly(F3, [(3, 1)]), poly(F3, [(-2, 1)]))
+                == "b is inseparable: db/dt = 0 to precision")
 
     def test_non_stationary_c_rejected(self):
         a = WittVector(0, [poly(F3, [(-4, 1)])])
         b = poly(F3, [(1, 1)])
-        ok, _, diag = check_legendre(a, b, poly(F3, [(-5, 2)]))
-        assert not ok and "not stationary" in diag["first_violation"]
+        assert (not_legendre_reason(a, b, poly(F3, [(-5, 2)]))
+                == "c is not stationary: 2 ord(alpha + c b') >= -n + nu(c) fails")
 
     def test_slope_room_violation(self):
         # n = 1 leaves no room: nu(b) = 1 forces 2 nu(b) >= (p-2) n
         a = WittVector(0, [poly(F3, [(-1, 1)])])
         b = poly(F3, [(3, 1), (4, 1)])
         c = stationary_c(a, b)
-        ok, _, diag = check_legendre(a, b, c)
-        assert not ok and "room" in diag["first_violation"]
+        assert (not_legendre_reason(a, b, c)
+                == "no room for the quadratic term: 2*1 + 3*0 >= (3-2)*1")
 
     def test_constructor_raises(self):
         a = WittVector(0, [poly(F3, [(0, 1), (1, 1)])])
@@ -173,13 +175,14 @@ class TestStationaryC:
         rng = random.Random(11)
         for _ in range(8):
             tri = random_legendre_triple(F5, 0, rng)
-            ok, cond, _ = check_legendre(tri.a, tri.b, tri.c)
-            assert ok and cond == tri.conductor
+            c = stationary_c(tri.a, tri.b)
+            assert LegendreTriple(tri.a, tri.b, c).conductor == tri.conductor
 
 
 # -- defects of the pair (a, b) -----------------------------------------------------
 
-# defect -> (a, b, the class every entry point raises, check_legendre's report)
+# defect -> (a, b, the class every entry point raises, the reason
+# LegendreTriple gives for it with an explicit c)
 PAIR_DEFECTS = {
     "a=0": (WittVector(0, [LaurentSeries.zero(F3, PREC)]), poly(F3, [(1, 1)]),
             ZeroInput, "wild layer is zero: no depth to anchor the triple"),
@@ -231,10 +234,8 @@ def test_pair_defect_raises_one_class(defect, entry):
     else:
         with pytest.raises(error):
             call(a, b)
-    # with an explicit c the admissibility test answers in-band
-    ok, cond, diag = check_legendre(a, b, C_FIXED)
-    assert not ok and cond is None
-    assert diag["first_violation"] == reason
+    # with an explicit c the constructor reports the defect as NotLegendre
+    assert not_legendre_reason(a, b, C_FIXED) == reason
 
 
 @pytest.mark.parametrize("entry", [lft_descriptor, verify_laumon])
