@@ -1,4 +1,5 @@
-"""Gauss sums, epsilon factors, lambda factors, and extension bookkeeping.
+"""Gauss sums, epsilon factors, lambda factors, and for a totally ramified
+extension its Swan bookkeeping and the square class of its discriminant.
 
 Everything is exact: values are cyclotomic numbers, scalars are Fractions.
 The quadratic Gauss sum G satisfies G^2 = kappa0(-1) * q, so inverse powers
@@ -45,7 +46,7 @@ from .errors import (
     WildInput,
     ZeroInput,
 )
-from .series import LaurentSeries, decompose_over_base
+from .series import LaurentSeries
 from .witt import WittVector, pairing_window, witt_differential
 
 DEFAULT_COSET_CAP = 300_000
@@ -309,12 +310,6 @@ class TotallyRamifiedExt:
         return f"TotallyRamifiedExt(n={self.degree}, q={self.field.q})"
 
 
-def refined_log_different(ext: TotallyRamifiedExt) -> LaurentSeries:
-    """delta = t * b'/b, the canonical generator of the logarithmic different
-    (unique in L^x modulo 1-units; Tr(delta^{-1} a) = Tr_k(a0) mod m)."""
-    return (ext.b_derivative() * ext.b.inverse()).shift(1)
-
-
 def lambda_factor(ext: TotallyRamifiedExt) -> EpsilonResult:
     """lambda(L/K, psi_dx) = kappa0(-1)^C(m+1,2) G^{-m} ((2b', t)_L if m odd)."""
     field = ext.field
@@ -332,88 +327,30 @@ def lambda_factor(ext: TotallyRamifiedExt) -> EpsilonResult:
     return EpsilonResult(value, branch)
 
 
-# -- norms, traces, discriminants ---------------------------------------------------
-
-def _mult_matrix(ext: TotallyRamifiedExt, alpha: LaurentSeries):
-    """Matrix of multiplication by alpha in the K-basis 1, t, ..., t^(n-1)."""
-    n = ext.degree
-    cols = []
-    for i in range(n):
-        shifted = alpha.shift(i)
-        gs, _ = decompose_over_base(shifted, ext.b)
-        cols.append(gs)
-    # rows[j][i] = coefficient of t^j in alpha * t^i
-    return [[cols[i][j] for i in range(n)] for j in range(n)]
-
-
-def _series_det(rows):
-    """Fraction-free (Bareiss) determinant of a matrix of Laurent series."""
-    n = len(rows)
-    M = [list(r) for r in rows]
-    sign = 1
-    prev_inv = None
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return M[k][k]  # a zero column: determinant is 0 (to precision)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = num * prev_inv if prev_inv is not None else num
-        prev_inv = M[k][k].inverse()
-    det = M[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det
-
-
-def norm(ext: TotallyRamifiedExt, alpha: LaurentSeries) -> LaurentSeries:
-    """N_{L/K}(alpha) as a Laurent series in the base coordinate x = b(t)."""
-    if alpha.is_zero():
-        raise ZeroInput("norm of the zero series")
-    return _series_det(_mult_matrix(ext, alpha))
-
-
-def trace_map(ext: TotallyRamifiedExt, alpha: LaurentSeries) -> LaurentSeries:
-    """Tr_{L/K}(alpha) as a Laurent series in x = b(t)."""
-    rows = _mult_matrix(ext, alpha)
-    out = rows[0][0]
-    for j in range(1, ext.degree):
-        out = out + rows[j][j]
-    return out
-
+# -- discriminants -----------------------------------------------------------------
 
 def discriminant_class(ext: TotallyRamifiedExt) -> LaurentSeries:
-    """d_{L/K} = (-1)^C(n,2) N_{L/K}(t^n b'/b) in K^x / squares.
+    """The square class of d_{L/K} = (-1)^C(n,2) N_{L/K}(alpha), alpha = t^n b'/b,
+    in K^x / K^x^2, read off leading terms.
 
-    Returned as an exact series in x; pair it against y with the Hilbert
-    symbol (y, d)_K or pass it to kummer_char for the quadratic character.
+    With b_n = lc(b) and m = ord(b') = ord(alpha), Weierstrass preparation of
+    b(T) - x gives N(t) = (-1)^(n+1) x / b_n times a 1-unit; N of a 1-unit of L
+    is a 1-unit of K, a square as p is odd.  So d has the class of
+
+        (-1)^C(n,2) * alpha_0^n * ((-1)^(n+1) / b_n)^m * x^m,
+
+    alpha_0 = lc(b') / b_n.  Returned as the monomial x^m with that leading
+    coefficient, all that ``hilbert_symbol`` and ``kummer_char`` read.
     """
     n = ext.degree
-    rep = (ext.b_derivative() * ext.b.inverse()).shift(n)
-    d = norm(ext, rep)
+    db = ext.b_derivative()
+    m = db.valuation()
+    b_n = ext.b.leading_coefficient()
+    norm_t = b_n.inverse() if n % 2 else -b_n.inverse()  # N(t) / x mod squares
+    lead = (db.leading_coefficient() * b_n.inverse()) ** n * norm_t ** m
     if (n * (n - 1) // 2) % 2:
-        d = -d
-    return d
-
-
-def w2_induced(ext: TotallyRamifiedExt) -> int:
-    """Second Stiefel-Whitney class of Ind kappa_D as +-1:
-    C(n,4) (-1,-1)_K + (d_{L/K}, 2)_K evaluated through Hilbert symbols."""
-    field = ext.field
-    n = ext.degree
-    d = discriminant_class(ext)
-    two = LaurentSeries.monomial(field, field.from_int(2), 0, 4)
-    out = hilbert_symbol(d, two)
-    if (n * (n - 1) * (n - 2) * (n - 3) // 24) % 2:
-        mone = LaurentSeries.monomial(field, -field.one, 0, 4)
-        out *= hilbert_symbol(mone, mone)
-    return out
+        lead = -lead
+    return LaurentSeries.monomial(ext.field, lead, m, m + 1)
 
 
 def induced_swan(ext: TotallyRamifiedExt, chi_L: QuasiCharacter) -> int:

@@ -501,6 +501,12 @@ def congruence_check(which: str, a: WittVector,
             raise HypothesisViolated("c must be nonzero")
         dc = c.derivative()
         if dc.is_zero():
+            # ord(c') >= dc.prec, so nu(c) >= 1 + dc.prec - ord(c)
+            bound = data.nu_b + 1 + dc.prec - c.valuation()
+            if bound >= (p - 2) * r:
+                raise HypothesisViolated(
+                    f"nu(b) + nu(c) >= {bound} is not < (p-2) r = {(p - 2) * r}"
+                )
             raise PrecisionExhausted(
                 f"derivative is 0 mod t^{dc.prec}; nu cannot be certified"
             )

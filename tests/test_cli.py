@@ -569,6 +569,25 @@ class TestCommands:
         assert code == 1
         assert json.loads(out)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("which", ["key6", "key7"])
+    @pytest.mark.parametrize("window,expected", [
+        ((), ("HypothesisViolated", "nu(b) + nu(c) >= 35 is not < (p-2) r = 1")),
+        (("--r", "40"),
+         ("PrecisionExhausted", "derivative is 0 mod t^31; nu cannot be certified")),
+        (("--r", "40", "--prec", "96"),
+         ("HypothesisViolated", "nu(b) + nu(c) >= 99 is not < (p-2) r = 40")),
+    ], ids=["r1", "r40", "r40-prec96"])
+    def test_congruence_inseparable_c_is_a_window_fault_only_where_a_window_helps(
+            self, capsys, which, window, expected):
+        # c = t^-3 is a cube: c' = 0 to the window W, so nu(c) >= 1 + W + 3;
+        # only where that bound still fits under (p-2) r can a window decide
+        code, out, _ = invoke(
+            capsys, "congruence", "--q", "3", "--which", which, "--a", '{"-4":1}',
+            "--b", '{"1":1}', "--c", '{"-3":1}', "--theta-samples", "2", *window,
+        )
+        assert code == 1
+        assert json.loads(out) == dict(zip(("error", "message"), expected))
+
     def test_dk_dim_balance(self, capsys):
         code, out, _ = invoke(
             capsys, "dk-dim",

@@ -1,5 +1,6 @@
 """Gauss sums, epsilon factors (closed forms against the Tate integral),
-lambda factors, and norm/trace/discriminant bookkeeping for tot. ram. exts."""
+lambda factors, and for tot. ram. exts. the discriminant class against a
+test-side Bareiss norm, with traces and differents."""
 
 import itertools
 import random
@@ -36,12 +37,8 @@ from ramify.epsilon import (
     gauss_sum,
     induced_swan,
     lambda_factor,
-    norm,
     quad_gauss,
     quad_gauss_power,
-    refined_log_different,
-    trace_map,
-    w2_induced,
 )
 from ramify.errors import (
     CapExceeded,
@@ -50,8 +47,8 @@ from ramify.errors import (
     WildInput,
     ZeroInput,
 )
-from ramify.fields import FqElement, WittCoeffRing, make_field
-from ramify.series import LaurentSeries
+from ramify.fields import FqElement, WittCoeffRing, field_from_q, make_field
+from ramify.series import LaurentSeries, decompose_over_base
 from ramify.witt import WittVector, witt_differential
 
 F3 = make_field(3, 1)
@@ -427,6 +424,84 @@ def reference_shell_sum(chi, psi, v, depth):
     return total * Fraction(q) ** (-(v + depth)) * chi.uniformizer_value ** (-v)
 
 
+# -- test-side references for totally ramified extensions ----------------------------
+
+
+def _mult_matrix(ext, alpha):
+    """Matrix of multiplication by alpha in the K-basis 1, t, ..., t^(n-1):
+    rows[j][i] is the coefficient of t^j in alpha * t^i, a series in x = b(t)."""
+    n = ext.degree
+    cols = [decompose_over_base(alpha.shift(i), ext.b)[0] for i in range(n)]
+    return [[cols[i][j] for i in range(n)] for j in range(n)]
+
+
+def _series_det(rows):
+    """Fraction-free (Bareiss) determinant of a matrix of Laurent series."""
+    n = len(rows)
+    M = [list(r) for r in rows]
+    sign = 1
+    prev_inv = None
+    for k in range(n - 1):
+        if M[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not M[r][k].is_zero():
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return M[k][k]  # a zero column: determinant is 0 (to precision)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
+                M[i][j] = num * prev_inv if prev_inv is not None else num
+        prev_inv = M[k][k].inverse()
+    det = M[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def reference_norm(ext, alpha):
+    """N_{L/K}(alpha) as a Laurent series in the base coordinate x = b(t)."""
+    if alpha.is_zero():
+        raise ZeroInput("norm of the zero series")
+    return _series_det(_mult_matrix(ext, alpha))
+
+
+def reference_trace(ext, alpha):
+    """Tr_{L/K}(alpha) as a Laurent series in x = b(t)."""
+    rows = _mult_matrix(ext, alpha)
+    out = rows[0][0]
+    for j in range(1, ext.degree):
+        out = out + rows[j][j]
+    return out
+
+
+def reference_discriminant(ext):
+    """d_{L/K} = (-1)^C(n,2) N_{L/K}(t^n b'/b) as an exact series in x; zero
+    when the determinant loses the window."""
+    n = ext.degree
+    d = reference_norm(ext, (ext.b_derivative() * ext.b.inverse()).shift(n))
+    return -d if (n * (n - 1) // 2) % 2 else d
+
+
+def refined_log_different(ext):
+    """delta = t * b'/b, the canonical generator of the logarithmic different
+    (unique in L^x modulo 1-units; Tr(delta^{-1} a) = Tr_k(a0) mod m)."""
+    return (ext.b_derivative() * ext.b.inverse()).shift(1)
+
+
+def w2_induced(ext):
+    """Second Stiefel-Whitney class of Ind kappa_D as +-1:
+    C(n,4) (-1,-1)_K + (d_{L/K}, 2)_K evaluated through Hilbert symbols."""
+    field = ext.field
+    n = ext.degree
+    two = LaurentSeries.monomial(field, field.from_int(2), 0, 4)
+    out = hilbert_symbol(discriminant_class(ext), two)
+    if (n * (n - 1) * (n - 2) * (n - 3) // 24) % 2:
+        mone = LaurentSeries.monomial(field, -field.one, 0, 4)
+        out *= hilbert_symbol(mone, mone)
+    return out
+
+
 def _oracle_cases():
     """One character per (q, m): wild where the shells stay small enough to
     enumerate digit by digit, and for q = 9, m = 1 a Witt constant that only
@@ -646,18 +721,18 @@ def test_lambda_tower_degree_six():
 
 def test_norm_frozen_degree_two():
     ext = TotallyRamifiedExt(LaurentSeries.t_power(F3, 2, 24))
-    n_t = norm(ext, LaurentSeries.t_power(F3, 1, 24))
+    n_t = reference_norm(ext, LaurentSeries.t_power(F3, 1, 24))
     assert (n_t - LaurentSeries.monomial(F3, -F3.one, 1, 10)).is_zero()
-    n_b = norm(ext, ext.b)
+    n_b = reference_norm(ext, ext.b)
     assert (n_b - LaurentSeries.t_power(F3, 2, 10)).is_zero()
-    n_2 = norm(ext, poly(F3, [(0, 2)], 24))
+    n_2 = reference_norm(ext, poly(F3, [(0, 2)], 24))
     assert (n_2 - poly(F3, [(0, 4)], 10)).is_zero()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_norm_of_uniformizer_sign(n):
     ext = TotallyRamifiedExt(LaurentSeries.t_power(F7, n, 24))
-    n_t = norm(ext, LaurentSeries.t_power(F7, 1, 24))
+    n_t = reference_norm(ext, LaurentSeries.t_power(F7, 1, 24))
     lead = F7.one if (n - 1) % 2 == 0 else -F7.one
     assert (n_t - LaurentSeries.monomial(F7, lead, 1, 8)).is_zero()
 
@@ -668,10 +743,10 @@ def test_norm_multiplicative():
     for _ in range(5):
         a = rng_series(F5, rng, rng.randrange(-2, 3), 8)
         b = rng_series(F5, rng, rng.randrange(-2, 3), 8)
-        diff = norm(ext, a * b) - norm(ext, a) * norm(ext, b)
+        diff = reference_norm(ext, a * b) - reference_norm(ext, a) * reference_norm(ext, b)
         assert diff.is_zero()
     with pytest.raises(ZeroInput):
-        norm(ext, LaurentSeries.zero(F5, 8))
+        reference_norm(ext, LaurentSeries.zero(F5, 8))
 
 
 def test_trace_against_different_inverse():
@@ -680,7 +755,7 @@ def test_trace_against_different_inverse():
         ext = TotallyRamifiedExt(LaurentSeries.t_power(field, n, 24))
         d_inv = ext.b_derivative().inverse()
         for i in range(n):
-            tr = trace_map(ext, d_inv.shift(i))
+            tr = reference_trace(ext, d_inv.shift(i))
             if i == n - 1:
                 assert (tr - poly(field, [(0, 1)], 8)).is_zero()
             else:
@@ -702,7 +777,7 @@ def test_refined_log_different_congruence(field, pairs):
     d_inv = refined_log_different(ext).inverse()
     for _ in range(5):
         a = rng_series(field, rng, 0, 10)
-        tr = trace_map(ext, d_inv * a)
+        tr = reference_trace(ext, d_inv * a)
         assert tr.val is not None and tr.val >= 0
         assert tr.coefficient(0) == a.coefficient(0)
 
@@ -729,6 +804,40 @@ def test_discriminant_class_degree_two():
         ext = TotallyRamifiedExt(LaurentSeries.t_power(field, 2, 24))
         d = discriminant_class(ext)
         assert (d - LaurentSeries.monomial(field, field.from_int(4), 1, 8)).is_zero()
+        exact = reference_discriminant(ext)
+        assert (exact - LaurentSeries.monomial(field, field.from_int(4), 1, 8)).is_zero()
+
+
+def discriminant_population():
+    """35 seeded extensions b = t^n * (unit polynomial of 8 terms) at window
+    24: each (q, n) of q in {3, 5, 7, 9, 11} x n in 2..6 once, and the five
+    with p | n twice more; inseparable draws are redrawn."""
+    rng = random.Random(23)
+    pairs = [(q, n) for q in (3, 5, 7, 9, 11) for n in range(2, 7)]
+    pairs += [(q, n) for q, n in pairs if n % field_from_q(q).p == 0] * 2
+    for q, n in pairs:
+        field = field_from_q(q)
+        while True:
+            coeffs = {n: field.from_index(rng.randrange(1, q))}
+            coeffs.update({n + j: field.from_index(rng.randrange(q)) for j in range(1, 8)})
+            b = LaurentSeries.from_terms(field, coeffs, 24)
+            if not b.derivative().is_zero():
+                yield TotallyRamifiedExt(b)
+                break
+
+
+def test_discriminant_class_matches_bareiss_norm():
+    # the class from leading terms against (-1)^C(n,2) N(t^n b'/b) by a
+    # determinant over K; the two differ by a 1-unit of K, a square
+    wild = 0
+    for ext in discriminant_population():
+        exact = reference_discriminant(ext)
+        assert not exact.is_zero(), ext  # a zero calls for a longer window
+        closed = discriminant_class(ext)
+        assert closed.valuation() == exact.valuation() == ext.different_ord, ext
+        assert closed.leading_coefficient() == exact.leading_coefficient(), ext
+        wild += ext.degree % ext.field.p == 0
+    assert wild == 15
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 import ramify.epsilon
 import ramify.lft
-from ramify.characters import AdditiveCharacter, QuasiCharacter, char_eval, conductor
+from ramify.characters import AdditiveCharacter, QuasiCharacter, char_eval, conductor, kummer_char
 from ramify.cyclo import CycloNumber, root_of_unity
-from ramify.epsilon import epsilon0_wild, quad_gauss
+from ramify.epsilon import (
+    TotallyRamifiedExt,
+    discriminant_class,
+    epsilon0_wild,
+    induced_swan,
+    quad_gauss,
+)
 from ramify.errors import (
     DegenerateOrder,
     HypothesisViolated,
@@ -25,8 +31,9 @@ from ramify.errors import (
     WrongSourcePoint,
     ZeroInput,
 )
-from ramify.fields import FqElement, make_field
+from ramify.fields import FqElement, field_from_q, make_field
 from ramify.lft import (
+    ORIGIN,
     DKInput,
     LegendreTriple,
     character_for_triple,
@@ -888,6 +895,30 @@ class TestLaumonIdentity:
         chi.wild = None
         with pytest.raises(NotLegendre):
             verify_laumon(chi, poly(F3, [(1, 1)]))
+
+
+def test_determinant_and_swan_through_the_descriptor():
+    # F(Ind_{L/K} chi) = Ind_{L'/K'} chi' with chi' = desc.pushed and L'/K'
+    # presented by c^-1: Deligne's det Ind chi' = delta_{L'/K'} chi'|_{K'^x},
+    # at Frobenius, is the hand-written det_factor up to (-1)^i; and
+    # F^(0,inf') keeps sw while the generic rank is |ord(c)|
+    wild = 0
+    for q, m in itertools.product((3, 5, 7, 9, 11), (0, 1)):
+        field, rng = field_from_q(q), random.Random(1000 * q + m)
+        for _ in range(16):
+            tri = random_legendre_triple(field, m, rng)
+            chi = character_for_triple(tri)
+            rep = verify_laumon(chi, tri.b, tri.c)
+            desc = lft_descriptor(chi, tri.b, tri.c, source=ORIGIN)
+            c, i = tri.c_full, rep.degree
+            ext = TotallyRamifiedExt(c.inverse())
+            delta = kummer_char(discriminant_class(ext)).uniformizer_value
+            assert rep.det_factor == (-1) ** i * delta * char_eval(desc.pushed, c), (
+                q, m, tri.conductor)
+            assert ext.degree == desc.degree == i
+            assert induced_swan(ext, desc.pushed) == induced_swan(TotallyRamifiedExt(tri.b), chi)
+            wild += i % field.p == 0
+    assert wild == 20
 
 
 # -- one representative per character ------------------------------------------------------
