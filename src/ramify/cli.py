@@ -165,12 +165,13 @@ def _op_legendre_check(job):
         LegendreTriple, gamma, guaranteed_mod_t, square_class_checks, stationary_c,
     )
 
-    a, b = job.a, job.b
+    a, b, c = job.a, job.b, job.c
     _check_witt_length("a", a.m, job)
     try:
-        triple = LegendreTriple(a, b, job.c)
+        if c is None:  # may itself raise NotLegendre: then a and b stamp alone
+            c = stationary_c(a, b)
+        triple = LegendreTriple(a, b, c)
     except NotLegendre as exc:
-        c = job.c if job.c is not None else stationary_c(a, b)
         result = {
             "ok": False,
             "first_violation": str(exc),
@@ -192,7 +193,7 @@ def _op_legendre_check(job):
         "parity_even": triple.parity_even,
         "gamma": jsonio.element_str(g),
         "square_class": sq._asdict(),
-        "guaranteed_mod_t": guaranteed_mod_t(a, b, triple.c),
+        "guaranteed_mod_t": guaranteed_mod_t(a, b, c),
     }
     return result, f"admissible, conductor triple {tuple(cond)}"
 
@@ -212,7 +213,7 @@ def _op_lft(job):
         "rank": desc.rank,
         "pushed": jsonio.char_to_json(desc.pushed) | {"conductor": list(conductor(desc.pushed))},
         "gauss_twist": pretty(desc.gauss_twist),
-        "guaranteed_mod_t": guaranteed_mod_t(chi.wild, b, desc.scale),
+        "guaranteed_mod_t": guaranteed_mod_t(chi.wild, b, desc.triple.c),
     }
     return result, f"transform: {desc.source} -> {desc.target}, degree {desc.degree}"
 

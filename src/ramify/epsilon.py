@@ -340,7 +340,8 @@ def discriminant_class(ext: TotallyRamifiedExt) -> LaurentSeries:
         (-1)^C(n,2) * alpha_0^n * ((-1)^(n+1) / b_n)^m * x^m,
 
     alpha_0 = lc(b') / b_n.  Returned as the monomial x^m with that leading
-    coefficient, all that ``hilbert_symbol`` and ``kummer_char`` read.
+    coefficient, all that ``hilbert_symbol`` and ``kummer_char`` read; its
+    caller ``lft.transform_determinant`` reads delta_{L'/K'} off it.
     """
     n = ext.degree
     db = ext.b_derivative()

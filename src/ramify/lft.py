@@ -141,13 +141,17 @@ def stationary_c(a: WittVector, b: LaurentSeries) -> LaurentSeries:
 
     The truncation pins the coset c (1 + m^*) that every downstream value
     depends on while keeping the reported precision honest.  Raises the
-    errors of ``stationary_data`` and PrecisionExhausted when nu(c) or the
-    certification depth is out of the working window.
+    errors of ``stationary_data``, NotLegendre when c' = 0 to precision
+    leaves no room for the quadratic term, and PrecisionExhausted when nu(c)
+    or the certification depth is otherwise out of the working window.
     """
     data = stationary_data(a, b)
     c = data.c
     dc = c.derivative()
     if dc.is_zero():
+        p, bound = b.ring.p, 1 + dc.prec - c.valuation()  # nu(c) >= bound
+        if 2 * data.nu_b + p * bound >= (p - 2) * data.n:
+            raise NotLegendre("c is inseparable: dc/dt = 0 to precision")
         raise PrecisionExhausted(
             f"dc/dt is 0 mod t^{dc.prec}; nu(c) cannot be certified"
         )
@@ -311,7 +315,7 @@ def square_class_checks(triple: LegendreTriple) -> SquareClassReport:
 
 
 class LFTDescriptor(namedtuple(
-        "LFTDescriptor", "source target degree swan rank pushed gauss_twist scale")):
+        "LFTDescriptor", "source target degree swan rank pushed gauss_twist triple")):
     """Shape of the local Fourier transform of the direct image of a
     rank-1 character along the covering presented by b.
 
@@ -320,29 +324,9 @@ class LFTDescriptor(namedtuple(
     after the transform: the original character twisted by the additive
     layer of b*c, the Kummer class of -c'/(2b'), and the constant unramified
     twist whose Frobenius value is ``gauss_twist`` (minus the quadratic
-    Gauss sum); ``scale`` is the stationary scale c it was computed with."""
+    Gauss sum); ``triple`` is the LegendreTriple it was computed with."""
 
     __slots__ = ()
-
-
-def _check_operands(chi: QuasiCharacter, b: LaurentSeries,
-                    c: LaurentSeries | None) -> WittVector:
-    """Input checks shared by ``lft_descriptor`` and ``verify_laumon``: one
-    residue field for every operand, a wild layer, and the defects of the
-    pair (reduced wild layer, b), raised by ``stationary_data``.  Returns
-    the reduced wild layer, the one representative of chi's class that
-    both entry points read."""
-    field = chi.field
-    if field is not b.ring or (c is not None and field is not c.ring):
-        raise InconsistentInput(
-            "character and series live over different residue fields; "
-            "base-change everything to one field first"
-        )
-    if chi.wild is None:
-        raise NotLegendre("character has no wild layer")
-    red = chi.reduced_wild()[0]
-    stationary_data(red, b)
-    return red
 
 
 def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
@@ -367,7 +351,16 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     from .characters import QuasiCharacter, kummer_char
     from .epsilon import TotallyRamifiedExt, induced_swan, quad_gauss
 
-    red = _check_operands(chi, b, c)
+    field = chi.field
+    if field is not b.ring or (c is not None and field is not c.ring):
+        raise InconsistentInput(
+            "character and series live over different residue fields; "
+            "base-change everything to one field first"
+        )
+    if chi.wild is None:
+        raise NotLegendre("character has no wild layer")
+    red = chi.reduced_wild()[0]
+    stationary_data(red, b)
     if source == ORIGIN:
         if b.valuation() < 1:
             raise WrongSourcePoint(
@@ -403,7 +396,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
             detail={"from_c": degree, "from_conductors": expected},
         )
     # the descriptor only depends on the coset of c
-    field, c_eval = chi.field, triple.c_full
+    c_eval = triple.c_full
     kummer = kummer_char(
         c_eval.derivative()
         * triple.db.inverse().scale(-field.from_int(2).inverse())
@@ -424,7 +417,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
         rank=rank,
         pushed=pushed,
         gauss_twist=gauss_twist,
-        scale=triple.c,
+        triple=triple,
     )
 
 
@@ -815,16 +808,34 @@ def lft_rank(z: str, zcheck: str, *, swan: int, rank: int, slopes) -> int:
 # -- the determinant identity ------------------------------------------------------------
 
 
+def transform_determinant(desc: LFTDescriptor):
+    """det(-Frob | F(V)) for the transform F(V) = Ind_{L'/K'} chi' that a
+    descriptor at source "0" presents: chi' = ``desc.pushed``, L'/K' of
+    degree i = ``desc.degree`` presented by c^-1, c = ``desc.triple.c_full``.
+    By Deligne's det Ind chi' = delta_{L'/K'} * chi'|_{K'^x}, with delta the
+    quadratic character of the discriminant class of L'/K', it is
+
+        (-1)^i * delta_{L'/K'}(Frob) * chi'(c).
+
+    The class reads leading terms only, so L'/K' is presented by the inverse
+    of the short scale ``desc.triple.c``, which shares them with c."""
+    from .characters import char_eval, kummer_char
+    from .epsilon import TotallyRamifiedExt, discriminant_class
+
+    ext = TotallyRamifiedExt(desc.triple.c.inverse())
+    delta = kummer_char(discriminant_class(ext)).uniformizer_value
+    return (-1) ** desc.degree * delta * char_eval(desc.pushed, desc.triple.c_full)
+
+
 class LaumonReport(namedtuple("LaumonReport", (
         "conductor degree lhs rhs product_identity lhs_equals_rhs "
         "det_factor lambda_value epsilon_value oracle_match mismatch"))):
     """Exact evaluation of the determinant identity
 
-        det(-Frob on the transform at x-check)^(-1)
-            = lambda(L/K, psi_dx) * eps0(chi, psi_db),
+        det(-Frob | F(V))^(-1) = lambda(L/K, psi_dx) * eps0(chi, psi_db),
 
-    together with the closed product of its three factor formulas, which
-    must equal 1 identically.  When a check fails, ``mismatch`` is
+    together with the product of its three factors, which must equal 1
+    identically.  When a check fails, ``mismatch`` is
     "epsilon-closed-form" if the oracle disagrees with the closed form and
     "determinant-factor" otherwise."""
 
@@ -842,69 +853,42 @@ class LaumonReport(namedtuple("LaumonReport", (
 def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
                   c: LaurentSeries | None = None, *,
                   oracle: bool = False) -> LaumonReport:
-    """Verify the determinant identity for the direct image of chi along
-    the degree-ord(b) covering of the base trait presented by b.
+    """Verify Laumon's product formula for V = Ind_{L/K} chi, the direct
+    image of chi along the degree-ord(b) covering of the base trait
+    presented by b:
 
-    The left side is the inverse of the closed determinant factor
+        det(-Frob | F(V)) * eps0(chi, psi_db) * lambda(L/K, psi_dx) = 1.
 
-        kappa0(-1)^C(i,2) chi(c) psi_db(c)^(-1) G^(-i) (c, -2 t^i b')
-
-    with i = -ord(c); the right side is lambda(L/K, psi_dx) times the
-    wild epsilon factor of (chi, psi_db), the stationary factor: the closed
-    form of ``epsilon0_wild`` taken at the triple's c.  The product of the
-    determinant factor, the stationary factor, and the lambda factor is
-    checked against 1 exactly; ``lhs_equals_rhs`` states the same identity
-    as lhs = rhs.  ``oracle=True`` recomputes the epsilon factor by the
-    shell-sum integral as an independent anchor.
-    As in ``lft_descriptor``, chi is read through its reduced wild layer
-    red, c defaults to ``stationary_c(red, b)``, and the defects of the
-    pair (red, b) raise the errors of ``stationary_data``.
+    The determinant is read off the transform, ``transform_determinant`` of
+    ``lft_descriptor(chi, b, c)``; the epsilon factor is the closed form of
+    ``epsilon0_wild`` at the triple's full-window scale; ``lhs_equals_rhs``
+    states the same identity as det^(-1) = lambda * eps0.  ``oracle=True``
+    recomputes the epsilon factor by the shell-sum integral as an
+    independent anchor.  The operands are read and checked as by
+    ``lft_descriptor`` at source "0".
     """
-    from .characters import (
-        AdditiveCharacter, char_eval_exponents, char_value, hilbert_symbol,
-        psi_eval_exponent,
-    )
-    from .epsilon import (
-        TotallyRamifiedExt, epsilon0_wild, epsilon_tate_oracle, lambda_factor,
-        quad_gauss_power,
-    )
+    from .characters import AdditiveCharacter
+    from .epsilon import TotallyRamifiedExt, epsilon0_wild, epsilon_tate_oracle, lambda_factor
 
-    red = _check_operands(chi, b, c)
-    if b.valuation() < 1:
-        raise WrongSourcePoint(
-            "the identity is stated for a covering of the origin: "
-            "need ord(b) >= 1"
-        )
-    triple = LegendreTriple(red, b, c)
-    field, db, c_eval = chi.field, triple.db, triple.c_full
-    i = -triple.c.valuation()
-    psi_db = AdditiveCharacter(db)
-    v, e = char_eval_exponents(chi, c_eval)
-    e -= psi_eval_exponent(psi_db, c_eval) * (chi.level() // field.p)
-    det_factor = (
-        char_value(chi, v, e)
-        * quad_gauss_power(field, -i)
-        * (field.kappa0(-field.one) if (i * (i - 1) // 2) % 2 else 1)
-        * hilbert_symbol(c_eval, db.shift(i).scale(field.from_int(-2)))
-    )
-    eps = epsilon0_wild(chi, psi_db, c_override=c_eval).value
+    desc = lft_descriptor(chi, b, c)
+    triple = desc.triple
+    det_factor = transform_determinant(desc)
+    psi_db = AdditiveCharacter(triple.db)
+    eps = epsilon0_wild(chi, psi_db, c_override=triple.c_full).value
     lam = lambda_factor(TotallyRamifiedExt(b)).value
     product_identity = det_factor * eps * lam == 1
     lhs = det_factor ** (-1)
     rhs = lam * eps
     lhs_equals_rhs = lhs == rhs
-    oracle_match = None
-    if oracle:
-        oracle_match = epsilon_tate_oracle(chi, psi_db) == eps
+    oracle_match = epsilon_tate_oracle(chi, psi_db) == eps if oracle else None
     mismatch = None
-    if not (product_identity and lhs_equals_rhs and oracle_match is not False):
-        if oracle_match is False:
-            mismatch = "epsilon-closed-form"
-        else:
-            mismatch = "determinant-factor"
+    if oracle_match is False:
+        mismatch = "epsilon-closed-form"
+    elif not (product_identity and lhs_equals_rhs):
+        mismatch = "determinant-factor"
     return LaumonReport(
         conductor=triple.conductor,
-        degree=i,
+        degree=desc.degree,
         lhs=lhs,
         rhs=rhs,
         product_identity=product_identity,

@@ -453,7 +453,8 @@ def reduce_vector(a: WittVector):
     """
     ring, m = a.ring, a.m
     p = ring.p
-    witness = WittVector.zero(ring, m, max(e.prec for e in a.entries))
+    window = max(e.prec for e in a.entries)  # each mu is exact: the witness's window
+    witness = WittVector.zero(ring, m, window)
     cur = a
     for _ in range(_REDUCE_ITER_CAP):
         level, hits = _offenders(cur)
@@ -462,7 +463,7 @@ def reduce_vector(a: WittVector):
         i = max(hits)
         e = cur.entries[i]
         mu = LaurentSeries.monomial(
-            ring, e.leading_coefficient().pth_root(), e.val // p, e.prec
+            ring, e.leading_coefficient().pth_root(), e.val // p, window
         )
         step = _supported_at(mu, i, m)
         asw = witt_sub(frobenius(step), step)

@@ -1,5 +1,6 @@
 """Wire formats and the command-line driver: schemas, exit codes, pinned outputs."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,8 +20,10 @@ F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2)
 
-JOBS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.json"
+ROOT = Path(__file__).resolve().parents[1]
+JOBS_FILE = ROOT / "perfbench" / "jobs.json"
 PINNED_JOBS = [job for job in json.loads(JOBS_FILE.read_text())["jobs"] if "pinned" in job]
+FINGERPRINT_FILE = Path(__file__).resolve().parent / "cli_fingerprint.txt"
 
 
 def invoke(capsys, *argv):
@@ -68,6 +71,26 @@ class TestPinnedOutputs:
         code, out, _ = invoke(capsys, *job["argv"])
         assert code == 0
         assert out == job["pinned"]
+
+
+def test_cli_fingerprint_is_pinned():
+    # every job line of scripts/cli_fingerprint.py, replayed in-process from the
+    # script's own job lists; its help and usage pages hash argparse's layout,
+    # which varies across Python versions, and are left out.  After a change
+    # meant to alter an output, regenerate the file with
+    #   PYTHONPATH=src python scripts/cli_fingerprint.py \
+    #       | grep -Ev '^(help|usage-)' > tests/cli_fingerprint.txt
+    spec = importlib.util.spec_from_file_location(
+        "cli_fingerprint", ROOT / "scripts" / "cli_fingerprint.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    pinned = dict(line.split(" ", 1) for line in FINGERPRINT_FILE.read_text().splitlines())
+    seen = {}
+    for name, argv in [*script.jobs(), *script.other_jobs()]:
+        code, out, _ = script.run(argv)
+        seen[name] = f"{code} {script.digest(out)}"
+    assert seen.keys() == pinned.keys()
+    assert [name for name in pinned if seen[name] != pinned[name]] == []
 
 
 # -- determinism ------------------------------------------------------------------
@@ -336,6 +359,28 @@ class TestExitCodes:
         code, out, _ = invoke(capsys, "lft", "--p", "3", "--char", char, "--b", b, *extra)
         assert code == 1
         assert json.loads(out)["error"] == error
+
+    def test_inseparable_default_scale_is_answered_in_band(self, capsys):
+        # a = t^-4, b = t^-1 at p = 3: the default scale is a cube, c' = 0 to
+        # the window, and the bound on nu(c) that gives leaves no room, so it
+        # is inadmissible by the reason an explicit inseparable c gets
+        operands = ("--q", "3", "--a", '{"-4":1}', "--b", '{"-1":1}')
+        default = invoke(capsys, "legendre-check", *operands)
+        assert default == invoke(capsys, "legendre-check", *operands, "--c", '{"-3":2}')
+        assert default[:2] == (0, '{"ok":false,"first_violation":"c is inseparable: '
+                                  'dc/dt = 0 to precision","conductor":null,'
+                                  '"guaranteed_mod_t":32}')
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-laumon", "--q", "5", "--char", '{"wild":{"-4":2}}', "--b", '{"1":4}'),
+        ("lft", "--q", "3", "--char", '{"wild":{"-4":1}}', "--b", '{"-1":1}',
+         "--source", "infinity"),
+    ], ids=["verify-laumon", "lft-infinity"])
+    def test_inseparable_default_scale_is_not_legendre(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 1
+        assert json.loads(out) == {"error": "NotLegendre",
+                                   "message": "c is inseparable: dc/dt = 0 to precision"}
 
     @pytest.mark.parametrize("m, char", [
         ("1", '{"wild":{"-1":1}}'),

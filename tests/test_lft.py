@@ -11,14 +11,23 @@ from hypothesis import given, settings, strategies as st
 
 import ramify.epsilon
 import ramify.lft
-from ramify.characters import AdditiveCharacter, QuasiCharacter, char_eval, conductor, kummer_char
+from ramify.characters import (
+    AdditiveCharacter,
+    QuasiCharacter,
+    char_eval,
+    char_eval_exponents,
+    char_value,
+    conductor,
+    hilbert_symbol,
+    psi_eval_exponent,
+)
 from ramify.cyclo import CycloNumber, root_of_unity
 from ramify.epsilon import (
     TotallyRamifiedExt,
-    discriminant_class,
     epsilon0_wild,
     induced_swan,
     quad_gauss,
+    quad_gauss_power,
 )
 from ramify.errors import (
     DegenerateOrder,
@@ -53,6 +62,7 @@ from ramify.lft import (
     square_class_checks,
     stationary_c,
     stationary_data,
+    transform_determinant,
     vanishing_support,
     verify_laumon,
 )
@@ -220,11 +230,13 @@ CHARACTER_ENTRY_POINTS = ("lft_descriptor", "verify_laumon")
 
 def class_invariants(result):
     """A descriptor or a report as a comparable tuple: the pushed character
-    of a descriptor becomes its conductor, tame exponent, chi(t) and layer."""
+    of a descriptor becomes its conductor, tame exponent, chi(t) and layer,
+    and its triple (which compares by identity) its scale and conductor."""
     pushed = getattr(result, "pushed", None)
     if pushed is not None:
         result = result._replace(pushed=(conductor(pushed), pushed.tame_exponent,
-                                         pushed.uniformizer_value, pushed.wild))
+                                         pushed.uniformizer_value, pushed.wild),
+                                 triple=(result.triple.c, result.triple.conductor))
     return tuple(result)
 
 
@@ -589,14 +601,14 @@ class TestDescriptor:
 
     def test_slope_one_rejected_before_the_default_scale(self):
         # without c the slope guard still fires first: the default scale of
-        # a slope-1 input at infinity is a constant, whose nu(c) no window
-        # can certify
+        # a slope-1 input at infinity is a constant, c' = 0 to every window,
+        # and the bound on nu(c) that gives leaves no room
         from ramify.characters import QuasiCharacter
 
         a = WittVector(0, [poly(F3, [(-1, 1)])])
         b = poly(F3, [(-1, 1)])
         chi = QuasiCharacter(F3, 0, CycloNumber.from_rational(1, 1), a)
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(NotLegendre, match="c is inseparable"):
             stationary_c(a, b)
         with pytest.raises(SlopeConditionViolated):
             lft_descriptor(chi, b, source="infinity")
@@ -605,8 +617,8 @@ class TestDescriptor:
         tri = depth1_triple()
         chi = character_for_triple(tri)
         d = lft_descriptor(chi, tri.b)
-        assert d.scale == stationary_c(tri.a, tri.b)
-        assert lft_descriptor(chi, tri.b, tri.c).scale is tri.c
+        assert d.triple.c == stationary_c(tri.a, tri.b)
+        assert lft_descriptor(chi, tri.b, tri.c).triple.c is tri.c
         assert (d.target, d.degree, conductor(d.pushed)) == ("infinity", 2, (2, 1))
 
     def test_tame_covers_never_raise_slope(self):
@@ -881,7 +893,7 @@ class TestLaumonIdentity:
         a = WittVector(0, [poly(F3, [(-2, 1)])])
         b = poly(F3, [(-1, 1)])
         chi = character_for_triple(LegendreTriple(a, b, stationary_c(a, b)))
-        with pytest.raises(WrongSourcePoint):
+        with pytest.raises(WrongSourcePoint, match=r"^source '0' needs ord\(b\) >= 1, got -1$"):
             verify_laumon(chi, b)
 
     def test_cross_field_rejected(self):
@@ -897,11 +909,29 @@ class TestLaumonIdentity:
             verify_laumon(chi, poly(F3, [(1, 1)]))
 
 
+def reference_det_factor(chi, triple):
+    """The determinant factor written out by hand, at c = triple.c_full:
+
+        kappa0(-1)^C(i,2) chi(c) psi_db(c)^(-1) G^(-i) (c, -2 t^i b'),
+
+    i = -ord(c); it shares no step with the transform's determinant."""
+    field, db, c = chi.field, triple.db, triple.c_full
+    i = -triple.c.valuation()
+    v, e = char_eval_exponents(chi, c)
+    e -= psi_eval_exponent(AdditiveCharacter(db), c) * (chi.level() // field.p)
+    return (
+        char_value(chi, v, e)
+        * quad_gauss_power(field, -i)
+        * (field.kappa0(-field.one) if (i * (i - 1) // 2) % 2 else 1)
+        * hilbert_symbol(c, db.shift(i).scale(field.from_int(-2)))
+    )
+
+
 def test_determinant_and_swan_through_the_descriptor():
     # F(Ind_{L/K} chi) = Ind_{L'/K'} chi' with chi' = desc.pushed and L'/K'
-    # presented by c^-1: Deligne's det Ind chi' = delta_{L'/K'} chi'|_{K'^x},
-    # at Frobenius, is the hand-written det_factor up to (-1)^i; and
-    # F^(0,inf') keeps sw while the generic rank is |ord(c)|
+    # presented by c^-1: the determinant read off the descriptor is the
+    # hand-written factor; and F^(0,inf') keeps sw while the generic rank
+    # is |ord(c)|
     wild = 0
     for q, m in itertools.product((3, 5, 7, 9, 11), (0, 1)):
         field, rng = field_from_q(q), random.Random(1000 * q + m)
@@ -910,15 +940,37 @@ def test_determinant_and_swan_through_the_descriptor():
             chi = character_for_triple(tri)
             rep = verify_laumon(chi, tri.b, tri.c)
             desc = lft_descriptor(chi, tri.b, tri.c, source=ORIGIN)
-            c, i = tri.c_full, rep.degree
-            ext = TotallyRamifiedExt(c.inverse())
-            delta = kummer_char(discriminant_class(ext)).uniformizer_value
-            assert rep.det_factor == (-1) ** i * delta * char_eval(desc.pushed, c), (
-                q, m, tri.conductor)
-            assert ext.degree == desc.degree == i
+            assert rep.det_factor == transform_determinant(desc) == reference_det_factor(
+                chi, tri), (q, m, tri.conductor)
+            ext = TotallyRamifiedExt(tri.c_full.inverse())
+            assert ext.degree == desc.degree == rep.degree
             assert induced_swan(ext, desc.pushed) == induced_swan(TotallyRamifiedExt(tri.b), chi)
-            wild += i % field.p == 0
+            wild += rep.degree % field.p == 0
     assert wild == 20
+
+
+@pytest.mark.parametrize("q,m", [(3, 0), (3, 1), (5, 0), (5, 1), (9, 0), (7, 0)])
+def test_determinant_on_wildly_ramified_coverings(q, m):
+    # b = t^d (u0 + u1 t^k) with p | d: L/K is wildly ramified, which the
+    # seeded triples (d prime to p) never reach
+    field, rng = field_from_q(q), random.Random(17000 + 10 * q + m)
+    p, draws = field.p, 0
+    for _ in range(200):
+        tri = random_legendre_triple(field, m, rng)
+        d, k = rng.choice((p, 2 * p)), rng.randint(1, 3)
+        unit = {0: field.from_index(rng.randrange(1, q)), k: field.from_index(rng.randrange(1, q))}
+        b = LaurentSeries.from_terms(field, unit, tri.b.prec - tri.b.valuation()).shift(d)
+        chi = character_for_triple(tri)
+        try:
+            rep = verify_laumon(chi, b, oracle=q ** tri.n <= 3 ** 7)
+        except (NotLegendre, InseparableB, PrecisionExhausted):
+            continue
+        assert rep.ok, (q, m, rep.conductor, d, k)
+        assert rep.det_factor == reference_det_factor(chi, LegendreTriple(tri.a, b))
+        draws += 1
+        if draws == 12:
+            break
+    assert draws == 12
 
 
 # -- one representative per character ------------------------------------------------------
@@ -966,7 +1018,7 @@ class TestOneRepresentative:
     def test_explicit_scale_is_checked_against_the_reduced_layer(self):
         tri = random_legendre_triple(F5, 0, random.Random(2))
         _, chi2 = unreduced_character(tri)
-        assert lft_descriptor(chi2, tri.b, tri.c).scale is tri.c
+        assert lft_descriptor(chi2, tri.b, tri.c).triple.c is tri.c
         with pytest.raises(NotLegendre, match="not stationary"):
             verify_laumon(chi2, tri.b, tri.c.scale(F5.from_int(2)))
 
@@ -1004,7 +1056,7 @@ def assert_round_trip_closes(tri, chi, back, rng):
     """The second scale is -b to its window, and the second pushed
     character is chi twisted by t -> q: on t and on 10 random units."""
     field = tri.field
-    assert back.scale == (-tri.b).truncate(back.scale.prec)
+    assert back.triple.c == (-tri.b).truncate(back.triple.c.prec)
     t = LaurentSeries.t_power(field, 1, 80)
     assert char_eval(back.pushed, t) == char_eval(chi, t) * field.q
     for _ in range(10):
@@ -1021,7 +1073,7 @@ def test_fourier_inversion_round_trip(q, m):
     unreduced = []
     for k, (tri, chi, desc, back) in enumerate(inversion_round_trips(q, m)):
         d = tri.b.valuation()
-        assert (back.target, back.degree, back.scale.valuation()) == ("0", d, d)
+        assert (back.target, back.degree, back.triple.c.valuation()) == ("0", d, d)
         assert conductor(back.pushed) == conductor(chi)
         if desc.pushed.reduced_wild()[0] is not desc.pushed.wild:
             unreduced.append(k)
