@@ -25,7 +25,9 @@ residue-field unit
 the leading coefficient of the quadratic term of the phase.  Everything
 downstream of gamma -- parity of n - nu(c), square classes, the rank and
 target of the local Fourier transform, the determinant identity -- is
-computed from the conductor and gamma by exact arithmetic.
+computed from the conductor and gamma by exact arithmetic.  The square
+classes and the transform's Kummer twist read -c'/(2b') at leading order
+only, as the monomial ``LegendreTriple.twist_class``.
 
 The (a, b) half of the data -- alpha, n, b', nu(b) and the full-window
 scale -alpha/b' -- is derived once, by `stationary_data`, the only code
@@ -100,8 +102,9 @@ _latest = (None, None, None)  # (a, b, datum) of the latest derivation
 
 
 def _nu(s: LaurentSeries, ds: LaurentSeries) -> int:
-    """nu(s) = ord(t s'/s) = 1 + ord(s') - ord(s), for s and ds = s' nonzero."""
-    return 1 + ds.valuation() - s.valuation()
+    """nu(s) = ord(t s'/s) = 1 + ord(s') - ord(s) for s nonzero and ds = s';
+    when s' is 0 to precision, the certified lower bound 1 + prec(s') - ord(s)."""
+    return 1 + ds.ord_lower_bound() - s.valuation()
 
 
 def stationary_data(a: WittVector, b: LaurentSeries) -> StationaryData:
@@ -148,14 +151,13 @@ def stationary_c(a: WittVector, b: LaurentSeries) -> LaurentSeries:
     data = stationary_data(a, b)
     c = data.c
     dc = c.derivative()
+    nu_c = _nu(c, dc)
     if dc.is_zero():
-        p, bound = b.ring.p, 1 + dc.prec - c.valuation()  # nu(c) >= bound
-        if 2 * data.nu_b + p * bound >= (p - 2) * data.n:
+        if 2 * data.nu_b + b.ring.p * nu_c >= (b.ring.p - 2) * data.n:
             raise NotLegendre("c is inseparable: dc/dt = 0 to precision")
         raise PrecisionExhausted(
             f"dc/dt is 0 mod t^{dc.prec}; nu(c) cannot be certified"
         )
-    nu_c = _nu(c, dc)
     window = max(_ceil_div(data.n + nu_c, 2) + 1, nu_c + 2, 2)
     if c.prec - c.valuation() < window:
         raise PrecisionExhausted(
@@ -169,15 +171,16 @@ class LegendreTriple:
     """An admissible triple, c defaulting to ``stationary_c(a, b)``.
 
     The constructor is the admissibility test: it checks the triple and
-    keeps what it derived, namely the conductor, alpha, b' = ``db`` and the
-    full-window stationary scale ``c_full``, at which every c-dependent
-    value is evaluated.  With the default c the defects of the pair (a, b)
-    raise the errors of ``stationary_data``; every other violated
-    condition, and with an explicit c the pair defects too, raises
-    NotLegendre with the first one.  PrecisionExhausted is raised only for
-    genuine precision starvation.  A triple is immutable."""
+    keeps what it derived, namely the conductor, alpha, b' = ``db``,
+    c' = ``dc`` and the full-window stationary scale ``c_full``, at which
+    every value that needs a long window is evaluated.  With the default c
+    the defects of the pair (a, b) raise the errors of ``stationary_data``;
+    every other violated condition, and with an explicit c the pair
+    defects too, raises NotLegendre with the first one.  PrecisionExhausted
+    is raised only for genuine precision starvation.  A triple is
+    immutable."""
 
-    __slots__ = ("a", "b", "c", "n", "nu_b", "nu_c", "alpha", "db", "c_full")
+    __slots__ = ("a", "b", "c", "n", "nu_b", "nu_c", "alpha", "db", "dc", "c_full")
 
     def __init__(self, a: WittVector, b: LaurentSeries, c: LaurentSeries | None = None):
         if c is None:
@@ -215,7 +218,7 @@ class LegendreTriple:
             c.valuation() + n - (n + 1) // 2 + 1
         ), "c is outside the stationary coset"
         for name, value in zip(self.__slots__,
-                               (a, b, c, n, nu_b, nu_c, data.alpha, db, data.c)):
+                               (a, b, c, n, nu_b, nu_c, data.alpha, db, dc, data.c)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -234,6 +237,15 @@ class LegendreTriple:
         """Parity of n - nu(c): True selects the even (Hilbert-symbol)
         branch of the square-class normalization."""
         return (self.n - self.nu_c) % 2 == 0
+
+    @property
+    def twist_class(self) -> LaurentSeries:
+        """The square class of -c'/(2 b'), whose Kummer character twists the
+        transform.  A square class reads only the leading monomial (1-units
+        are squares, p being odd), so this is that monomial."""
+        k, v = self.field, self.dc.valuation() - self.db.valuation()
+        lead = self.dc.leading_coefficient() * self.db.leading_coefficient().inverse()
+        return LaurentSeries.monomial(k, lead * k.from_int(-2).inverse(), v, v + 1)
 
     def base_change_quadratic(self) -> "LegendreTriple":
         """The image of the triple under t -> t^2; every conductor entry
@@ -274,10 +286,7 @@ def gamma(triple: LegendreTriple):
     vanishes."""
     k = triple.field
     half = k.from_int(2).inverse()
-    lead_dlog = (
-        triple.c.derivative().leading_coefficient()
-        * triple.c.leading_coefficient().inverse()
-    )
+    lead_dlog = triple.dc.leading_coefficient() * triple.c.leading_coefficient().inverse()
     return half * triple.alpha.leading_coefficient() * lead_dlog
 
 
@@ -298,16 +307,13 @@ def square_class_checks(triple: LegendreTriple) -> SquareClassReport:
     for odd parity -t c' / (2 b' gamma) is.  A series is a square iff its
     valuation is even and its leading coefficient is a square in k (1-units
     are squares since p is odd)."""
-    g = gamma(triple)
-    k = triple.field
-    scale = -(k.from_int(2) * g).inverse()
-    arg = (triple.c.derivative() * triple.db.inverse()).scale(scale)
+    arg = triple.twist_class.scale(gamma(triple).inverse())
     if not triple.parity_even:
         arg = arg.shift(1)
     return SquareClassReport(
         parity_even=triple.parity_even,
         argument_valuation=arg.valuation(),
-        leading_is_square=k.is_square(arg.leading_coefficient()),
+        leading_is_square=triple.field.is_square(arg.leading_coefficient()),
     )
 
 
@@ -337,7 +343,8 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     through its reduced wild layer red, so the descriptor is a function of
     the class; c is a stationary scale of (red, b), by default
     ``stationary_c(red, b)``, taken once the source point and the slope
-    condition are checked.
+    condition are checked.  The Kummer twist reads -c'/(2b') at leading
+    order, as ``triple.twist_class``.
 
     ``source`` names the point of the source line the covering is centered
     at: "0" (ord(b) >= 1) or "infinity" (ord(b) <= -1).  The target and
@@ -396,13 +403,9 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
             detail={"from_c": degree, "from_conductors": expected},
         )
     # the descriptor only depends on the coset of c
-    c_eval = triple.c_full
-    kummer = kummer_char(
-        c_eval.derivative()
-        * triple.db.inverse().scale(-field.from_int(2).inverse())
-    )
+    kummer = kummer_char(triple.twist_class)
     gauss_twist = -quad_gauss(field)
-    wild = witt_add(red, verschiebung_power(b * c_eval, chi.m))
+    wild = witt_add(red, verschiebung_power(b * triple.c_full, chi.m))
     pushed = QuasiCharacter(
         field,
         (chi.tame_exponent + kummer.tame_exponent) % (field.q - 1),
@@ -493,21 +496,14 @@ def congruence_check(which: str, a: WittVector,
         if c.is_zero():
             raise HypothesisViolated("c must be nonzero")
         dc = c.derivative()
-        if dc.is_zero():
-            # ord(c') >= dc.prec, so nu(c) >= 1 + dc.prec - ord(c)
-            bound = data.nu_b + 1 + dc.prec - c.valuation()
-            if bound >= (p - 2) * r:
-                raise HypothesisViolated(
-                    f"nu(b) + nu(c) >= {bound} is not < (p-2) r = {(p - 2) * r}"
-                )
-            raise PrecisionExhausted(
-                f"derivative is 0 mod t^{dc.prec}; nu cannot be certified"
-            )
         nu_b, nu_c = data.nu_b, _nu(c, dc)
         if not nu_b + nu_c < (p - 2) * r:
             raise HypothesisViolated(
-                f"nu(b) + nu(c) = {nu_b + nu_c} is not < (p-2) r = {(p - 2) * r}"
+                f"nu(b) + nu(c) {'>=' if dc.is_zero() else '='} {nu_b + nu_c} "
+                f"is not < (p-2) r = {(p - 2) * r}"
             )
+        if dc.is_zero():
+            raise PrecisionExhausted(f"derivative is 0 mod t^{dc.prec}; nu cannot be certified")
         defect = data.alpha + c * data.db
         if which == "key6" and not defect.is_zero():
             raise HypothesisViolated(
@@ -818,10 +814,14 @@ def transform_determinant(desc: LFTDescriptor):
         (-1)^i * delta_{L'/K'}(Frob) * chi'(c).
 
     The class reads leading terms only, so L'/K' is presented by the inverse
-    of the short scale ``desc.triple.c``, which shares them with c."""
+    of the short scale ``desc.triple.c``, which shares them with c.  A
+    descriptor at another source raises WrongSourcePoint."""
     from .characters import char_eval, kummer_char
     from .epsilon import TotallyRamifiedExt, discriminant_class
 
+    if desc.source != ORIGIN:
+        raise WrongSourcePoint("transform_determinant needs a descriptor at "
+                               f"source '0', got {desc.source!r}")
     ext = TotallyRamifiedExt(desc.triple.c.inverse())
     delta = kummer_char(discriminant_class(ext)).uniformizer_value
     return (-1) ** desc.degree * delta * char_eval(desc.pushed, desc.triple.c_full)

@@ -927,11 +927,26 @@ def reference_det_factor(chi, triple):
     )
 
 
+def assert_swan_conserved(chi, b, desc):
+    """F^(0,inf') keeps sw while the generic rank becomes |ord(c)|: L'/K'
+    is presented by c^-1, c = desc.triple.c_full."""
+    ext = TotallyRamifiedExt(desc.triple.c_full.inverse())
+    assert ext.degree == desc.degree
+    assert induced_swan(ext, desc.pushed) == induced_swan(TotallyRamifiedExt(b), chi)
+
+
+def assert_twist_class_is_leading(tri):
+    """tri.twist_class against -c'/(2b') rebuilt at full window from c_full:
+    the same valuation and leading coefficient."""
+    full = tri.c_full.derivative() * tri.db.inverse().scale(-tri.field.from_int(2).inverse())
+    assert full.valuation() == tri.twist_class.valuation(), tri.conductor
+    assert full.leading_coefficient() == tri.twist_class.leading_coefficient(), tri.conductor
+
+
 def test_determinant_and_swan_through_the_descriptor():
     # F(Ind_{L/K} chi) = Ind_{L'/K'} chi' with chi' = desc.pushed and L'/K'
     # presented by c^-1: the determinant read off the descriptor is the
-    # hand-written factor; and F^(0,inf') keeps sw while the generic rank
-    # is |ord(c)|
+    # hand-written factor, and Swan is conserved
     wild = 0
     for q, m in itertools.product((3, 5, 7, 9, 11), (0, 1)):
         field, rng = field_from_q(q), random.Random(1000 * q + m)
@@ -942,9 +957,9 @@ def test_determinant_and_swan_through_the_descriptor():
             desc = lft_descriptor(chi, tri.b, tri.c, source=ORIGIN)
             assert rep.det_factor == transform_determinant(desc) == reference_det_factor(
                 chi, tri), (q, m, tri.conductor)
-            ext = TotallyRamifiedExt(tri.c_full.inverse())
-            assert ext.degree == desc.degree == rep.degree
-            assert induced_swan(ext, desc.pushed) == induced_swan(TotallyRamifiedExt(tri.b), chi)
+            assert desc.degree == rep.degree
+            assert_swan_conserved(chi, tri.b, desc)
+            assert_twist_class_is_leading(tri)
             wild += rep.degree % field.p == 0
     assert wild == 20
 
@@ -966,11 +981,53 @@ def test_determinant_on_wildly_ramified_coverings(q, m):
         except (NotLegendre, InseparableB, PrecisionExhausted):
             continue
         assert rep.ok, (q, m, rep.conductor, d, k)
-        assert rep.det_factor == reference_det_factor(chi, LegendreTriple(tri.a, b))
+        desc = lft_descriptor(chi, b)
+        assert rep.det_factor == reference_det_factor(chi, desc.triple)
+        assert_swan_conserved(chi, b, desc)
+        assert_twist_class_is_leading(desc.triple)
         draws += 1
         if draws == 12:
             break
     assert draws == 12
+
+
+@pytest.mark.parametrize("q,m", [(25, 0), (27, 0), (25, 1), (3, 2), (5, 2)])
+def test_determinant_on_larger_fields_and_witt_length_three(q, m):
+    field, rng = field_from_q(q), random.Random(1000 * q + m)
+    for _ in range(8):
+        tri = random_legendre_triple(field, m, rng)
+        chi = character_for_triple(tri)
+        rep = verify_laumon(chi, tri.b)
+        desc = lft_descriptor(chi, tri.b)
+        assert rep.ok, (q, m, tri.conductor)
+        assert rep.det_factor == transform_determinant(desc) == reference_det_factor(chi, tri)
+        assert desc.degree == rep.degree == -tri.c.valuation()
+        assert_swan_conserved(chi, tri.b, desc)
+
+
+@pytest.mark.parametrize("q,m", list(itertools.product((5, 7, 11), (0, 1))))
+def test_twist_class_on_perturbed_scales(q, m):
+    # c = c_full + u t^e, e = ord c + ceil((n + nu(c))/2) + 1, lies in the
+    # stationary coset, so c' and c_full' share their leading term; c is cut
+    # to the short window, or to e + 1 where that is longer
+    field, rng = field_from_q(q), random.Random(3000 * q + m)
+    for _ in range(30):
+        tri = random_legendre_triple(field, m, rng)
+        e = tri.c.valuation() + (tri.n + tri.nu_c + 1) // 2 + 1
+        u = LaurentSeries.monomial(field, field.from_index(rng.randrange(1, q)), e, tri.c_full.prec)
+        c = (tri.c_full + u).truncate(max(tri.c.prec, e + 1))
+        assert c.coefficient(e) != tri.c_full.coefficient(e)
+        assert_twist_class_is_leading(LegendreTriple(tri.a, tri.b, c))
+
+
+def test_transform_determinant_needs_source_origin():
+    # the source-infinity descriptor of a = t^-2, b = t^-1 at q = 3
+    a = WittVector(0, [poly(F3, [(-2, 1)])])
+    b = poly(F3, [(-1, 1)])
+    desc = lft_descriptor(character_for_triple(LegendreTriple(a, b)), b, source="infinity")
+    with pytest.raises(WrongSourcePoint, match=r"^transform_determinant needs a descriptor "
+                                               r"at source '0', got 'infinity'$"):
+        transform_determinant(desc)
 
 
 # -- one representative per character ------------------------------------------------------
