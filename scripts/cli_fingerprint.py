@@ -32,6 +32,10 @@ INADMISSIBLE = {
     "no-room": ({"-1": 1}, {"3": 1, "4": 1}, None),
     "zero-c": ({"-1": 1}, {"1": 1}, {"terms": {}}),
     "inseparable-c": ({"-1": 1}, {"1": 1}, {"3": 1}),
+    # the pair defects above, met while deriving the default scale
+    "zero-a-default-c": ({"terms": {}}, {"1": 1}, None),
+    "zero-form-default-c": ({"-3": 1}, {"1": 1}, None),
+    "zero-b-default-c": ({"-1": 1}, {"terms": {}}, None),
 }
 
 

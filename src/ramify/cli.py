@@ -13,6 +13,8 @@ is 0 and identical jobs produce byte-identical output.
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import random
 import sys
@@ -168,10 +170,11 @@ def _op_legendre_check(job):
     a, b, c = job.a, job.b, job.c
     _check_witt_length("a", a.m, job)
     try:
-        if c is None:  # may itself raise NotLegendre: then a and b stamp alone
-            c = stationary_c(a, b)
         triple = LegendreTriple(a, b, c)
     except NotLegendre as exc:
+        if c is None:  # where no default scale exists, a and b stamp alone
+            with contextlib.suppress(RamifyError):
+                c = stationary_c(a, b)
         result = {
             "ok": False,
             "first_violation": str(exc),
@@ -193,7 +196,7 @@ def _op_legendre_check(job):
         "parity_even": triple.parity_even,
         "gamma": jsonio.element_str(g),
         "square_class": sq._asdict(),
-        "guaranteed_mod_t": guaranteed_mod_t(a, b, c),
+        "guaranteed_mod_t": guaranteed_mod_t(a, b, triple.c),
     }
     return result, f"admissible, conductor triple {tuple(cond)}"
 
@@ -502,7 +505,14 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser(commands=None) -> argparse.ArgumentParser:
     """The ``ramify`` parser.  Every subcommand is registered with its help
-    line; only those named in ``commands`` (default: all) get their flags."""
+    line; only those named in ``commands`` (default: all) get their flags.
+    Each command set's parser is built once: parsing leaves a parser as it
+    was, since ``_Parser.error`` raises instead of exiting."""
+    return _cached_parser(None if commands is None else frozenset(commands))
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_parser(commands):
     parser = _Parser(
         prog="ramify",
         description=__doc__,

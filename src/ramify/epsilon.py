@@ -2,10 +2,11 @@
 extension its Swan bookkeeping and the square class of its discriminant.
 
 Everything is exact: values are cyclotomic numbers, scalars are Fractions.
-The quadratic Gauss sum G satisfies G^2 = kappa0(-1) * q, so inverse powers
-of G reduce to rational scalings of 1 or G, and chi^{-1}(c) psi(c) is a power
-of chi(t) times one root of unity (``char_value``) -- no generic cyclotomic
-inversion happens in the evaluation loops, only chi(t) is ever inverted.
+The quadratic Gauss sum G satisfies G^2 = kappa0(-1) * q, so
+kappa0(-1)^C(k,2) G^(-k) = q^(-floor(k/2)) (kappa0(-1) G / q)^(k mod 2) and
+each closed form reads G at most once; chi^{-1}(c) psi(c) is a power of chi(t)
+times one root of unity (``char_value``) -- no generic cyclotomic inversion
+happens in the evaluation loops, only chi(t) is ever inverted.
 
 The brute-force Tate-integral oracle sums chi^{-1}(x) psi(x) over valuation
 shells with the Haar measure normalized by vol(O) = 1.  Within one shell of
@@ -70,15 +71,6 @@ def quad_gauss(field) -> CycloNumber:
     return CycloNumber.from_monomials(field.p, terms)
 
 
-def quad_gauss_power(field, k: int) -> CycloNumber:
-    """G^k for any integer k, via G^2 = kappa0(-1) * q."""
-    g2 = Fraction(field.kappa0(-field.one) * field.q)
-    odd = k % 2  # in {0, 1}
-    even_part = Fraction(1) if k == odd else g2 ** ((k - odd) // 2)
-    base = CycloNumber.from_rational(2, even_part)
-    return base * quad_gauss(field) if odd else base
-
-
 # -- epsilon factors (closed forms) --------------------------------------------
 
 class EpsilonResult(namedtuple("EpsilonResult", "value branch c")):
@@ -111,7 +103,8 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
     """a(chi) >= 2 closed form.
 
     value = chi^{-1}(c) psi(c) q^{-ord(c)} kappa0(-1)^C(n+1,2) G^{-n-1},
-    times the Hilbert symbol (-2 beta c, t)_K when n = sw(chi) is even.
+    times the Hilbert symbol (-2 beta c, t)_K when n = sw(chi) is even.  By
+    G^2 = kappa0(-1) q the Gauss factor is q^(-(n+2)//2), times kappa0(-1) G if n is even.
     c (unless ``c_override``) is the stationary-phase scale -alpha/g with
     omega = g dt: chi(1+x+x^2/2) = psi(c x) on m^r, r = ceil(n/2).  The value
     depends only on the coset c(1 + m^(n-r+1)), which the returned ``c``, cut
@@ -133,18 +126,14 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
         c = -(alpha * psi.omega.truncate(psi.ord + n + 1).inverse())
     v, e = char_eval_exponents(chi, c)
     value = char_value(chi, -v, psi_eval_exponent(psi, c) * (chi.level() // field.p) - e)
-    value = value * Fraction(field.q) ** (-c.valuation())
-    if (n * (n + 1) // 2) % 2:
-        value = value * field.kappa0(-field.one)
-    value = value * quad_gauss_power(field, -n - 1)
+    value = value * Fraction(field.q) ** (-c.valuation() - (n + 2) // 2)
     branch = "wild-odd"
     if n % 2 == 0:
         branch = "wild-even"
         lead = field.from_int(-2) * psi.omega.leading_coefficient() * c.leading_coefficient()
         k = psi.ord + 1 + c.valuation()  # the leading term of -2 beta c, all the symbol reads
-        if hilbert_symbol(LaurentSeries.monomial(field, lead, k, k + 1),
-                          LaurentSeries.t_power(field, 1, 2)) < 0:
-            value = -value
+        value = value * (quad_gauss(field) * field.kappa0(-field.one) * hilbert_symbol(
+            LaurentSeries.monomial(field, lead, k, k + 1), LaurentSeries.t_power(field, 1, 2)))
     return EpsilonResult(value, branch, c=c.truncate(c.valuation() + (n + 1) // 2 + 1))
 
 
@@ -311,19 +300,17 @@ class TotallyRamifiedExt:
 
 
 def lambda_factor(ext: TotallyRamifiedExt) -> EpsilonResult:
-    """lambda(L/K, psi_dx) = kappa0(-1)^C(m+1,2) G^{-m} ((2b', t)_L if m odd)."""
+    """lambda(L/K, psi_dx) = kappa0(-1)^C(m+1,2) G^{-m} ((2b', t)_L if m odd),
+    whose Gauss factor is q^(-ceil(m/2)) G^(m mod 2), as G^2 = kappa0(-1) q."""
     field = ext.field
     db = ext.b_derivative()
     m = db.valuation()
-    value = quad_gauss_power(field, -m)
-    if (m * (m + 1) // 2) % 2:
-        value = value * field.kappa0(-field.one)
+    value = CycloNumber.from_rational(1, Fraction(field.q) ** -((m + 1) // 2))
     branch = "lambda-even"
     if m % 2:
         branch = "lambda-odd"
         t = LaurentSeries.t_power(field, 1, 4)
-        if hilbert_symbol(db.scale(field.from_int(2)), t) < 0:
-            value = -value
+        value = value * (quad_gauss(field) * hilbert_symbol(db.scale(field.from_int(2)), t))
     return EpsilonResult(value, branch)
 
 

@@ -173,18 +173,14 @@ class LegendreTriple:
     The constructor is the admissibility test: it checks the triple and
     keeps what it derived, namely the conductor, alpha, b' = ``db``,
     c' = ``dc`` and the full-window stationary scale ``c_full``, at which
-    every value that needs a long window is evaluated.  With the default c
-    the defects of the pair (a, b) raise the errors of ``stationary_data``;
-    every other violated condition, and with an explicit c the pair
-    defects too, raises NotLegendre with the first one.  PrecisionExhausted
-    is raised only for genuine precision starvation.  A triple is
-    immutable."""
+    every value that needs a long window is evaluated.  Every violated
+    condition, a defect of the pair (a, b) included, raises NotLegendre
+    with the first one.  PrecisionExhausted is raised only for genuine
+    precision starvation.  A triple is immutable."""
 
     __slots__ = ("a", "b", "c", "n", "nu_b", "nu_c", "alpha", "db", "dc", "c_full")
 
     def __init__(self, a: WittVector, b: LaurentSeries, c: LaurentSeries | None = None):
-        if c is None:
-            c = stationary_c(a, b)
         try:
             data = stationary_data(a, b)
         except ZeroInput:
@@ -194,6 +190,8 @@ class LegendreTriple:
             raise NotLegendre("form coefficient of the wild layer vanishes") from None
         except InseparableB:
             raise NotLegendre("b is inseparable: db/dt = 0 to precision") from None
+        if c is None:
+            c = stationary_c(a, b)
         n, nu_b, db = data.n, data.nu_b, data.db
         if n < 1:
             raise NotLegendre(f"depth n = {n} is not positive (tame wild layer)")

@@ -220,8 +220,15 @@ class TestExitCodes:
          "c is zero to precision", 32),
         (("--p", "3", "--a", '{"-1":1}', "--b", '{"1":1}', "--c", '{"3":1}'),
          "c is inseparable: dc/dt = 0 to precision", 32),
+        (("--q", "3", "--a", '{"terms":{}}', "--b", '{"1":1}'),
+         "wild layer is zero: no depth to anchor the triple", 32),
+        (("--q", "3", "--a", '{"-3":1}', "--b", '{"1":1}'),
+         "form coefficient of the wild layer vanishes", 32),
+        (("--q", "3", "--a", '{"-1":1}', "--b", '{"terms":{}}'),
+         "b is zero to precision", 32),
     ], ids=["zero-a", "zero-form", "zero-b", "tame", "depth-overflow", "inseparable-b",
-            "not-stationary", "no-room", "zero-c", "inseparable-c"])
+            "not-stationary", "no-room", "zero-c", "inseparable-c",
+            "zero-a-default-c", "zero-form-default-c", "zero-b-default-c"])
     def test_every_inadmissible_reason_is_pinned(self, capsys, operands, reason, window):
         # the in-band reasons of the fingerprint's INADMISSIBLE jobs, byte for byte
         code, out, _ = invoke(capsys, "legendre-check", *operands)

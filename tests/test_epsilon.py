@@ -8,7 +8,6 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ramify.characters import (
     AdditiveCharacter,
@@ -38,7 +37,6 @@ from ramify.epsilon import (
     induced_swan,
     lambda_factor,
     quad_gauss,
-    quad_gauss_power,
 )
 from ramify.errors import (
     CapExceeded,
@@ -120,18 +118,15 @@ def test_gauss_sum_conventions(field):
     assert g * g == field.kappa0(-field.one) * Fraction(field.q)
 
 
-@pytest.mark.parametrize("field", [F3, F5])
-def test_quad_gauss_power_agrees_with_repeated_product(field):
-    g = quad_gauss(field)
-    for k in range(-5, 6):
-        assert quad_gauss_power(field, k) == g ** k
-
-
-@given(j=st.integers(-6, 6), k=st.integers(-6, 6))
-@settings(max_examples=25, deadline=None)
-def test_quad_gauss_power_additive_in_exponent(j, k):
-    lhs = quad_gauss_power(F5, j) * quad_gauss_power(F5, k)
-    assert lhs == quad_gauss_power(F5, j + k)
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81])
+def test_gauss_factor_reduced_form(q):
+    """kappa0(-1)^C(k,2) G^-k = q^-floor(k/2) (kappa0(-1) G / q)^(k mod 2),
+    the reduction both closed forms use, against generic cyclotomic powers."""
+    field = field_from_q(q)
+    g, kappa = quad_gauss(field), field.kappa0(-field.one)
+    for k in range(-3, 12):
+        lhs = g ** (-k) * kappa ** (k * (k - 1) // 2)
+        assert lhs == (kappa * g * Fraction(1, q)) ** (k % 2) * Fraction(q) ** -(k // 2)
 
 
 # -- closed forms: unramified and tame -------------------------------------------

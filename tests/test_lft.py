@@ -27,7 +27,6 @@ from ramify.epsilon import (
     epsilon0_wild,
     induced_swan,
     quad_gauss,
-    quad_gauss_power,
 )
 from ramify.errors import (
     DegenerateOrder,
@@ -199,7 +198,7 @@ class TestStationaryC:
 # -- defects of the pair (a, b) -----------------------------------------------------
 
 # defect -> (a, b, the class every entry point raises, the reason
-# LegendreTriple gives for it with an explicit c)
+# LegendreTriple gives for it, with an explicit c or the default one)
 PAIR_DEFECTS = {
     "a=0": (WittVector(0, [LaurentSeries.zero(F3, PREC)]), poly(F3, [(1, 1)]),
             ZeroInput, "wild layer is zero: no depth to anchor the triple"),
@@ -253,8 +252,16 @@ def test_pair_defect_raises_one_class(defect, entry):
     else:
         with pytest.raises(error):
             call(a, b)
-    # with an explicit c the constructor reports the defect as NotLegendre
+    # the constructor reports the defect as NotLegendre, with or without c
     assert not_legendre_reason(a, b, C_FIXED) == reason
+    assert not_legendre_reason(a, b) == reason
+
+
+def test_default_scale_starvation_is_not_a_pair_defect():
+    # a sound pair whose default scale needs more window than it has
+    a = WittVector(0, [poly(F3, [(-1, 1)], prec=0)])
+    with pytest.raises(PrecisionExhausted):
+        LegendreTriple(a, poly(F3, [(1, 1)], prec=2))
 
 
 @pytest.mark.parametrize("entry", [lft_descriptor, verify_laumon])
@@ -921,7 +928,7 @@ def reference_det_factor(chi, triple):
     e -= psi_eval_exponent(AdditiveCharacter(db), c) * (chi.level() // field.p)
     return (
         char_value(chi, v, e)
-        * quad_gauss_power(field, -i)
+        * quad_gauss(field) ** (-i)
         * (field.kappa0(-field.one) if (i * (i - 1) // 2) % 2 else 1)
         * hilbert_symbol(c, db.shift(i).scale(field.from_int(-2)))
     )
@@ -1109,6 +1116,14 @@ def inversion_round_trips(q, m):
     return draws
 
 
+def seeded_units(field, rng):
+    """10 random units at window 80, with digits up to t^11."""
+    for _ in range(10):
+        terms = {j: field.from_index(rng.randrange(field.q)) for j in range(1, 12)}
+        yield LaurentSeries.from_terms(
+            field, {0: field.from_index(rng.randrange(1, field.q)), **terms}, 80)
+
+
 def assert_round_trip_closes(tri, chi, back, rng):
     """The second scale is -b to its window, and the second pushed
     character is chi twisted by t -> q: on t and on 10 random units."""
@@ -1116,10 +1131,7 @@ def assert_round_trip_closes(tri, chi, back, rng):
     assert back.triple.c == (-tri.b).truncate(back.triple.c.prec)
     t = LaurentSeries.t_power(field, 1, 80)
     assert char_eval(back.pushed, t) == char_eval(chi, t) * field.q
-    for _ in range(10):
-        terms = {j: field.from_index(rng.randrange(field.q)) for j in range(1, 12)}
-        u = LaurentSeries.from_terms(
-            field, {0: field.from_index(rng.randrange(1, field.q)), **terms}, 80)
+    for u in seeded_units(field, rng):
         assert char_eval(back.pushed, u) == char_eval(chi, u)
 
 
@@ -1147,6 +1159,66 @@ def test_fourier_inversion_round_trip(q, m):
 def test_fourier_inversion_unreduced_pushed_layer(q, m, k):
     tri, chi, _, back = inversion_round_trips(q, m)[k]
     assert_round_trip_closes(tri, chi, back, random.Random(k))
+
+
+def compose(f, g):
+    """f(g) by Horner, for a power series f and ord(g) >= 1, known to the
+    window that f and g certify."""
+    acc = LaurentSeries.zero(f.ring, 0)
+    for k in range(f.prec - 1, -1, -1):
+        acc = acc * g + LaurentSeries.monomial(f.ring, f.coefficient(k), 0, g.prec)
+    return acc
+
+
+def one_unit_root(u, d):
+    """The 1-unit d-th root of a 1-unit u, p not dividing d, by Newton's
+    method, which doubles the known window at each step."""
+    field = u.ring
+    assert u.valuation() == 0 and u.leading_coefficient() == field.one
+    r, inv_d = LaurentSeries.t_power(field, 0, u.prec), field.from_int(d).inverse()
+    for _ in range(u.prec.bit_length()):
+        r = r + ((u - r ** d) * (r ** (d - 1)).inverse()).scale(inv_d)
+    return r
+
+
+def reversion(f):
+    """tau with f(tau) = t, for f = t * (unit): the fixed point of
+    tau = t / s(tau), s = f / t, which gains a coefficient at each step."""
+    t, s = LaurentSeries.t_power(f.ring, 1, f.prec), f.shift(-1)
+    tau = t
+    for _ in range(f.prec):
+        tau = t * compose(s, tau).inverse()
+    return tau
+
+
+def sigma_inverse(b, c2, window):
+    """sigma^-1 to t^window for the automorphism sigma of k((t)) with
+    -b o sigma = c2, where ord(c2) = ord(b) = d, p does not divide d and
+    lc(c2) = -lc(b).  With b = lc(b) t^d beta and -c2 = lc(b) t^d gamma for
+    1-units beta, gamma, phi = t beta^(1/d) and rho = t gamma^(1/d) satisfy
+    phi o sigma = rho, so sigma^-1 = rho^-1 o phi."""
+    d, lead = b.valuation(), b.leading_coefficient()
+    assert c2.valuation() == d and c2.leading_coefficient() == -lead
+    t = LaurentSeries.t_power(b.ring, 1, window)
+    phi, rho = (t * one_unit_root(x.shift(-d).scale(lead.inverse()).truncate(window - 1), d)
+                for x in (b, -c2))
+    return compose(reversion(rho), phi)
+
+
+@pytest.mark.parametrize("q,m,k", UNREDUCED_PUSHED)
+def test_fourier_inversion_up_to_an_automorphism(q, m, k):
+    # where the pushed layer is not reduced, the second scale c2 is -b o sigma
+    # for an automorphism sigma of k((t)) that chi sees, and the second pushed
+    # character is (chi q) o sigma^-1: on t and on 10 random units
+    tri, chi, _, back = inversion_round_trips(q, m)[k]
+    field, c2 = tri.field, back.triple.c_full
+    window = conductor(chi)[0] + 2  # char_eval raises where this is too short
+    tau = sigma_inverse(tri.b, c2, window)
+    assert compose(c2.truncate(window), tau) == -tri.b
+    t = LaurentSeries.t_power(field, 1, window)
+    assert char_eval(back.pushed, t) == char_eval(chi, tau) * field.q
+    for u in seeded_units(field, random.Random(k)):
+        assert char_eval(back.pushed, u) == char_eval(chi, compose(u.truncate(window), tau))
 
 
 # -- random instances and the precision stamp ---------------------------------------------
