@@ -34,66 +34,54 @@ from .cyclo import CycloNumber, root_of_unity, session_level
 from .errors import LengthMismatch, ZeroArgument, ZeroInput
 from .fields import WittCoeffRing
 from .series import LaurentSeries, map_coefficients, residue_product
-from .witt import WittVector, fil_level, pairing_window, reduce_vector
+from .witt import WittVector, fil_level, ghost_components, pairing_window, reduce_vector
 
 
 # -- residue pairing ---------------------------------------------------------
 
-def pairing_series(z: WittVector, entry_lifts=None):
+def pairing_series(z: WittVector):
     """(R, w) with [z, u) = -Tr_R(res(w * dlog(u~))) for every unit u.
 
     R is the Witt coefficient ring of length z.m + 1 and w the top ghost
     component of a coefficient-wise lift of z, mod t^1 (all the pairing
-    reads): the lifts are cut by ``pairing_window``, each at its own
-    valuation.  Computing w once and sweeping u is the cheap way to
-    evaluate the pairing against many units.
+    reads): the entries are cut by ``pairing_window``, each at its own
+    valuation, before they are lifted.  Computing w once and sweeping u is
+    the cheap way to evaluate the pairing against many units.
     """
     field = z.ring
     R = WittCoeffRing.for_field(field, z.m)
-    p = field.p
-    if entry_lifts is None:
-        entry_lifts = [map_coefficients(e, R.lift, R) for e in pairing_window(z.entries, p)]
-    if len(entry_lifts) != z.m + 1:
-        raise LengthMismatch(f"expected {z.m + 1} entry lifts, got {len(entry_lifts)}")
-    w = None
-    for j, zj in enumerate(pairing_window(entry_lifts, p)):
-        term = (zj ** (p ** (z.m - j))).scale(R.from_int(p ** j))
-        w = term if w is None else w + term
-    return R, w
+    lifts = [map_coefficients(e, R.lift, R) for e in pairing_window(z.entries, field.p)]
+    return R, ghost_components(lifts, R, field.p)[-1]
 
 
-def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None,
-                 entry_lifts=None, unit_lift=None) -> int:
+def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None) -> int:
     """[z, u) in Z/p^(m+1): the residue pairing of a Witt vector with a unit.
 
     ``u`` is a nonzero Laurent series over the same field as the entries of
     ``z`` (valuation is allowed: t itself pairs to -Tr of the constant term
-    of w_m(z)).  Optional ``entry_lifts`` / ``unit_lift`` replace the default
-    coefficient-wise lifts; any choice gives the same answer mod p^(m+1),
-    which the test suite checks by perturbing them.
+    of w_m(z)).
     """
     if m is not None and m != z.m:
         raise LengthMismatch(f"pairing level {m} != Witt length {z.m + 1} - 1")
     if u.is_zero():
         raise ZeroArgument("cannot pair against the zero series")
-    return _pair(*pairing_series(z, entry_lifts=entry_lifts), u, unit_lift)
+    return _pair(*pairing_series(z), u)
 
 
-def _pair(R, w, u: LaurentSeries, unit_lift=None) -> int:
+def _pair(R, w, u: LaurentSeries) -> int:
     """-Tr_R(res(w * dlog(u~))) mod p^(m+1) for (R, w) from ``pairing_series``.
 
     The residue reads dlog(u~) up to t^(-1-ord w), hence u~ only up to
-    t^(ord u - ord w).  Without ``unit_lift``, u is cut to that window (never
-    shorter than its leading coefficient) before it is lifted, so a long unit
-    costs no more than a short one; the value is exact for any representative
-    z, reduced or not.
+    t^(ord u - ord w), so u is cut to that window (never shorter than its
+    leading coefficient) before it is lifted: a long unit costs no more than
+    a short one, and the value is exact for any representative z, reduced or
+    not.
     """
     if u.ring is not R.field:
         raise LengthMismatch("unit and Witt vector live over different fields")
-    if unit_lift is None:
-        u = u.truncate(u.valuation() + max(1, 1 - w.ord_lower_bound()))
-        unit_lift = map_coefficients(u, R.lift, R)
-    return (-R.trace(residue_product(w, unit_lift.dlog()))) % R.modulus_int
+    u = u.truncate(u.valuation() + max(1, 1 - w.ord_lower_bound()))
+    u_lift = map_coefficients(u, R.lift, R)
+    return (-R.trace(residue_product(w, u_lift.dlog()))) % R.modulus_int
 
 
 # -- multiplicative characters ------------------------------------------------
@@ -127,9 +115,9 @@ class QuasiCharacter:
     def has_wild_part(self) -> bool:
         return self.wild is not None and not self.wild.is_zero()
 
-    def reduced_wild(self):
-        """(reduced vector, witness) for the wild part, memoized; the reduced
-        vector is the representative that every computation on chi reads."""
+    def reduced_wild(self) -> WittVector:
+        """The reduced wild part, memoized: the representative that every
+        computation on chi reads."""
         if self.wild is None:
             raise ZeroInput("character has no wild part")
         if self._reduced is None:
@@ -140,7 +128,7 @@ class QuasiCharacter:
         """``pairing_series`` of the reduced wild part, memoized; None when
         that part is zero (chi is 1 on 1-units and [a, t) = 0)."""
         if self._pairing is None and self.wild is not None:
-            red = self.reduced_wild()[0]
+            red = self.reduced_wild()
             self._pairing = () if red.is_zero() else pairing_series(red)
         return self._pairing or None
 
@@ -184,7 +172,7 @@ def conductor(chi: QuasiCharacter):
     """
     sw = 0
     if chi.has_wild_part():
-        red, _ = chi.reduced_wild()
+        red = chi.reduced_wild()
         if not red.is_zero():
             sw = fil_level(red)
     if sw >= 1:
@@ -280,8 +268,3 @@ def gauge(psi: AdditiveCharacter) -> LaurentSeries:
 def psi_eval_exponent(psi: AdditiveCharacter, x: LaurentSeries) -> int:
     """Tr_{k/F_p}(res(x * omega)) in Z/p."""
     return psi.field.trace_to_prime(residue_product(x, psi.omega))
-
-
-def psi_eval(psi: AdditiveCharacter, x: LaurentSeries) -> CycloNumber:
-    """psi_omega(x) = zeta_p^(Tr res(x omega)); exact value in Q(zeta_p)."""
-    return root_of_unity(psi.field.p, psi_eval_exponent(psi, x))

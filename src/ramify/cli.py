@@ -64,7 +64,7 @@ _FIELD_ARGS = (
 def _op_swan(job):
     from .witt import refined_swan, swan_conductor
 
-    sw, reduced, _ = swan_conductor(job.a)
+    sw, reduced = swan_conductor(job.a)
     if sw == 0:
         result = {"swan": 0, "conductor": 0, "rsw": None}
         return result, "swan 0 (integral class)"
@@ -80,7 +80,7 @@ def _op_swan(job):
 def _op_rsw(job):
     from .witt import refined_swan, swan_conductor
 
-    _sw, reduced, _ = swan_conductor(job.a)
+    _sw, reduced = swan_conductor(job.a)
     n, coeff = refined_swan(reduced)
     result = {"n": n, "coeff": jsonio.element_str(coeff), "swan": n}
     return result, f"depth {n}, leading coefficient {jsonio.element_str(coeff)}"

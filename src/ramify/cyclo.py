@@ -19,7 +19,6 @@ number by dropping one prime from N at a time.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -28,9 +27,6 @@ from operator import add, mul, sub
 
 from .errors import DivisionByZero, IncompatibleLevels, LengthMismatch
 from .fields import _prime_factors
-
-_phi_lock = threading.Lock()
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def euler_phi(n: int) -> int:
@@ -56,22 +52,16 @@ def _intpoly_div_exact(num, den):
     return out
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_poly(N: int) -> tuple[int, ...]:
     """Phi_N as a little-endian tuple of integers."""
-    with _phi_lock:
-        if N in _CYCLO_CACHE:
-            return _CYCLO_CACHE[N]
     if N == 1:
-        result = (-1, 1)
-    else:
-        num = [-1] + [0] * (N - 1) + [1]  # X^N - 1
-        for d in range(1, N):
-            if N % d == 0:
-                num = _intpoly_div_exact(num, cyclotomic_poly(d))
-        result = tuple(num)
-    with _phi_lock:
-        _CYCLO_CACHE[N] = result
-    return result
+        return (-1, 1)
+    num = [-1] + [0] * (N - 1) + [1]  # X^N - 1
+    for d in range(1, N):
+        if N % d == 0:
+            num = _intpoly_div_exact(num, cyclotomic_poly(d))
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)
@@ -286,10 +276,6 @@ class CycloNumber:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        assert self.is_rational()
-        return Fraction(self.num[0], self.den)
 
     def galois(self, a: int) -> "CycloNumber":
         """The automorphism zeta -> zeta^a; IncompatibleLevels unless

@@ -121,7 +121,7 @@ def epsilon0_wild(chi: QuasiCharacter, psi: AdditiveCharacter,
         raise TameInput("the wild part reduces to an unramified class")
     c = c_override
     if c is None:
-        red = chi.reduced_wild()[0]
+        red = chi.reduced_wild()
         alpha = witt_differential(WittVector(red.m, pairing_window(red.entries, field.p)))
         c = -(alpha * psi.omega.truncate(psi.ord + n + 1).inverse())
     v, e = char_eval_exponents(chi, c)

@@ -350,7 +350,13 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     image with its generic rank; for source "infinity" equal slope-1
     contributions are rejected with SlopeConditionViolated since the
     transform drops them.  The defects of the pair (red, b) raise the
-    errors of ``stationary_data`` before the source point is checked."""
+    errors of ``stationary_data`` before the source point is checked.
+
+    The second transform, of ``pushed`` from source "infinity" over the
+    covering c, returns the class of chi * (t -> q) only up to an
+    automorphism sigma of k((t)): its scale c2 is -b o sigma, and its pushed
+    character is (chi * (t -> q)) o sigma^-1.  sigma is the identity when
+    ``pushed.wild`` is reduced, so c2 = -b there."""
     from fractions import Fraction
 
     from .characters import QuasiCharacter, kummer_char
@@ -364,7 +370,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
         )
     if chi.wild is None:
         raise NotLegendre("character has no wild layer")
-    red = chi.reduced_wild()[0]
+    red = chi.reduced_wild()
     stationary_data(red, b)
     if source == ORIGIN:
         if b.valuation() < 1:
@@ -931,7 +937,7 @@ def random_legendre_triple(field, m: int, rng, *, n_cap: int = 8,
         vec = WittVector(m, entries)
         if vec.is_zero():
             continue
-        a, _ = reduce_vector(vec)
+        a = reduce_vector(vec)
         if a.is_zero():
             continue
         n = fil_level(a)

@@ -409,13 +409,15 @@ def lift_entries(a: WittVector, R):
 
 
 def ghost_components(lifted, R, p: int):
-    """ghost_j = sum_{i<=j} p^i x_i^(p^(j-i)) over the lift ring R."""
-    out = []
-    for j in range(len(lifted)):
-        acc = None
-        for i in range(j + 1):
-            term = (lifted[i] ** (p ** (j - i))).scale(R.from_int(p**i))
-            acc = term if acc is None else acc + term
+    """ghost_j = sum_{i<=j} p^i x_i^(p^(j-i)) over the lift ring R.  Each
+    ghost's powers are the p-th powers of the last one's, so all of them
+    take the products the top one alone would."""
+    out, powers = [], []
+    for x in lifted:
+        powers = [y**p for y in powers] + [x]
+        acc = powers[0]
+        for i in range(1, len(powers)):
+            acc = acc + powers[i].scale(R.from_int(p**i))
         out.append(acc)
     return out
 
@@ -443,32 +445,29 @@ def _offenders(a: WittVector):
     return level, hits
 
 
-def reduce_vector(a: WittVector):
+def reduce_vector(a: WittVector) -> WittVector:
     """Strip F(y) - y terms until the top filtration level is not removable.
 
-    Returns (reduced, witness) with reduced = a - (F(witness) - witness),
-    certified by re-adding in tests.  Largest offending index first; each
-    step cancels the offending leading term exactly and only perturbs
-    entries at larger indices, at or below the current level.
+    Returns the reduced vector, a - (F(y) - y) for some y.  Largest offending
+    index first; each step cancels the offending leading term exactly and
+    only perturbs entries at larger indices, at or below the current level.
     """
     ring, m = a.ring, a.m
     p = ring.p
-    window = max(e.prec for e in a.entries)  # each mu is exact: the witness's window
-    witness = WittVector.zero(ring, m, window)
+    # each mu is exact: the widest window, as a narrower one would cut cur
+    window = max(e.prec for e in a.entries)
     cur = a
     for _ in range(_REDUCE_ITER_CAP):
-        level, hits = _offenders(cur)
+        _, hits = _offenders(cur)
         if not hits:
-            return cur, witness
+            return cur
         i = max(hits)
         e = cur.entries[i]
         mu = LaurentSeries.monomial(
             ring, e.leading_coefficient().pth_root(), e.val // p, window
         )
         step = _supported_at(mu, i, m)
-        asw = witt_sub(frobenius(step), step)
-        cur = witt_sub(cur, asw)
-        witness = witt_add(witness, step)
+        cur = witt_sub(cur, witt_sub(frobenius(step), step))
     raise AssertionError("reduction did not terminate within the iteration cap")
 
 
@@ -480,12 +479,12 @@ def _supported_at(x: LaurentSeries, i: int, m: int) -> WittVector:
 def swan_conductor(a: WittVector):
     """Reduce, then read off the minimal filtration level.
 
-    Returns (sw, reduced, witness).
+    Returns (sw, reduced).
     """
-    reduced, witness = reduce_vector(a)
+    reduced = reduce_vector(a)
     if reduced.is_zero():
-        return 0, reduced, witness
-    return fil_level(reduced), reduced, witness
+        return 0, reduced
+    return fil_level(reduced), reduced
 
 
 def refined_swan(a: WittVector):

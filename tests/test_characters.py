@@ -15,7 +15,6 @@ from ramify.characters import (
     hilbert_symbol,
     kummer_char,
     pairing_series,
-    psi_eval,
     psi_eval_exponent,
     witt_pairing,
 )
@@ -27,12 +26,16 @@ from ramify.errors import (
     ZeroInput,
 )
 from ramify.fields import WittCoeffRing, make_field
-from ramify.series import LaurentSeries, map_coefficients
+from ramify.series import LaurentSeries, map_coefficients, residue_product
 from ramify.witt import (
     WittVector,
     fil_level,
     frobenius,
+    ghost_components,
+    in_fil,
+    pairing_window,
     reduce_vector,
+    verschiebung_power,
     witt_add,
     witt_differential,
     witt_sub,
@@ -65,6 +68,19 @@ def rng_wild(field, m, rng, min_val=-4, length=16):
         val = rng.randrange(min_val, 0)
         entries.append(rng_series(field, rng, val, length))
     return WittVector(m, tuple(entries))
+
+
+def psi_eval(psi, x):
+    return root_of_unity(psi.field.p, psi_eval_exponent(psi, x))
+
+
+def pairing_from_lifts(lifts, u_lift, R):
+    """[z, u) = -Tr(res(w_m * dlog(u~))) written out from given lifts of the
+    entries of z and of u; w_m is the top ghost component of the lifts, cut
+    to what the residue reads."""
+    p = R.field.p
+    w = ghost_components(pairing_window(lifts, p), R, p)[-1]
+    return (-R.trace(residue_product(w, u_lift.dlog()))) % R.modulus_int
 
 
 def trivial_char(field, wild=None, e=0):
@@ -194,14 +210,76 @@ def test_pairing_invariant_under_reduction():
     for m in (0, 1):
         for _ in range(10):
             a = rng_wild(F3, m, rng, min_val=-4, length=30)
-            red, _ = reduce_vector(a)
+            red = reduce_vector(a)
             u = rng_series(F3, rng, 0, 26)
             if u.is_zero() or red.is_zero():
                 continue
             assert witt_pairing(red, u) == witt_pairing(a, u)
 
 
+def kills_generators(z, n):
+    """[z, t) = 0 and [z, 1 + x t^j) = 0 for every x in k and 1 <= j <= n.
+
+    With k^x (dlog of a constant is 0), t and these units generate K^x
+    modulo U^(n+1), on which z in fil_n pairs trivially; the pairing is
+    non-degenerate on W_m(K)/(F - 1)W_m(K), so this puts z in (F - 1)W_m(K).
+    """
+    field = z.ring
+    units = [LaurentSeries.t_power(field, 1, 40)]
+    units += [one_unit(field, j, x, 40) for j in range(1, n + 1) for x in field.elements()]
+    return all(witt_pairing(z, u) == 0 for u in units)
+
+
+def reduction_draws():
+    """(a, reduce_vector(a)) for seeded layers at m in {0, 1}, depth <= 9,
+    window 40: entry i has valuation -1 .. -9/p^(m-i), a multiple of p half
+    the time it can be, so that many lead with a removable p-th power."""
+    rng = random.Random(29)
+    for field in (F3, F5):
+        p = field.p
+        for m in (0, 1):
+            for _ in range(10):
+                entries = []
+                for i in range(m + 1):
+                    vmax = 9 // p ** (m - i)
+                    val = -(p * rng.randint(1, vmax // p) if vmax >= p and rng.random() < 0.5
+                            else rng.randint(1, vmax))
+                    lead = field.from_index(rng.randrange(1, field.q))
+                    entries.append(LaurentSeries.make(
+                        field, val, [lead] + [field.from_index(rng.randrange(field.q))
+                                              for _ in range(39 - val)], 40))
+                a = WittVector(m, tuple(entries))
+                yield a, reduce_vector(a)
+
+
+def test_reduction_certified_by_the_pairing():
+    # z = a - reduce_vector(a) is in fil_n, n = fil_level(a), and pairs to
+    # zero with the generators of K^x mod U^(n+1): z is in (F - 1)W_m(K)
+    stripped = 0
+    for a, red in reduction_draws():
+        n = fil_level(a)
+        z = witt_sub(a, red)
+        assert in_fil(z, n)
+        assert kills_generators(z, n)
+        stripped += red != a
+    assert stripped >= 25
+
+
+def test_reduction_certificate_rejects_a_planted_class():
+    # red + V^m(t^-1) is in the wrong class: [V^m(t^-1), 1 + x t) =
+    # -p^m Tr(x), so the certificate must fail on every draw
+    for a, red in reduction_draws():
+        n = fil_level(a)
+        assert n >= 1
+        planted = witt_add(red, verschiebung_power(LaurentSeries.t_power(a.ring, -1, 40), a.m))
+        z = witt_sub(a, planted)
+        assert in_fil(z, n)
+        assert not kills_generators(z, n)
+
+
 def test_pairing_lift_independence():
+    # [z, u) written out from any lifts of z's entries and of u is the
+    # pairing: perturbed lifts give the same value mod p^(m+1)
     rng = random.Random(15)
     for m in (0, 1, 2):
         R = WittCoeffRing.for_field(F3, m)
@@ -212,9 +290,10 @@ def test_pairing_lift_independence():
             if u.is_zero():
                 continue
             base = witt_pairing(z, u)
+            lifts = [map_coefficients(e, R.lift, R) for e in z.entries]
+            uu = map_coefficients(u, R.lift, R)
 
             # perturb every entry lift by p * (arbitrary series over R)
-            lifts = [map_coefficients(e, R.lift, R) for e in z.entries]
             bumped = []
             for s in lifts:
                 val = s.val if s.val is not None else 0
@@ -225,10 +304,9 @@ def test_pairing_lift_independence():
                     val + 20,
                 )
                 bumped.append(s + delta)
-            assert witt_pairing(z, u, entry_lifts=bumped) == base
+            assert pairing_from_lifts(bumped, uu, R) == base
 
             # perturb the unit lift by a factor 1 + p*eta, eta integral
-            uu = map_coefficients(u, R.lift, R)
             eta = LaurentSeries.make(
                 R,
                 0,
@@ -238,12 +316,13 @@ def test_pairing_lift_independence():
             factor = LaurentSeries.from_terms(R, {0: R.one}, 20) + eta.scale(
                 R.from_int(p)
             )
-            assert witt_pairing(z, u, unit_lift=uu * factor) == base
+            assert pairing_from_lifts(lifts, uu * factor, R) == base
 
 
 def test_pairing_unit_cut_matches_full_lift():
-    # without unit_lift, u is cut to [ord u, ord u - ord w] before lifting;
-    # passing the full lift skips the cut, on unreduced z and long units
+    # witt_pairing cuts u to [ord u, ord u - ord w] before lifting; the
+    # pairing written out from the full lift agrees, on unreduced z and
+    # long units
     rng = random.Random(16)
     for field in (F3, F5, F9):
         for m in (0, 1):
@@ -255,8 +334,9 @@ def test_pairing_unit_cut_matches_full_lift():
                     continue
                 _R, w = pairing_series(z)
                 assert u.prec > u.valuation() + 1 - w.valuation()  # the cut bites
+                lifts = [map_coefficients(e, R.lift, R) for e in z.entries]
                 full = map_coefficients(u, R.lift, R)
-                assert witt_pairing(z, u) == witt_pairing(z, u, unit_lift=full)
+                assert witt_pairing(z, u) == pairing_from_lifts(lifts, full, R)
 
 
 def test_pairing_unit_window_is_tight():
@@ -352,7 +432,7 @@ def test_char_eval_on_unreduced_wild_layers(field, m, seed):
                                 for _ in range(m + 1)))
         wild = witt_add(a, witt_sub(frobenius(y), y))
         chi = QuasiCharacter(field, rng.randrange(q - 1), root_of_unity(8, 3), wild)
-        assert reduce_vector(wild)[0] != wild
+        assert reduce_vector(wild) != wild
         units = [LaurentSeries.t_power(field, 1, 30)]
         units += [rng_series(field, rng, v, 30) for v in (0, 0, -2, 1, 3)]
         for u in units:
@@ -422,7 +502,7 @@ def test_conductor_matches_pairing_kernel(field, m):
         jmax = fil_level(a) + 2
         sw_kernel = pairing_sw(a, jmax)
         assert sw == sw_kernel
-        red, _ = reduce_vector(a)
+        red = reduce_vector(a)
         if not red.is_zero():
             assert fil_level(red) == sw_kernel
         else:
@@ -450,7 +530,7 @@ def test_wild_char_is_additive_in_depth_half(field, m, entry_terms):
     prec = 40
     entries = tuple(poly(field, terms, prec) for terms in entry_terms)
     a = WittVector(m, entries)
-    red, _ = reduce_vector(a)
+    red = reduce_vector(a)
     n = fil_level(red)
     assert n >= 1
     chi = trivial_char(field, wild=red)
@@ -535,8 +615,7 @@ def test_kummer_char_matches_symbol():
                 continue
             chi = kummer_char(f)
             val = char_eval(chi, u)
-            assert val.is_rational()
-            assert val.rational_value() == hilbert_symbol(f, u)
+            assert val == hilbert_symbol(f, u)
 
 
 def test_kummer_char_square_class_only():

@@ -142,6 +142,65 @@ class TestDeterminism:
                        'selftest path"}}')
 
 
+# -- exit 2: a check that comes out false --------------------------------------------
+
+
+class TestVerificationFailures:
+    """Each command's own check, forced false, exits 2 with the
+    verification-failure head and names what failed."""
+
+    @staticmethod
+    def failure(capsys, *argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2
+        body = json.loads(out)
+        assert body["error"] == "verification-failure"
+        return body
+
+    def test_epsilon_oracle_mismatch(self, capsys, monkeypatch):
+        import ramify.epsilon
+
+        monkeypatch.setattr(ramify.epsilon, "epsilon_tate_oracle",
+                            lambda chi, psi: CycloNumber.from_rational(1, 0))
+        body = self.failure(capsys, "epsilon", "--p", "3",
+                            "--char", '{"wild": {"-1": 1}}', "--oracle")
+        assert body["failed"] == "epsilon-closed-form"
+        assert body["oracle"] == "0"
+
+    def test_legendre_check_square_class(self, capsys, monkeypatch):
+        import ramify.lft
+
+        real = ramify.lft.square_class_checks
+        monkeypatch.setattr(ramify.lft, "square_class_checks",
+                            lambda triple: real(triple)._replace(leading_is_square=False))
+        body = self.failure(capsys, "legendre-check", "--p", "3",
+                            "--a", '{"-1": 1}', "--b", '{"1": 1}')
+        assert body["failed"] == "square-class"
+        assert body["conductor"] == [1, 0, 0]
+
+    def test_verify_laumon(self, capsys, monkeypatch):
+        import ramify.lft
+
+        real = ramify.lft.verify_laumon
+        monkeypatch.setattr(ramify.lft, "verify_laumon", lambda *args, **kwargs: real(
+            *args, **kwargs)._replace(lhs_equals_rhs=False, mismatch="determinant-factor"))
+        body = self.failure(capsys, "verify-laumon", "--q", "3")
+        assert body["failed"] == "determinant-factor"
+        assert body["product_identity"] is True and body["lhs_equals_rhs"] is False
+
+    def test_congruence(self, capsys, monkeypatch):
+        import ramify.lft
+
+        real = ramify.lft.congruence_check
+        monkeypatch.setattr(ramify.lft, "congruence_check", lambda *args, **kwargs: real(
+            *args, **kwargs)._replace(failures=((3, "membership"),)))
+        body = self.failure(capsys, "congruence", "--q", "5", "--which", "key6",
+                            "--seed", "2")
+        assert body["failed"] == "key6"
+        assert body["first_failure"] == [3, "membership"]
+        assert body["samples"] == 20
+
+
 # -- a character is read through its reduced wild layer ----------------------------
 
 
