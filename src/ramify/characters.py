@@ -54,15 +54,13 @@ def pairing_series(z: WittVector):
     return R, ghost_components(lifts, R, field.p)[-1]
 
 
-def witt_pairing(z: WittVector, u: LaurentSeries, m: int | None = None) -> int:
+def witt_pairing(z: WittVector, u: LaurentSeries) -> int:
     """[z, u) in Z/p^(m+1): the residue pairing of a Witt vector with a unit.
 
     ``u`` is a nonzero Laurent series over the same field as the entries of
     ``z`` (valuation is allowed: t itself pairs to -Tr of the constant term
     of w_m(z)).
     """
-    if m is not None and m != z.m:
-        raise LengthMismatch(f"pairing level {m} != Witt length {z.m + 1} - 1")
     if u.is_zero():
         raise ZeroArgument("cannot pair against the zero series")
     return _pair(*pairing_series(z), u)

@@ -266,6 +266,7 @@ def _op_congruence(job):
 
     which = job.which
     if job.a is not None:
+        _check_witt_length("a", job.a.m, job)
         a, b, c = job.a, job.b, job.c
         if which != "key1" and (b is None or c is None):
             raise SchemaError(f"{which} needs both b and c")

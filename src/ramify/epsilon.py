@@ -272,28 +272,25 @@ class TotallyRamifiedExt:
     """L/K totally ramified of degree n, presented by the image b of the
     base uniformizer x in L = k((t)); ord(b) = n."""
 
-    __slots__ = ("b", "degree")
+    __slots__ = ("b", "degree", "db")
 
     def __init__(self, b: LaurentSeries):
         if b.is_zero() or b.valuation() < 1:
             raise ZeroInput("b must have valuation >= 1")
         self.b = b
         self.degree = b.valuation()
+        self.db = b.derivative()
+        if self.db.is_zero():
+            raise InseparableInput("db/dt = 0: inseparable presentation")
 
     @property
     def field(self):
         return self.b.ring
 
-    def b_derivative(self) -> LaurentSeries:
-        db = self.b.derivative()
-        if db.is_zero():
-            raise InseparableInput("db/dt = 0: inseparable presentation")
-        return db
-
     @property
     def different_ord(self) -> int:
         """m = ord_L of the different = ord(db/dt)."""
-        return self.b_derivative().valuation()
+        return self.db.valuation()
 
     def __repr__(self):
         return f"TotallyRamifiedExt(n={self.degree}, q={self.field.q})"
@@ -303,7 +300,7 @@ def lambda_factor(ext: TotallyRamifiedExt) -> EpsilonResult:
     """lambda(L/K, psi_dx) = kappa0(-1)^C(m+1,2) G^{-m} ((2b', t)_L if m odd),
     whose Gauss factor is q^(-ceil(m/2)) G^(m mod 2), as G^2 = kappa0(-1) q."""
     field = ext.field
-    db = ext.b_derivative()
+    db = ext.db
     m = db.valuation()
     value = CycloNumber.from_rational(1, Fraction(field.q) ** -((m + 1) // 2))
     branch = "lambda-even"
@@ -331,7 +328,7 @@ def discriminant_class(ext: TotallyRamifiedExt) -> LaurentSeries:
     caller ``lft.transform_determinant`` reads delta_{L'/K'} off it.
     """
     n = ext.degree
-    db = ext.b_derivative()
+    db = ext.db
     m = db.valuation()
     b_n = ext.b.leading_coefficient()
     norm_t = b_n.inverse() if n % 2 else -b_n.inverse()  # N(t) / x mod squares

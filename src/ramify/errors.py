@@ -25,10 +25,6 @@ class CapExceeded(RamifyError):
     """A configurable size cap (dlog table, coset enumeration, Witt length) was hit."""
 
 
-class NotASquare(RamifyError):
-    pass
-
-
 class ZeroInput(RamifyError):
     pass
 

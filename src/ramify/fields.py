@@ -21,7 +21,7 @@ from functools import lru_cache
 from .errors import (
     CapExceeded,
     EvenCharacteristic,
-    NotASquare,
+    LengthMismatch,
     NotPrime,
     SchemaError,
     ZeroInput,
@@ -342,7 +342,7 @@ class FiniteField:
     def element(self, digits) -> FqElement:
         digits = tuple(int(c) % self.p for c in digits)
         if len(digits) != self.f:
-            raise ZeroInput(f"need {self.f} coefficients, got {len(digits)}")
+            raise LengthMismatch(f"need {self.f} coefficients, got {len(digits)}")
         return FqElement(self, self._encode(digits))
 
     def from_int(self, n: int) -> FqElement:
@@ -364,14 +364,6 @@ class FiniteField:
         if x.idx == 0:
             return True
         return self.log[x.idx] % 2 == 0
-
-    def sqrt(self, x: FqElement) -> FqElement:
-        if x.idx == 0:
-            raise ZeroInput("sqrt(0) is excluded; test is_square first")
-        k = self.log[x.idx]
-        if k % 2:
-            raise NotASquare(f"{x!r} is not a square")
-        return FqElement(self, self.exp[k // 2])
 
     def kappa0(self, x: FqElement) -> int:
         """Quadratic residue character: +1 on squares, -1 otherwise (x != 0)."""
@@ -607,26 +599,19 @@ class WittCoeffRing:
         return sum(c * t for c, t in zip(a.coeffs, self._trace_basis)) % self.modulus_int
 
     @staticmethod
-    def for_field(field: FiniteField, m: int) -> "WittCoeffRing":
+    @lru_cache(maxsize=None)
+    def for_field(field: FiniteField, m: int, /) -> "WittCoeffRing":
         """Memoized constructor (reduction rows + trace basis are reused)."""
-        cache = field.__dict__.setdefault("_witt_coeff_rings", {})
-        if m not in cache:
-            cache[m] = WittCoeffRing(field, m)
-        return cache[m]
+        return WittCoeffRing(field, m)
 
     def __repr__(self):
         return f"WittCoeffRing(q={self.field.q}, m={self.m})"
 
 
-# simple memo so repeated (p, f) lookups share tables
-_FIELD_CACHE: dict = {}
-
-
-def make_field(p: int, f: int) -> FiniteField:
-    key = (p, f)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FiniteField(p, f)
-    return _FIELD_CACHE[key]
+@lru_cache(maxsize=None)
+def make_field(p: int, f: int, /) -> FiniteField:
+    """The interned F_{p^f}: positional-only, so one (p, f) is one cache key."""
+    return FiniteField(p, f)
 
 
 def field_from_q(q: int) -> FiniteField:

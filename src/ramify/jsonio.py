@@ -234,12 +234,6 @@ def cyclo_from_json(value, what):
     raise SchemaError(f"{what}: unsupported encoding {value!r}")
 
 
-def cyclo_to_json(x) -> str:
-    from .cyclo import pretty
-
-    return pretty(x)
-
-
 # -- characters ------------------------------------------------------------------
 
 
@@ -265,9 +259,11 @@ def char_from_json(field: FiniteField, obj, what, default_prec=None):
 
 
 def char_to_json(chi) -> dict:
+    from .cyclo import pretty
+
     return {
         "tame_exponent": chi.tame_exponent,
-        "uniformizer_value": cyclo_to_json(chi.uniformizer_value),
+        "uniformizer_value": pretty(chi.uniformizer_value),
         "wild": witt_to_json(chi.wild) if chi.has_wild_part() else None,
     }
 

@@ -426,23 +426,18 @@ def ghost_components(lifted, R, p: int):
 
 
 def _offenders(a: WittVector):
-    """Indices achieving the level whose depth is a positive multiple of p."""
+    """Indices achieving a positive level whose depth is a multiple of p."""
     p = a.ring.p
     cands = _level_candidates(a)
     live = [c for c in cands if c is not None]
-    if not live:
-        return None, []
-    level = max(live)
+    level = max(live) if live else 0
     if level <= 0:
-        return level, []
+        return []
     hits = []
     for i, c in enumerate(cands):
-        if c != level:
-            continue
-        v = a.entries[i].val
-        if v < 0 and v % p == 0:
+        if c == level and a.entries[i].val % p == 0:
             hits.append(i)
-    return level, hits
+    return hits
 
 
 def reduce_vector(a: WittVector) -> WittVector:
@@ -458,7 +453,7 @@ def reduce_vector(a: WittVector) -> WittVector:
     window = max(e.prec for e in a.entries)
     cur = a
     for _ in range(_REDUCE_ITER_CAP):
-        _, hits = _offenders(cur)
+        hits = _offenders(cur)
         if not hits:
             return cur
         i = max(hits)
@@ -497,7 +492,7 @@ def refined_swan(a: WittVector):
     n = fil_level(a)
     if n == 0:
         raise TameInput("vector is integral; no wild invariant to extract")
-    _, hits = _offenders(a)
+    hits = _offenders(a)
     if hits:
         raise NotReduced(f"entries {hits} still carry removable leading terms")
     alpha = witt_differential(a)

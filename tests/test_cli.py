@@ -1,6 +1,7 @@
 """Wire formats and the command-line driver: schemas, exit codes, pinned outputs."""
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -71,6 +72,24 @@ class TestPinnedOutputs:
         code, out, _ = invoke(capsys, *job["argv"])
         assert code == 0
         assert out == job["pinned"]
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark imports these two files and wraps every name its tracer
+    # lists; without this test a rename or deletion in the library would
+    # show only as a failed benchmark run
+    modules = {}
+    for name in ("tracing", "workloads"):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(modules[name])
+    tracing = modules["tracing"]
+    hooks = [*(pair for pairs in tracing.SPANNED.values() for pair in pairs),
+             *tracing.COUNTED.values()]
+    assert [(owner, attr) for owner, attr in hooks if not hasattr(owner, attr)] == []
+    table = tracing.witt.UniversalWittTable
+    assert isinstance(inspect.getattr_static(table, "get"), classmethod)
 
 
 def test_cli_fingerprint_is_pinned():
@@ -448,14 +467,16 @@ class TestExitCodes:
         assert json.loads(out) == {"error": "NotLegendre",
                                    "message": "c is inseparable: dc/dt = 0 to precision"}
 
-    @pytest.mark.parametrize("m, char", [
-        ("1", '{"wild":{"-1":1}}'),
-        ("0", '{"wild":{"m":1,"entries":[{"-1":1},{"-2":1}]}}'),
+    @pytest.mark.parametrize("command, m, operand", [
+        pytest.param("verify-laumon", "1", '{"wild":{"-1":1}}', id='1-{"wild":{"-1":1}}'),
+        pytest.param("verify-laumon", "0", '{"wild":{"m":1,"entries":[{"-1":1},{"-2":1}]}}',
+                     id='0-{"wild":{"m":1,"entries":[{"-1":1},{"-2":1}]}}'),
+        pytest.param("congruence", "1", '{"-1":1}', id="congruence-1"),
     ])
-    def test_explicit_laumon_char_must_match_m(self, capsys, m, char):
-        code, out, _ = invoke(
-            capsys, "verify-laumon", "--p", "3", "--m", m, "--char", char, "--b", '{"1":1}'
-        )
+    def test_explicit_laumon_char_must_match_m(self, capsys, command, m, operand):
+        tail = {"verify-laumon": ("--char", operand, "--b", '{"1":1}'),
+                "congruence": ("--which", "key1", "--a", operand, "--theta-samples", "2")}
+        code, out, _ = invoke(capsys, command, "--p", "3", "--m", m, *tail[command])
         assert code == 1
         body = json.loads(out)
         assert body["error"] == "SchemaError"

@@ -6,7 +6,7 @@ import pytest
 
 from ramify import cli, jsonio
 from ramify.errors import (
-    CapExceeded, EvenCharacteristic, NotASquare, NotPrime, SchemaError, ZeroInput,
+    CapExceeded, EvenCharacteristic, LengthMismatch, NotPrime, SchemaError, ZeroInput,
 )
 from ramify.fields import FiniteField, FqElement, WittCoeffRing, field_from_q, make_field
 from ramify.series import LaurentSeries
@@ -35,6 +35,9 @@ def test_f9_modulus_and_generator():
     assert brute_order(F.generator, F.one, 9) == 8
     # frozen: the search lands on x+1
     assert F.generator.digits() == (1, 1)
+    # a wrong coefficient count is a length fault, as for CycloNumber
+    with pytest.raises(LengthMismatch, match="need 2 coefficients, got 1"):
+        F.element((1,))
 
 
 @pytest.mark.parametrize("f, modulus, generator", [
@@ -110,6 +113,10 @@ def test_decoded_fields_are_interned(monkeypatch):
     s = LaurentSeries.from_terms(first, {-1: x}, 4)
     u = LaurentSeries.from_terms(second, {0: y}, 4)
     assert (s * u).leading_coefficient() == x * y
+    assert WittCoeffRing.for_field(first, 1) is WittCoeffRing.for_field(second, 1)
+    # one (p, f) is one cache key: a keyword call cannot build a second F_9
+    with pytest.raises(TypeError):
+        make_field(p=3, f=2)
 
 
 @pytest.mark.parametrize("q,pf", [(3, (3, 1)), (25, (5, 2)), (243, (3, 5))])
@@ -164,12 +171,6 @@ def test_squares_mod_3():
     F = make_field(3, 1)
     assert F.is_square(F.one)
     assert not F.is_square(F.from_int(2))
-    s = F.sqrt(F.one)
-    assert s * s == F.one
-    with pytest.raises(NotASquare):
-        F.sqrt(F.from_int(2))
-    with pytest.raises(ZeroInput):
-        F.sqrt(F.zero)
 
 
 def test_square_criterion_is_euler():
