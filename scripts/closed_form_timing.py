@@ -1,11 +1,12 @@
 """Time the epsilon closed form per (q, m, a) class at input windows 24 and
-96: seeded characters and additive characters with random digits over the
-whole window, the wild part reduced first, then ``epsilon0`` timed alone.
+96, and the Tate-integral oracle at window 24: seeded characters and
+additive characters with random digits over the whole window, the wild part
+reduced first, then ``epsilon0`` or ``epsilon_tate_oracle`` timed alone.
 Each draw is timed in REPEATS whole passes over all draws, each time on a
 fresh ``QuasiCharacter`` and ``AdditiveCharacter`` so that their memos start
-cold, and keeps its minimum.  Prints one line ``q m a ms@24 ms@96`` per class, each the median
-over the class's draws.  Run it on two checkouts to compare them on the
-same draws:
+cold, and keeps its minimum.  Prints one line ``q m a ms@24 ms@96
+oracle@24`` per class, each the median over the class's draws.  Run it on
+two checkouts to compare them on the same draws:
 
     PYTHONPATH=src python scripts/closed_form_timing.py
 """
@@ -17,7 +18,7 @@ import time
 
 from ramify.characters import AdditiveCharacter, QuasiCharacter, conductor
 from ramify.cyclo import root_of_unity
-from ramify.epsilon import epsilon0
+from ramify.epsilon import epsilon0, epsilon_tate_oracle
 from ramify.fields import field_from_q
 from ramify.series import LaurentSeries
 from ramify.witt import WittVector
@@ -25,6 +26,7 @@ from ramify.witt import WittVector
 CLASSES = [(3, 0, 2), (3, 0, 3), (3, 0, 5), (3, 1, 2), (3, 1, 3), (3, 1, 5),
            (5, 0, 2), (5, 0, 4), (5, 1, 2), (5, 1, 3), (9, 0, 2), (9, 1, 2)]
 WINDOWS = (24, 96)
+ORACLE_WINDOW = 24
 DRAWS = 7
 REPEATS = 5
 
@@ -50,13 +52,13 @@ def draw(q, m, a, prec, rng):
     return args, series(field, rng, d, prec, d)
 
 
-def epsilon0_ms(args, omega):
-    """The ms that ``epsilon0`` takes on fresh characters, the wild part
+def timed_ms(func, args, omega):
+    """The ms that ``func`` takes on fresh characters, the wild part
     reduced first."""
     chi, psi = QuasiCharacter(*args), AdditiveCharacter(omega)
     conductor(chi)
     start = time.perf_counter()
-    epsilon0(chi, psi)
+    func(chi, psi)
     return (time.perf_counter() - start) * 1e3
 
 
@@ -66,12 +68,16 @@ def main():
         for prec in WINDOWS:
             rng = random.Random(f"{q} {m} {a}")
             draws[q, m, a, prec] = [draw(q, m, a, prec, rng) for _ in range(DRAWS)]
-    best = {key: [math.inf] * DRAWS for key in draws}
+    timings = [(epsilon0, key) for key in draws] + [
+        (epsilon_tate_oracle, key) for key in draws if key[3] == ORACLE_WINDOW]
+    best = {timing: [math.inf] * DRAWS for timing in timings}
     for _ in range(REPEATS):  # whole passes, so a slow spell of the host spoils one
-        for key, row in draws.items():
-            best[key] = [min(ms, epsilon0_ms(*d)) for ms, d in zip(best[key], row)]
+        for func, key in timings:
+            best[func, key] = [min(ms, timed_ms(func, *d))
+                               for ms, d in zip(best[func, key], draws[key])]
     for q, m, a in CLASSES:
-        cols = [statistics.median(best[q, m, a, prec]) for prec in WINDOWS]
+        cols = [statistics.median(best[epsilon0, (q, m, a, prec)]) for prec in WINDOWS]
+        cols.append(statistics.median(best[epsilon_tate_oracle, (q, m, a, ORACLE_WINDOW)]))
         print(q, m, a, " ".join(f"{ms:.3f}" for ms in cols))
 
 

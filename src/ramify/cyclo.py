@@ -8,10 +8,11 @@ integers, ``inverse`` too (by relative norms down the tower of levels);
 ``coeffs`` is a read-only Fraction view.  Operands are ints, Fractions or
 CycloNumbers, never floats.
 
-Phi_N is computed by iterated exact division of X^N - 1 by the Phi_d for
-proper divisors d, and cached per level.  As Phi_N(X) = Phi_r(X^s) with
-r = rad(N) and s = N/r, a polynomial mod X^N - 1 is reduced mod Phi_N by
-long division by Phi_r in Y = X^s, on rows of s coefficients at a time.
+Phi_N is cached per level.  As Phi_N(X) = Phi_r(X^s) with r = rad(N) and
+s = N/r, only Phi_r is divided out, one prime at a time by
+Phi_(n l)(X) = Phi_n(X^l) / Phi_n(X) (l prime, l not dividing n); and a
+polynomial mod X^N - 1 is reduced mod Phi_N by long division by Phi_r in
+Y = X^s, on rows of s coefficients at a time.
 Two numbers at different levels compare equal iff they agree after embedding
 into the lcm level; ``minimal_form`` finds the smallest level that holds a
 number by dropping one prime from N at a time.
@@ -37,31 +38,41 @@ def euler_phi(n: int) -> int:
 
 
 def _intpoly_div_exact(num, den):
-    """Exact division of integer polynomials (little-endian), den monic-ish."""
+    """Exact division of integer polynomials (little-endian) by a monic den."""
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
+    terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
     for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
-        c //= den[-1]
-        out[k] = c
+        c = out[k] = num[k + len(den) - 1]
         if c:
-            for i, d in enumerate(den):
+            for i, d in terms:
                 num[k + i] -= c * d
-    assert all(v == 0 for v in num), "division was not exact"
+    assert not any(num[:len(den) - 1]), "division was not exact"
+    return out
+
+
+def _dilate(poly, s: int) -> list[int]:
+    """poly(X^s) for a little-endian coefficient sequence."""
+    out = [0] * ((len(poly) - 1) * s + 1)
+    out[::s] = poly
     return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(N: int) -> tuple[int, ...]:
-    """Phi_N as a little-endian tuple of integers."""
+    """Phi_N as a little-endian tuple of integers: Phi_N(X) = Phi_r(X^(N/r))
+    with r = rad(N), and Phi_(n l)(X) = Phi_n(X^l) / Phi_n(X) for a prime
+    l not dividing n builds Phi_r one prime at a time."""
     if N == 1:
         return (-1, 1)
-    num = [-1] + [0] * (N - 1) + [1]  # X^N - 1
-    for d in range(1, N):
-        if N % d == 0:
-            num = _intpoly_div_exact(num, cyclotomic_poly(d))
-    return tuple(num)
+    primes = _prime_factors(N)
+    r = 1
+    for ell in primes:
+        r *= ell
+    if r < N:
+        return tuple(_dilate(cyclotomic_poly(r), N // r))
+    phi_n = cyclotomic_poly(N // primes[-1])
+    return tuple(_intpoly_div_exact(_dilate(phi_n, primes[-1]), phi_n))
 
 
 @lru_cache(maxsize=None)

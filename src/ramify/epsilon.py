@@ -14,13 +14,18 @@ valuation v the integrand is constant on cosets of 1 + m^A once A is at
 least max(a(chi), -ord(psi) - v), so the shell sum at that depth is exact,
 and every shell except v0 = -a - d must vanish; the oracle asserts this.
 Of u = u0 * prod_{0<j<A} (1 + x_j t^j) only the q^h digit tuples below
-h = ceil(A/2) are walked (the coset cap bounds q^h); each top digit is summed
-out by orthogonality, as chi is additive on U^j for 2j >= a and psi is
-trivial on the cross terms, which land at t^(>= v+A).  The wild exponent is
-v [a, t) plus the pairings [a, 1 + x t^j), tabulated once per call from the
-log series of 1 + x t^j against w_m(a); the tame exponent reads dlog u0 and
-the psi exponent the additive digits of u.  The oracle shares no formula
-with the closed forms, only chi.level() and the memoized pairing series.
+h = ceil(A/2) are walked (the coset cap bounds q^h); each top digit k is
+summed out by orthogonality, as chi is additive on U^k for 2k >= a and psi
+is trivial on the cross terms, which land at t^(>= v+A).  The sum over top
+digit k is 0 unless a linear form in the additive digits c_0 ... c_(A-1-k)
+of u vanishes; those digits are final from level A - k of the walk on, so
+form k is tested there and cuts every prefix it rejects.  A shell where no
+coset survives is returned as 0, with no cyclotomic reduction.  The wild
+exponent is v [a, t) plus the pairings [a, 1 + x t^j), tabulated once per
+call from the log series of 1 + x t^j against w_m(a); the tame exponent
+reads dlog u0 and the psi exponent the additive digits of u.  The oracle
+shares no formula with the closed forms, only chi.level() and the memoized
+pairing series.
 """
 
 from collections import namedtuple
@@ -147,16 +152,16 @@ def epsilon0(chi: QuasiCharacter, psi: AdditiveCharacter) -> EpsilonResult:
 
 def _unit_pairings(chi, depth):
     """(pair_t, P) with pair_t = [a, t) and P[j][x] = [a, 1 + x t^j) for
-    1 <= j < depth, a the reduced wild part; (0, None) for a tame chi.
+    1 <= j < depth, a the reduced wild part; every entry is 0 for a tame chi.
 
     With w = w_m(a~), dlog(1 + x t^j) = sum_{k>=1} (-1)^(k-1) j x^k t^(jk-1)
     needs no division, so [a, 1 + x t^j) = -Tr(sum_{jk <= -ord w} (-1)^(k-1)
     j x~^k w_{-jk}) and [a, t) = -Tr(w_0): a few ring products per entry.
     """
+    field = chi.field
     pairing = chi.pairing_series()
     if pairing is None:
-        return 0, None
-    field = chi.field
+        return 0, [None] + [[0] * field.q] * (depth - 1)
     R, w = pairing
     M = R.modulus_int
     kmax = -w.ord_lower_bound()  # w_{-jk} = 0 once jk > kmax
@@ -179,48 +184,54 @@ def _shell_sum(chi, psi, v, depth, unit_pairings):
     """Exact integral of chi^{-1} psi over the shell ord = v, as a coset sum
     at depth A (each coset has measure q^(-v-A)).  The walk covers the q^h
     cosets u' = u0 * prod_{0<j<h} (1 + x_j t^j), h = ceil(A/2), keeping the
-    digits c of u' mod t^A.  A top digit j >= h enters additively (chi is
-    additive on U^j as 2j >= A >= a; cross terms land at t^(>= v+A), where
-    psi is trivial), so its sum is q if the form b -> wild[j][b] +
-    sum_k T[k][b c_(k-j)] vanishes on the basis b = p^i, else 0.  The forms
-    read only the digits below A - h, where the walk is cut unless all vanish.
+    digits c of u' mod t^A.  A top digit k >= h enters additively (chi is
+    additive on U^k as 2k >= A >= a; cross terms land at t^(>= v+A), where
+    psi is trivial), so its sum is q if the form b -> [a, 1 + b t^k) +
+    sum_i T[i][b c_(i-k)] vanishes on the basis b = p^i, else 0.  Form k
+    reads only the digits c_0 ... c_(A-1-k), and multiplying by 1 + x t^j
+    changes only the digits from j on, so form k is final, and tested, at
+    level A - k: a prefix is cut at the first form that does not vanish.  A
+    shell where no coset survives is 0, returned without a reduction.
     """
     field = chi.field
     q, p, exp, log = field.q, field.p, field.exp, field.log
     level = chi.level()
-    mod = level // (q - 1)
+    # all exponents are of zeta_level: zeta_{q-1} = zeta_level^mod, zeta_mod = zeta_level^(q-1),
+    # zeta_p = zeta_level^lp
+    mod, lp = level // (q - 1), level // p
     pair_t, P = unit_pairings
-    # all exponents are of zeta_level: zeta_{q-1} = zeta_level^mod, zeta_mod = zeta_level^(q-1)
-    wild = [None] + [[x * (q - 1) for x in (P[j] if P else [0] * q)] for j in range(1, depth)]
-    # T[k][i]: psi exponent of the digit i at t^(v+k)
-    T = [[x * (level // p) for x in psi.digit_traces(-1 - v - k)] for k in range(depth)]
+    # T[k][i]: psi exponent (in Z/p) of the digit i at t^(v+k)
+    T = [psi.digit_traces(-1 - v - k) for k in range(depth)]
 
     def mul(a, b):
         return exp[(log[a] + log[b]) % (q - 1)] if a and b else 0
 
-    half, basis, hist = (depth + 1) // 2, [p ** i for i in range(field.f)], [0] * level
+    half, basis, hist = (depth + 1) // 2, [p ** i for i in range(field.f)], {}
 
     def walk(j, c, s):
-        if j == depth - half and any(
-                (wild[k][b] + sum(T[i][mul(b, c[i - k])] for i in range(k, depth))) % level
-                for k in range(half, depth) for b in basis):
+        k = depth - j
+        if k >= half and any(
+                ((q - 1) * P[k][b] + lp * sum(T[i][mul(b, c[i - k])] for i in range(k, depth)))
+                % level for b in basis):
             return
         if j == half:
-            hist[s] += 1
+            hist[s] = hist.get(s, 0) + 1
             return
         for x in range(q):
             moved = [mul(x, ci) for ci in c[:depth - j]]  # onto the digits j, j+1, ...
-            step = sum(T[j + i][dk] for i, dk in enumerate(moved))
+            step = (q - 1) * P[j][x] + lp * sum(T[j + i][dk] for i, dk in enumerate(moved))
             digits = c[:j] + [field.add_idx(ck, dk) for ck, dk in zip(c[j:], moved)]
-            walk(j + 1, digits, (s + step + wild[j][x]) % level)
+            walk(j + 1, digits, (s + step) % level)
 
     for u0 in range(1, q):
-        s = ((-chi.tame_exponent * log[u0]) % (q - 1) * mod + T[0][u0]
+        s = ((-chi.tame_exponent * log[u0]) % (q - 1) * mod + lp * T[0][u0]
              + v * pair_t * (q - 1)) % level
         walk(1, [u0] + [0] * (depth - 1), s)
 
-    out = CycloNumber.from_monomials(level, enumerate(hist))
-    if out.is_zero():  # every guard shell: no scaling
+    if not hist:  # no coset survives the forms
+        return CycloNumber.zero(level)
+    out = CycloNumber.from_monomials(level, hist.items())
+    if out.is_zero():  # the surviving cosets cancel: no scaling
         return out
     if v:
         out = out * chi.uniformizer_value ** (-v)
@@ -233,9 +244,11 @@ def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
 
     Every shell in the window [v0-2, -d+2] (v0 = -a-d) is computed as an
     exact Riemann sum and asserted to vanish unless v = v0.  A shell of depth
-    A walks q^h cosets, h = ceil(A/2), as chi is additive on U^j for 2j >= a
-    and psi trivial on the cross terms at t^(>= v+A).  Past ``coset_cap`` (on
-    q^h), a guard shell is skipped and the defining shell v0 raises CapExceeded.
+    A sums over q^h cosets, h = ceil(A/2), as chi is additive on U^j for
+    2j >= a and psi trivial on the cross terms at t^(>= v+A); the walk cuts
+    a prefix at the first top-digit form that does not vanish, so it visits
+    few of them.  ``coset_cap`` bounds q^h: past it a guard shell is skipped
+    and the defining shell v0 raises CapExceeded.
     """
     a, _sw = conductor(chi)
     if a == 0:

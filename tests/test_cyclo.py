@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,32 @@ def test_cyclotomic_polys_small():
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(9) == (1, 0, 0, 1, 0, 0, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic_poly(N):
+    """Test-only Phi_N by the divisor loop: X^N - 1 divided exactly by Phi_d
+    for every proper divisor d of N."""
+    num = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            den = reference_cyclotomic_poly(d)
+            out = [0] * (len(num) - len(den) + 1)
+            for k in range(len(out) - 1, -1, -1):
+                c = out[k] = num[k + len(den) - 1]
+                if c:
+                    for i, e in enumerate(den):
+                        num[k + i] -= c * e
+            assert not any(num)
+            num = out
+    return tuple(num)
+
+
+def test_cyclotomic_poly_matches_the_divisor_loop():
+    # the prime-by-prime recursion against the divisor-loop definition, at
+    # every level up to 400 and at two levels with four and three primes
+    for N in [*range(1, 401), 1230, 6588]:
+        assert cyclotomic_poly(N) == reference_cyclotomic_poly(N), N
 
 
 def test_primitive_cube_roots_sum():

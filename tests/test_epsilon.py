@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import ramify.epsilon
 from ramify.characters import (
     AdditiveCharacter,
     QuasiCharacter,
@@ -41,6 +42,7 @@ from ramify.errors import (
     CapExceeded,
     TameInput,
     UnramifiedInput,
+    VerificationFailure,
     WildInput,
     ZeroInput,
 )
@@ -535,6 +537,58 @@ def test_shell_sum_matches_digit_enumeration(case):
         assert ref.is_zero() == (v != v0), (case, v, v0)
 
 
+def _count_reductions(monkeypatch):
+    """A list that gains one entry per ``CycloNumber.from_monomials`` call."""
+    calls, build = [], CycloNumber.from_monomials
+
+    def counted(N, terms):
+        calls.append(N)
+        return build(N, terms)
+
+    monkeypatch.setattr(CycloNumber, "from_monomials", staticmethod(counted))
+    return calls
+
+
+def test_guard_shell_without_a_surviving_coset_is_zero_unreduced(monkeypatch):
+    # q = 5, a = 2, d = 0: the guard shell v = -4 has depth 4, and its forms
+    # (k = 3 at level 1, k = 2 at level 2) reject every prefix
+    chi, psi = _oracle_cases()[3]
+    v, depth = -4, 4
+    ref = reference_shell_sum(chi, psi, v, depth)
+    assert ref.is_zero()
+    calls = _count_reductions(monkeypatch)
+    assert _shell_sum(chi, psi, v, depth, _unit_pairings(chi, depth)) == ref
+    assert calls == []
+
+
+def test_guard_shell_whose_cosets_cancel(monkeypatch):
+    # tame a = 1, d = 0: on the guard shell v = 0 every u0 survives and the
+    # sum of chi^{-1}(u0) over k^x cancels after the reduction
+    chi, psi = QuasiCharacter(F5, 1, root_of_unity(8, 3)), psi_dt(F5)
+    ref = reference_shell_sum(chi, psi, 0, 1)
+    assert ref.is_zero()
+    calls = _count_reductions(monkeypatch)
+    assert _shell_sum(chi, psi, 0, 1, _unit_pairings(chi, 1)) == ref
+    assert calls == [chi.level()]
+
+
+def test_oracle_raises_on_a_nonvanishing_guard_shell(monkeypatch):
+    chi, psi = _oracle_cases()[3]
+    a, _sw = conductor(chi)
+    d = psi.ord
+    v0 = -a - d
+    shell_sum = ramify.epsilon._shell_sum
+
+    def leaky(chi, psi, v, depth, unit_pairings):
+        out = shell_sum(chi, psi, v, depth, unit_pairings)
+        return out + 1 if v == v0 + 1 else out
+
+    monkeypatch.setattr(ramify.epsilon, "_shell_sum", leaky)
+    with pytest.raises(VerificationFailure) as exc:
+        epsilon_tate_oracle(chi, psi)
+    assert exc.value.detail == {"v": v0 + 1, "v0": v0, "a": a, "d": d}
+
+
 def top_digit_forms(chi, psi, v, depth, lower):
     """Test-only: for the coset with additive digits ``lower`` below
     h = ceil(depth/2) and top digits 0, the exponent change of chi^{-1} psi
@@ -712,6 +766,44 @@ def test_lambda_tower_degree_six():
     rhs = lambda_factor(ext2).value * lambda_factor(ext3).value ** 2 * twist
     assert lhs == rhs
     assert lhs == -(quad_gauss(F5) * Fraction(1, 125))
+
+
+def artin_schreier_sides(field, u, e):
+    """Both sides of prod_j eps(mu eta_j, psi_dx) = lambda(L/K, psi_dx)
+    eps(mu o N, psi_db) for L = K(y), y^p - y = u x^-1, every eps by the
+    oracle.  With s = 1/y, L is presented by b(s) = u s^p / (1 - s^(p-1))
+    and N(s) = x/u; the characters trivial on N(L^x) are the eta_j with wild
+    layer j u x^-1, j in F_p.  mu is tame of exponent e with mu(x) = 1, so
+    mu o N has exponent p e and takes mu(u)^-1 at s."""
+    p, q = field.p, field.q
+    prec = 4 * p + 8
+    unit = LaurentSeries.monomial(field, field.one, 0, prec)
+    psi_dx = AdditiveCharacter(unit)
+    lhs = CycloNumber.from_rational(1, 1)
+    for j in range(p):
+        layer = WittVector(0, (LaurentSeries.monomial(field, field.from_int(j) * u, -1, prec),))
+        lhs = lhs * epsilon_tate_oracle(QuasiCharacter(field, e, one(), layer if j else None), psi_dx)
+    s = LaurentSeries.t_power(field, 1, prec)
+    ext = TotallyRamifiedExt((s ** p).scale(u) * (unit - s ** (p - 1)).inverse())
+    mu_n = QuasiCharacter(field, p * e, root_of_unity(q - 1, -e * field.dlog(u)))
+    lam = lambda_factor(ext)
+    return lhs, lam.value * epsilon_tate_oracle(mu_n, AdditiveCharacter(ext.db)), ext, lam.branch
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7, F9, make_field(5, 2)], ids=lambda f: f"q{f.q}")
+def test_lambda_by_artin_schreier_inductivity(field):
+    """lambda on wild extensions, by inductivity on seeded draws.  The
+    different exponent of a Galois extension of p-power degree is even (each
+    |G_i| - 1 is), here m = 2(p - 1), so inductivity reaches only the
+    lambda-even branch; the wild lambda-odd branch (b = s^p + s^(p+1),
+    m = p) has no abelian anchor."""
+    q = field.q
+    rng = random.Random(q)
+    draws = [(ui, e) for ui in range(1, q) for e in range(1, q - 1)]
+    for ui, e in rng.sample(draws, min(len(draws), 4)):
+        lhs, rhs, ext, branch = artin_schreier_sides(field, field.from_index(ui), e)
+        assert (ext.different_ord, branch) == (2 * (field.p - 1), "lambda-even")
+        assert lhs == rhs, (q, ui, e)
 
 
 # -- norms, traces, differents -------------------------------------------------------
