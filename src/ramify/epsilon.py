@@ -283,7 +283,8 @@ def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,
 
 class TotallyRamifiedExt:
     """L/K totally ramified of degree n, presented by the image b of the
-    base uniformizer x in L = k((t)); ord(b) = n."""
+    base uniformizer x in L = k((t)); ord(b) = n.  The one covering object,
+    which ``lft.lft_descriptor`` builds from the b' of its stationary datum."""
 
     __slots__ = ("b", "degree", "db")
 
@@ -295,6 +296,25 @@ class TotallyRamifiedExt:
         self.db = b.derivative()
         if self.db.is_zero():
             raise InseparableInput("db/dt = 0: inseparable presentation")
+
+    @classmethod
+    def from_derivative(cls, b: LaurentSeries, db: LaurentSeries) -> "TotallyRamifiedExt":
+        """L/K presented by b with db = b' in hand, ord(b) >= 1 and db != 0."""
+        ext = cls.__new__(cls)
+        ext.b, ext.degree, ext.db = b, b.valuation(), db
+        return ext
+
+    @classmethod
+    def from_inverse(cls, s: LaurentSeries, ds: LaurentSeries) -> "TotallyRamifiedExt":
+        """L/K presented by 1/s, ord(s) <= -1, from s and ds = s' != 0.
+        lambda_factor, discriminant_class and induced_swan read only n,
+        ord(b'), lc(b) and lc(b'), so 1/s and (1/s)' = -s'/s^2 are kept as
+        their leading monomials, which is exact and inverts no series."""
+        field, v, lead = s.ring, s.valuation(), s.leading_coefficient().inverse()
+        w = ds.valuation() - 2 * v
+        return cls.from_derivative(
+            LaurentSeries.monomial(field, lead, -v, 1 - v),
+            LaurentSeries.monomial(field, -(ds.leading_coefficient() * lead * lead), w, w + 1))
 
     @property
     def field(self):
@@ -312,9 +332,7 @@ class TotallyRamifiedExt:
 def lambda_factor(ext: TotallyRamifiedExt) -> EpsilonResult:
     """lambda(L/K, psi_dx) = kappa0(-1)^C(m+1,2) G^{-m} ((2b', t)_L if m odd),
     whose Gauss factor is q^(-ceil(m/2)) G^(m mod 2), as G^2 = kappa0(-1) q."""
-    field = ext.field
-    db = ext.db
-    m = db.valuation()
+    field, db, m = ext.field, ext.db, ext.different_ord
     value = CycloNumber.from_rational(1, Fraction(field.q) ** -((m + 1) // 2))
     branch = "lambda-even"
     if m % 2:
@@ -340,9 +358,7 @@ def discriminant_class(ext: TotallyRamifiedExt) -> LaurentSeries:
     coefficient, all that ``hilbert_symbol`` and ``kummer_char`` read; its
     caller ``lft.transform_determinant`` reads delta_{L'/K'} off it.
     """
-    n = ext.degree
-    db = ext.db
-    m = db.valuation()
+    n, db, m = ext.degree, ext.db, ext.different_ord
     b_n = ext.b.leading_coefficient()
     norm_t = b_n.inverse() if n % 2 else -b_n.inverse()  # N(t) / x mod squares
     lead = (db.leading_coefficient() * b_n.inverse()) ** n * norm_t ** m
@@ -353,10 +369,6 @@ def discriminant_class(ext: TotallyRamifiedExt) -> LaurentSeries:
 
 def induced_swan(ext: TotallyRamifiedExt, chi_L: QuasiCharacter) -> int:
     """sw_K(Ind chi) for the totally ramified ext: m + a_L(chi) - n when chi
-    is ramified; the unramified-chi case picks up the invariant line."""
-    m = ext.different_ord
-    n = ext.degree
-    a, _ = conductor(chi_L)
-    if a == 0:
-        return m - n + 1
-    return m + a - n
+    is ramified; the unramified-chi case picks up the invariant line, as if
+    a_L(chi) were 1."""
+    return ext.different_ord + max(conductor(chi_L)[0], 1) - ext.degree

@@ -33,6 +33,11 @@ The (a, b) half of the data -- alpha, n, b', nu(b) and the full-window
 scale -alpha/b' -- is derived once, by `stationary_data`, the only code
 that raises for a defect of the pair: ZeroInput when a or b is zero,
 PrecisionExhausted when alpha is 0 to precision, InseparableB when b' = 0.
+The covering L/K is one `epsilon.TotallyRamifiedExt`, built by
+`lft_descriptor` from that b'; one presented by an inverse 1/s (1/b at
+source infinity, the transform's L'/K' by 1/c) keeps only the leading terms
+of 1/s and (1/s)', which is exact for lambda, delta and Swan: they read only
+the degree, the different and those two leading coefficients.
 
 A character is a class of wild layers modulo (F - 1)W: `lft_descriptor`
 and `verify_laumon` read it through `QuasiCharacter.reduced_wild`, as the
@@ -319,7 +324,7 @@ def square_class_checks(triple: LegendreTriple) -> SquareClassReport:
 
 
 class LFTDescriptor(namedtuple(
-        "LFTDescriptor", "source target degree swan rank pushed gauss_twist triple")):
+        "LFTDescriptor", "source target degree swan rank pushed gauss_twist triple covering")):
     """Shape of the local Fourier transform of the direct image of a
     rank-1 character along the covering presented by b.
 
@@ -328,7 +333,8 @@ class LFTDescriptor(namedtuple(
     after the transform: the original character twisted by the additive
     layer of b*c, the Kummer class of -c'/(2b'), and the constant unramified
     twist whose Frobenius value is ``gauss_twist`` (minus the quadratic
-    Gauss sum); ``triple`` is the LegendreTriple it was computed with."""
+    Gauss sum); ``triple`` is the LegendreTriple it was computed with and
+    ``covering`` the TotallyRamifiedExt of b (source "0") or 1/b."""
 
     __slots__ = ()
 
@@ -350,7 +356,9 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     image with its generic rank; for source "infinity" equal slope-1
     contributions are rejected with SlopeConditionViolated since the
     transform drops them.  The defects of the pair (red, b) raise the
-    errors of ``stationary_data`` before the source point is checked.
+    errors of ``stationary_data`` before the source point is checked; a
+    class of Swan conductor 0 raises ZeroInput before them, as one that
+    reduces to zero does.
 
     The second transform, of ``pushed`` from source "infinity" over the
     covering c, returns the class of chi * (t -> q) only up to an
@@ -359,7 +367,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     ``pushed.wild`` is reduced, so c2 = -b there."""
     from fractions import Fraction
 
-    from .characters import QuasiCharacter, kummer_char
+    from .characters import QuasiCharacter, conductor, kummer_char
     from .epsilon import TotallyRamifiedExt, induced_swan, quad_gauss
 
     field = chi.field
@@ -371,24 +379,20 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     if chi.wild is None:
         raise NotLegendre("character has no wild layer")
     red = chi.reduced_wild()
-    stationary_data(red, b)
-    if source == ORIGIN:
-        if b.valuation() < 1:
-            raise WrongSourcePoint(
-                f"source '0' needs ord(b) >= 1, got {b.valuation()}"
-            )
-        ext = TotallyRamifiedExt(b)
-    elif source == INFINITY:
-        if b.valuation() > -1:
-            raise WrongSourcePoint(
-                f"source 'infinity' needs ord(b) <= -1, got {b.valuation()}"
-            )
-        ext = TotallyRamifiedExt(b.inverse())
-    else:
+    if conductor(chi)[1] == 0:  # an integral class, reduced to zero or not
+        raise ZeroInput("wild layer is zero: no stationary scale")
+    db = stationary_data(red, b).db
+    if source not in (ORIGIN, INFINITY):
         raise InconsistentInput(f"unknown source point {source!r}")
+    at_origin = source == ORIGIN
+    if (b.valuation() if at_origin else -b.valuation()) < 1:
+        raise WrongSourcePoint(f"source {source!r} needs ord(b) "
+                               f"{'>= 1' if at_origin else '<= -1'}, got {b.valuation()}")
+    ext = (TotallyRamifiedExt.from_derivative if at_origin
+           else TotallyRamifiedExt.from_inverse)(b, db)
     rank = ext.degree
     swan = induced_swan(ext, chi)
-    if source == INFINITY and swan == rank:
+    if not at_origin and swan == rank:
         # the slope-1 part is killed by the transform before any triple
         # can witness it: its stationary scale degenerates to a constant
         raise SlopeConditionViolated(
@@ -398,7 +402,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
     triple = LegendreTriple(red, b, c)
     degree = abs(triple.c.valuation())
     # the direct image has the single slope swan / rank
-    target = INFINITY if source == ORIGIN or swan > rank else ORIGIN
+    target = INFINITY if at_origin or swan > rank else ORIGIN
     expected = lft_rank(source, target, swan=swan, rank=rank,
                         slopes=(Fraction(swan, rank),))
     if degree != expected:
@@ -416,16 +420,7 @@ def lft_descriptor(chi: QuasiCharacter, b: LaurentSeries,
         chi.uniformizer_value * kummer.uniformizer_value * gauss_twist,
         wild,
     )
-    return LFTDescriptor(
-        source=source,
-        target=target,
-        degree=degree,
-        swan=swan,
-        rank=rank,
-        pushed=pushed,
-        gauss_twist=gauss_twist,
-        triple=triple,
-    )
+    return LFTDescriptor(source, target, degree, swan, rank, pushed, gauss_twist, triple, ext)
 
 
 # -- dilation congruences -------------------------------------------------------------
@@ -817,16 +812,17 @@ def transform_determinant(desc: LFTDescriptor):
 
         (-1)^i * delta_{L'/K'}(Frob) * chi'(c).
 
-    The class reads leading terms only, so L'/K' is presented by the inverse
-    of the short scale ``desc.triple.c``, which shares them with c.  A
-    descriptor at another source raises WrongSourcePoint."""
+    The class reads leading terms only, so L'/K' is presented by
+    ``TotallyRamifiedExt.from_inverse`` from the short scale ``desc.triple.c``
+    and its derivative, which share them with c and c'; c is not inverted.
+    A descriptor at another source raises WrongSourcePoint."""
     from .characters import char_eval, kummer_char
     from .epsilon import TotallyRamifiedExt, discriminant_class
 
     if desc.source != ORIGIN:
         raise WrongSourcePoint("transform_determinant needs a descriptor at "
                                f"source '0', got {desc.source!r}")
-    ext = TotallyRamifiedExt(desc.triple.c.inverse())
+    ext = TotallyRamifiedExt.from_inverse(desc.triple.c, desc.triple.dc)
     delta = kummer_char(discriminant_class(ext)).uniformizer_value
     return (-1) ** desc.degree * delta * char_eval(desc.pushed, desc.triple.c_full)
 
@@ -872,14 +868,14 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
     ``lft_descriptor`` at source "0".
     """
     from .characters import AdditiveCharacter
-    from .epsilon import TotallyRamifiedExt, epsilon0_wild, epsilon_tate_oracle, lambda_factor
+    from .epsilon import epsilon0_wild, epsilon_tate_oracle, lambda_factor
 
     desc = lft_descriptor(chi, b, c)
     triple = desc.triple
     det_factor = transform_determinant(desc)
     psi_db = AdditiveCharacter(triple.db)
     eps = epsilon0_wild(chi, psi_db, c_override=triple.c_full).value
-    lam = lambda_factor(TotallyRamifiedExt(b)).value
+    lam = lambda_factor(desc.covering).value
     product_identity = det_factor * eps * lam == 1
     lhs = det_factor ** (-1)
     rhs = lam * eps
@@ -890,19 +886,8 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
         mismatch = "epsilon-closed-form"
     elif not (product_identity and lhs_equals_rhs):
         mismatch = "determinant-factor"
-    return LaumonReport(
-        conductor=triple.conductor,
-        degree=desc.degree,
-        lhs=lhs,
-        rhs=rhs,
-        product_identity=product_identity,
-        lhs_equals_rhs=lhs_equals_rhs,
-        det_factor=det_factor,
-        lambda_value=lam,
-        epsilon_value=eps,
-        oracle_match=oracle_match,
-        mismatch=mismatch,
-    )
+    return LaumonReport(triple.conductor, desc.degree, lhs, rhs, product_identity,
+                        lhs_equals_rhs, det_factor, lam, eps, oracle_match, mismatch)
 
 
 # -- random instances ----------------------------------------------------------------------

@@ -237,13 +237,17 @@ class TestCharacterClasses:
 
     @pytest.mark.parametrize("command", ["lft", "verify-laumon"])
     def test_integral_class_is_the_zero_layer(self, capsys, command):
-        # t^-3 + 2 t^-1 = F(t^-1) - t^-1 at p = 3
-        results = [invoke(capsys, command, "--p", "3", "--char", json.dumps({"wild": wild}),
-                          "--b", '{"1": 1}')
-                   for wild in ({"-3": 1, "-1": 2}, {"terms": {}})]
-        assert results[0] == results[1]
-        code, out, _ = results[0]
-        assert code == 1 and json.loads(out)["error"] == "ZeroInput"
+        # every class of Swan conductor 0 exits as the zero layer does:
+        # t^-3 + 2 t^-1 = F(t^-1) - t^-1 at p = 3, which reduces to zero,
+        # constant layers, and t^2, of positive order
+        for q, b, wilds in (("3", {"1": 1}, ({"-3": 1, "-1": 2}, {"0": 1}, {"2": 1})),
+                            ("9", {"1": 3, "4": 4}, ({"0": 4},))):
+            results = [invoke(capsys, command, "--q", q, "--char", json.dumps({"wild": wild}),
+                              "--b", json.dumps(b))
+                       for wild in ({"terms": {}}, *wilds)]
+            code, out, _ = results[0]
+            assert code == 1 and json.loads(out)["error"] == "ZeroInput"
+            assert results == results[:1] * len(results), (q, wilds)
 
 
 # -- exit codes -------------------------------------------------------------------

@@ -49,6 +49,7 @@ from ramify.errors import (
 from ramify.fields import FqElement, WittCoeffRing, field_from_q, make_field
 from ramify.series import LaurentSeries, decompose_over_base
 from ramify.witt import WittVector, witt_differential
+from series_composition import compose, reversion
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -768,42 +769,53 @@ def test_lambda_tower_degree_six():
     assert lhs == -(quad_gauss(F5) * Fraction(1, 125))
 
 
-def artin_schreier_sides(field, u, e):
+def artin_schreier_sides(field, u, e, k):
     """Both sides of prod_j eps(mu eta_j, psi_dx) = lambda(L/K, psi_dx)
-    eps(mu o N, psi_db) for L = K(y), y^p - y = u x^-1, every eps by the
-    oracle.  With s = 1/y, L is presented by b(s) = u s^p / (1 - s^(p-1))
-    and N(s) = x/u; the characters trivial on N(L^x) are the eta_j with wild
-    layer j u x^-1, j in F_p.  mu is tame of exponent e with mu(x) = 1, so
-    mu o N has exponent p e and takes mu(u)^-1 at s."""
+    eps(mu o N, psi_db) for L = K(y), y^p - y = u x^-k, p not dividing k,
+    every eps by the oracle; the characters trivial on N(L^x) are the eta_j
+    with wild layer j u x^-k, j in F_p.
+
+    L is presented by b(s) = x for the uniformizer s = x^a y^c, a p - c k = 1.
+    With z = 1/y, x^k = u z^p / (1 - z^(p-1)) and s^k = u^a z / (1 - z^(p-1))^a,
+    so z is the reversion of the latter at s^k, and x = (s z^c)^al (x^k)^be
+    for a al + k be = 1.  k = 1 gives s = 1/y and b(s) = u s^p / (1 - s^(p-1)).
+    As N(y) = u x^-k, N(s) = u^c x; mu is tame of exponent e with mu(x) = 1,
+    so mu o N has exponent p e and takes mu(u)^c at s."""
     p, q = field.p, field.q
     prec = 4 * p + 8
+    a = pow(p, -1, k)
+    c, al = (a * p - 1) // k, pow(a, -1, k)
     unit = LaurentSeries.monomial(field, field.one, 0, prec)
     psi_dx = AdditiveCharacter(unit)
     lhs = CycloNumber.from_rational(1, 1)
     for j in range(p):
-        layer = WittVector(0, (LaurentSeries.monomial(field, field.from_int(j) * u, -1, prec),))
+        layer = WittVector(0, (LaurentSeries.monomial(field, field.from_int(j) * u, -k, prec),))
         lhs = lhs * epsilon_tate_oracle(QuasiCharacter(field, e, one(), layer if j else None), psi_dx)
     s = LaurentSeries.t_power(field, 1, prec)
-    ext = TotallyRamifiedExt((s ** p).scale(u) * (unit - s ** (p - 1)).inverse())
-    mu_n = QuasiCharacter(field, p * e, root_of_unity(q - 1, -e * field.dlog(u)))
+    z = compose(reversion((s * (unit - s ** (p - 1)) ** -a).scale(u ** a)), s ** k)
+    x_k = (z ** p).scale(u) * (unit - z ** (p - 1)).inverse()
+    ext = TotallyRamifiedExt((s * z ** c) ** al * x_k ** ((1 - a * al) // k))
+    mu_n = QuasiCharacter(field, p * e, root_of_unity(q - 1, c * e * field.dlog(u)))
     lam = lambda_factor(ext)
     return lhs, lam.value * epsilon_tate_oracle(mu_n, AdditiveCharacter(ext.db)), ext, lam.branch
 
 
-@pytest.mark.parametrize("field", [F3, F5, F7, F9, make_field(5, 2)], ids=lambda f: f"q{f.q}")
-def test_lambda_by_artin_schreier_inductivity(field):
-    """lambda on wild extensions, by inductivity on seeded draws.  The
-    different exponent of a Galois extension of p-power degree is even (each
-    |G_i| - 1 is), here m = 2(p - 1), so inductivity reaches only the
-    lambda-even branch; the wild lambda-odd branch (b = s^p + s^(p+1),
-    m = p) has no abelian anchor."""
+@pytest.mark.parametrize("field,k", [
+    pytest.param(field, k, id=f"q{field.q}" + (f"-k{k}" if k > 1 else ""))
+    for k in (1, 2) for field in (F3, F5, F7, F9, make_field(5, 2))])
+def test_lambda_by_artin_schreier_inductivity(field, k):
+    """lambda on wild extensions, by inductivity on seeded draws, for the
+    pole orders k = 1, 2.  The different exponent of a Galois extension of
+    p-power degree is even (each |G_i| - 1 is), here m = (p - 1)(k + 1), so
+    inductivity reaches only the lambda-even branch; the wild lambda-odd
+    branch (b = s^p + s^(p+1), m = p) has no abelian anchor."""
     q = field.q
     rng = random.Random(q)
     draws = [(ui, e) for ui in range(1, q) for e in range(1, q - 1)]
     for ui, e in rng.sample(draws, min(len(draws), 4)):
-        lhs, rhs, ext, branch = artin_schreier_sides(field, field.from_index(ui), e)
-        assert (ext.different_ord, branch) == (2 * (field.p - 1), "lambda-even")
-        assert lhs == rhs, (q, ui, e)
+        lhs, rhs, ext, branch = artin_schreier_sides(field, field.from_index(ui), e, k)
+        assert (ext.different_ord, branch) == ((field.p - 1) * (k + 1), "lambda-even")
+        assert lhs == rhs, (q, k, ui, e)
 
 
 # -- norms, traces, differents -------------------------------------------------------

@@ -5,6 +5,7 @@ dimension bookkeeping, and the determinant identity."""
 import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +25,10 @@ from ramify.characters import (
 from ramify.cyclo import CycloNumber, root_of_unity
 from ramify.epsilon import (
     TotallyRamifiedExt,
+    discriminant_class,
     epsilon0_wild,
     induced_swan,
+    lambda_factor,
     quad_gauss,
 )
 from ramify.errors import (
@@ -78,6 +81,7 @@ from ramify.witt import (
     witt_differential,
     witt_sub,
 )
+from series_composition import compose, reversion
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -230,12 +234,14 @@ CHARACTER_ENTRY_POINTS = ("lft_descriptor", "verify_laumon")
 def class_invariants(result):
     """A descriptor or a report as a comparable tuple: the pushed character
     of a descriptor becomes its conductor, tame exponent, chi(t) and layer,
-    and its triple (which compares by identity) its scale and conductor."""
+    and its triple and covering (which compare by identity) the triple's
+    scale and conductor and the covering's b and b'."""
     pushed = getattr(result, "pushed", None)
     if pushed is not None:
         result = result._replace(pushed=(conductor(pushed), pushed.tame_exponent,
                                          pushed.uniformizer_value, pushed.wild),
-                                 triple=(result.triple.c, result.triple.conductor))
+                                 triple=(result.triple.c, result.triple.conductor),
+                                 covering=(result.covering.b, result.covering.db))
     return tuple(result)
 
 
@@ -583,6 +589,7 @@ class TestDescriptor:
         assert (d.source, d.target) == ("infinity", "infinity")
         assert (d.swan, d.rank) == (2, 1)
         assert d.degree == d.swan - d.rank == 1
+        assert_same_covering(d.covering, TotallyRamifiedExt(b.inverse()))
 
     def test_source_infinity_target_origin(self):
         a = WittVector(0, [poly(F3, [(-1, 1)])])
@@ -593,6 +600,7 @@ class TestDescriptor:
         assert (d.source, d.target) == ("infinity", "0")
         assert (d.swan, d.rank) == (1, 2)
         assert d.degree == d.rank - d.swan == 1
+        assert_same_covering(d.covering, TotallyRamifiedExt(b.inverse()))
 
     def test_slope_one_rejected(self):
         # Swan = rank at infinity: the stationary scale degenerates to a
@@ -647,6 +655,7 @@ class TestDescriptor:
                 continue  # slope exactly 1: the transform drops it
             d = lft_descriptor(chi, binv, cinv, source="infinity")
             assert d.degree == abs(cinv.valuation())
+            assert_same_covering(d.covering, TotallyRamifiedExt(binv.inverse()))
             hits += 1
         assert hits >= 3
 
@@ -934,12 +943,31 @@ def reference_det_factor(chi, triple):
     )
 
 
+def assert_same_covering(ext, ref):
+    """A covering the library built against the reference that
+    TotallyRamifiedExt builds from a full series: the degree, the different,
+    the discriminant class and lambda, value and branch."""
+    assert (ext.degree, ext.different_ord) == (ref.degree, ref.different_ord)
+    assert discriminant_class(ext) == discriminant_class(ref)
+    assert lambda_factor(ext) == lambda_factor(ref)
+
+
 def assert_swan_conserved(chi, b, desc):
     """F^(0,inf') keeps sw while the generic rank becomes |ord(c)|: L'/K'
-    is presented by c^-1, c = desc.triple.c_full."""
-    ext = TotallyRamifiedExt(desc.triple.c_full.inverse())
-    assert ext.degree == desc.degree
-    assert induced_swan(ext, desc.pushed) == induced_swan(TotallyRamifiedExt(b), chi)
+    is presented by c^-1, c = desc.triple.c_full.  The covering the
+    descriptor carries is TotallyRamifiedExt(b), and the L'/K' that
+    transform_determinant reads, from leading data, is the full inversion
+    TotallyRamifiedExt(c^-1).  Returns transform_determinant(desc)."""
+    ext, ref = TotallyRamifiedExt(b), TotallyRamifiedExt(desc.triple.c_full.inverse())
+    assert ref.degree == desc.degree
+    assert_same_covering(desc.covering, ext)
+    read = []
+    with mock.patch.object(ramify.epsilon, "discriminant_class",
+                           lambda cover: read.append(cover) or discriminant_class(cover)):
+        det = transform_determinant(desc)
+    assert_same_covering(*read, ref)
+    assert induced_swan(ref, desc.pushed) == induced_swan(ext, chi)
+    return det
 
 
 def assert_twist_class_is_leading(tri):
@@ -962,10 +990,9 @@ def test_determinant_and_swan_through_the_descriptor():
             chi = character_for_triple(tri)
             rep = verify_laumon(chi, tri.b, tri.c)
             desc = lft_descriptor(chi, tri.b, tri.c, source=ORIGIN)
-            assert rep.det_factor == transform_determinant(desc) == reference_det_factor(
-                chi, tri), (q, m, tri.conductor)
+            assert rep.det_factor == assert_swan_conserved(chi, tri.b, desc) == (
+                reference_det_factor(chi, tri)), (q, m, tri.conductor)
             assert desc.degree == rep.degree
-            assert_swan_conserved(chi, tri.b, desc)
             assert_twist_class_is_leading(tri)
             wild += rep.degree % field.p == 0
     assert wild == 20
@@ -1007,9 +1034,9 @@ def test_determinant_on_larger_fields_and_witt_length_three(q, m):
         rep = verify_laumon(chi, tri.b)
         desc = lft_descriptor(chi, tri.b)
         assert rep.ok, (q, m, tri.conductor)
-        assert rep.det_factor == transform_determinant(desc) == reference_det_factor(chi, tri)
+        assert rep.det_factor == assert_swan_conserved(chi, tri.b, desc) == (
+            reference_det_factor(chi, tri))
         assert desc.degree == rep.degree == -tri.c.valuation()
-        assert_swan_conserved(chi, tri.b, desc)
 
 
 @pytest.mark.parametrize("q,m", list(itertools.product((5, 7, 11), (0, 1))))
@@ -1025,6 +1052,50 @@ def test_twist_class_on_perturbed_scales(q, m):
         c = (tri.c_full + u).truncate(max(tri.c.prec, e + 1))
         assert c.coefficient(e) != tri.c_full.coefficient(e)
         assert_twist_class_is_leading(LegendreTriple(tri.a, tri.b, c))
+
+
+def test_one_derivation_of_b_and_no_inversion_of_a_covering(monkeypatch):
+    # one verify_laumon derives b' once, in stationary_data: the descriptor
+    # builds its covering from that b' and verify_laumon reads lambda off it,
+    # so no TotallyRamifiedExt(...) derives b' again; transform_determinant
+    # presents L'/K' from leading data and inverts no series over k (the
+    # pairing in char_eval inverts its unit lifted to the Witt ring); at
+    # source infinity the descriptor presents 1/b without inverting b
+    derived, inverted, builds, in_det = [], [], [], []
+    derivative, inverse = LaurentSeries.derivative, LaurentSeries.inverse
+    ext_init, determinant = TotallyRamifiedExt.__init__, ramify.lft.transform_determinant
+    monkeypatch.setattr(LaurentSeries, "derivative",
+                        lambda s: derived.append(s) or derivative(s))
+    monkeypatch.setattr(LaurentSeries, "inverse",
+                        lambda s: inverted.append((s, bool(in_det))) or inverse(s))
+    monkeypatch.setattr(TotallyRamifiedExt, "__init__",
+                        lambda ext, b: builds.append(b) or ext_init(ext, b))
+
+    def traced_determinant(desc):
+        in_det.append(desc)
+        try:
+            return determinant(desc)
+        finally:
+            in_det.pop()
+
+    monkeypatch.setattr(ramify.lft, "transform_determinant", traced_determinant)
+    same = lambda s, b: s.ring is b.ring and s == b
+    for q, m in itertools.product((3, 5), (0, 1)):
+        field, rng = field_from_q(q), random.Random(1000 * q + m)
+        for _ in range(3):
+            tri = random_legendre_triple(field, m, rng)
+            chi, b = character_for_triple(tri), tri.b.shift(0)  # a b the memo has not seen
+            for log in (derived, inverted, builds):
+                log.clear()
+            assert verify_laumon(chi, b).ok
+            assert sum(same(s, b) for s in derived) == 1, (q, m, tri.conductor)
+            assert builds == []
+            assert not any(s.ring is field for s, det in inverted if det), (q, m, tri.conductor)
+            desc = lft_descriptor(chi, b)
+            back = tri.c_full.shift(0)
+            inverted.clear()
+            lft_descriptor(desc.pushed, back, source="infinity")
+            assert not any(same(s, back) for s, _ in inverted), (q, m, tri.conductor)
 
 
 def test_transform_determinant_needs_source_origin():
@@ -1143,6 +1214,7 @@ def test_fourier_inversion_round_trip(q, m):
     for k, (tri, chi, desc, back) in enumerate(inversion_round_trips(q, m)):
         d = tri.b.valuation()
         assert (back.target, back.degree, back.triple.c.valuation()) == ("0", d, d)
+        assert_same_covering(back.covering, TotallyRamifiedExt(tri.c_full.inverse()))
         assert conductor(back.pushed) == conductor(chi)
         if desc.pushed.reduced_wild() is not desc.pushed.wild:
             unreduced.append(k)
@@ -1161,15 +1233,6 @@ def test_fourier_inversion_unreduced_pushed_layer(q, m, k):
     assert_round_trip_closes(tri, chi, back, random.Random(k))
 
 
-def compose(f, g):
-    """f(g) by Horner, for a power series f and ord(g) >= 1, known to the
-    window that f and g certify."""
-    acc = LaurentSeries.zero(f.ring, 0)
-    for k in range(f.prec - 1, -1, -1):
-        acc = acc * g + LaurentSeries.monomial(f.ring, f.coefficient(k), 0, g.prec)
-    return acc
-
-
 def one_unit_root(u, d):
     """The 1-unit d-th root of a 1-unit u, p not dividing d, by Newton's
     method, which doubles the known window at each step."""
@@ -1179,16 +1242,6 @@ def one_unit_root(u, d):
     for _ in range(u.prec.bit_length()):
         r = r + ((u - r ** d) * (r ** (d - 1)).inverse()).scale(inv_d)
     return r
-
-
-def reversion(f):
-    """tau with f(tau) = t, for f = t * (unit): the fixed point of
-    tau = t / s(tau), s = f / t, which gains a coefficient at each step."""
-    t, s = LaurentSeries.t_power(f.ring, 1, f.prec), f.shift(-1)
-    tau = t
-    for _ in range(f.prec):
-        tau = t * compose(s, tau).inverse()
-    return tau
 
 
 def sigma_inverse(b, c2, window):
