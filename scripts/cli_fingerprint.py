@@ -114,6 +114,11 @@ def other_jobs():
     for p in (5, 7, 11):
         a = {"m": 2, "entries": [{str(-p): 1, "-1": 1}, {"-3": 2}, {"-10": 1}]}
         yield f"swan-len3-p{p}", ["swan", "--p", str(p), "--a", json.dumps(a)]
+    # large fields, whose values live far below the character level
+    # (q - 1) p^(m+1): they finish only if each value is built at its own level
+    for q in (211, 1331, 2003):
+        yield f"gauss-q{q}", ["gauss", "--q", str(q)]
+    yield "laumon-q211-s0", ["verify-laumon", "--q", "211", "--seed", "0"]
 
 
 def usage_error(command):

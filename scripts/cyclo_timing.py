@@ -1,7 +1,10 @@
 """Time the cyclotomic layer on fixed operands: ``*``, ``inverse``, ``pretty``
-and ``hash`` at N = 144, then ``gauss_sum(F_243, 1)`` and its ``pretty``.
-Prints one line ``name milliseconds`` per row, each the median of a few
-repeats.  Run it on two checkouts to compare them on the same operands:
+and ``hash`` at N = 144, then ``gauss_sum(F_243, 1)`` and its ``pretty``,
+``gauss_sum(F_2003, 0)``, ``root_of_unity(44310, 211)`` (44310 = 210 * 211,
+the character level of F_211) and a cold ``cyclotomic_poly(N)`` at
+N = 14630 and 44310.  Prints one line ``name milliseconds`` per row, the
+first six each the median of a few repeats, the rest one run each.  Run it
+on two checkouts to compare them on the same operands:
 
     PYTHONPATH=src python scripts/cyclo_timing.py
 """
@@ -11,7 +14,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from ramify.cyclo import CycloNumber, embed, euler_phi, pretty
+from ramify.cyclo import CycloNumber, cyclotomic_poly, embed, euler_phi, pretty, root_of_unity
 from ramify.epsilon import gauss_sum
 from ramify.fields import make_field
 
@@ -25,6 +28,14 @@ def median_ms(fn, repeats=5):
         fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times) * 1e3
+
+
+def once_ms(name, fn):
+    """Run fn once, print its row and return its value."""
+    start = time.perf_counter()
+    out = fn()
+    print(f"{name} {(time.perf_counter() - start) * 1e3:.3f}")
+    return out
 
 
 def main():
@@ -46,12 +57,14 @@ def main():
     for name, (fn, count) in rows.items():
         print(f"N{N}.{name} {median_ms(fn) / count:.3f}")
     field = make_field(3, 5)
-    start = time.perf_counter()
-    g = gauss_sum(field, 1)
-    print(f"gauss_sum_F243 {(time.perf_counter() - start) * 1e3:.3f}")
-    start = time.perf_counter()
-    pretty(g)
-    print(f"gauss_sum_F243.pretty {(time.perf_counter() - start) * 1e3:.3f}")
+    g = once_ms("gauss_sum_F243", lambda: gauss_sum(field, 1))
+    once_ms("gauss_sum_F243.pretty", lambda: pretty(g))
+    field = make_field(2003, 1)
+    once_ms("gauss_sum_F2003", lambda: gauss_sum(field, 0))
+    once_ms("root_of_unity_44310", lambda: root_of_unity(44310, 211))
+    for n in (14630, 44310):
+        cyclotomic_poly.cache_clear()
+        once_ms(f"cyclotomic_poly_{n}.cold", lambda: cyclotomic_poly(n))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ writes chi(u) = chi(t)^v * zeta_L^e, L = chi.level() = (q-1) p^(m+1), and
 chi^{-1}(c) psi(c) adds its exponents and calls ``char_value`` once.
 """
 
-from .cyclo import CycloNumber, root_of_unity, session_level
+from .cyclo import CycloNumber, root_of_unity
 from .errors import LengthMismatch, ZeroArgument, ZeroInput
 from .fields import WittCoeffRing
 from .series import LaurentSeries, map_coefficients, residue_product
@@ -108,7 +108,10 @@ class QuasiCharacter:
         return self.wild.m if self.wild is not None else 0
 
     def level(self) -> int:
-        return session_level(self.field.p, self.field.q, self.m)
+        """L = (q-1) p^(m+1): zeta_L holds every value of chi on units, and the
+        additive tower psi_j(x) = zeta_{p^(j+1)}^x, j <= m, sits inside it, so
+        psi_j(p^j * x) = psi_0(x) on the nose."""
+        return (self.field.q - 1) * self.field.p ** (self.m + 1)
 
     def has_wild_part(self) -> bool:
         return self.wild is not None and not self.wild.is_zero()

@@ -8,14 +8,21 @@ integers, ``inverse`` too (by relative norms down the tower of levels);
 ``coeffs`` is a read-only Fraction view.  Operands are ints, Fractions or
 CycloNumbers, never floats.
 
-Phi_N is cached per level.  As Phi_N(X) = Phi_r(X^s) with r = rad(N) and
-s = N/r, only Phi_r is divided out, one prime at a time by
-Phi_(n l)(X) = Phi_n(X^l) / Phi_n(X) (l prime, l not dividing n); and a
-polynomial mod X^N - 1 is reduced mod Phi_N by long division by Phi_r in
+This module alone decides where a value lives: ``from_monomials(N, terms)``,
+and so ``root_of_unity``, builds at level N/g with g = gcd(N, every
+exponent), the level its own roots need; callers name the root zeta_N they
+write exponents in, not a level to build at.  A binary operation works at
+the lcm of its operands' levels.
+
+Phi_N is cached per level and built as the Moebius product
+prod_{d | N} (1 - X^d)^mu(N/d), a power series cut at degree phi(N), with no
+polynomial division.  As Phi_N(X) = Phi_r(X^s) with r = rad(N) and s = N/r,
+a polynomial mod X^N - 1 is reduced mod Phi_N by long division by Phi_r in
 Y = X^s, on rows of s coefficients at a time.
 Two numbers at different levels compare equal iff they agree after embedding
 into the lcm level; ``minimal_form`` finds the smallest level that holds a
-number by dropping one prime from N at a time.
+number by dropping one prime from N at a time, and ``pretty``, ``==`` and
+``hash`` read that form, so the level a value is built at never shows.
 """
 
 from __future__ import annotations
@@ -37,42 +44,30 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _intpoly_div_exact(num, den):
-    """Exact division of integer polynomials (little-endian) by a monic den."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    terms = [(i, d) for i, d in enumerate(den[:-1]) if d]
-    for k in range(len(out) - 1, -1, -1):
-        c = out[k] = num[k + len(den) - 1]
-        if c:
-            for i, d in terms:
-                num[k + i] -= c * d
-    assert not any(num[:len(den) - 1]), "division was not exact"
-    return out
-
-
-def _dilate(poly, s: int) -> list[int]:
-    """poly(X^s) for a little-endian coefficient sequence."""
-    out = [0] * ((len(poly) - 1) * s + 1)
-    out[::s] = poly
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(N: int) -> tuple[int, ...]:
-    """Phi_N as a little-endian tuple of integers: Phi_N(X) = Phi_r(X^(N/r))
-    with r = rad(N), and Phi_(n l)(X) = Phi_n(X^l) / Phi_n(X) for a prime
-    l not dividing n builds Phi_r one prime at a time."""
+    """Phi_N as a little-endian tuple of integers: for N > 1 the Moebius
+    product prod_{d | N} (1 - X^d)^mu(N/d), taken as a power series cut at
+    degree phi(N).  Only d = N/s with s a squarefree divisor of N count, and
+    d > phi(N) leaves the cut unchanged; each other factor is one shifted
+    subtraction (mu = 1) or one running sum (mu = -1, 1/(1 - X^d))."""
     if N == 1:
         return (-1, 1)
-    primes = _prime_factors(N)
-    r = 1
-    for ell in primes:
-        r *= ell
-    if r < N:
-        return tuple(_dilate(cyclotomic_poly(r), N // r))
-    phi_n = cyclotomic_poly(N // primes[-1])
-    return tuple(_intpoly_div_exact(_dilate(phi_n, primes[-1]), phi_n))
+    deg = euler_phi(N)
+    out = [1] + [0] * deg
+    squarefree = [(1, 1)]  # (s, mu(s)) for the squarefree divisors s of N
+    for ell in _prime_factors(N):
+        squarefree += [(s * ell, -mu) for s, mu in squarefree]
+    for s, mu in squarefree:
+        d = N // s
+        if d > deg:
+            continue
+        if mu == 1:
+            out[d:] = map(sub, out[d:], out[:-d])
+        else:
+            for i in range(d, deg + 1, d):
+                out[i:i + d] = map(add, out[i:i + d], out[i - d:i])
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -171,11 +166,15 @@ class CycloNumber:
 
     @staticmethod
     def from_monomials(N: int, terms) -> "CycloNumber":
-        """sum of c * X^k for (k, c) in terms, k arbitrary integers mod N,
-        c int or Fraction."""
+        """sum of c * zeta_N^k for (k, c) in terms, k arbitrary integers mod
+        N, c int or Fraction; built at level N/g, g = gcd(N, every k), as
+        zeta_N^k = zeta_(N/g)^(k/g)."""
+        terms = list(terms)
+        g = gcd(N, *(k for k, _ in terms))
+        N //= g
         buf = [0] * N
         for k, c in terms:
-            buf[k % N] += c
+            buf[k // g % N] += c
         buf, den = _over_common_den(buf)
         return _number(N, _reduce(buf, N), den)
 
@@ -340,13 +339,6 @@ def align_levels(a: CycloNumber, b: CycloNumber):
         return a, b
     N = lcm(a.N, b.N)
     return embed(a, N), embed(b, N)
-
-
-def session_level(p: int, q: int, m: int) -> int:
-    """All character values live in Q(zeta_L) with L = (q-1) * p^(m+1); the
-    additive tower psi_j(x) = zeta_{p^(j+1)}^x, j <= m, sits inside it, so
-    psi_j(p^j * x) = psi_0(x) on the nose."""
-    return (q - 1) * p ** (m + 1)
 
 
 # -- display helpers ---------------------------------------------------------

@@ -465,8 +465,9 @@ def congruence_check(which: str, a: WittVector,
     copies cut to what in_fil at the refinement level reads (the rule of
     ``witt.sum_window``), so their cost does not grow with the windows.
 
-    A zero a raises ZeroInput, and for key6/key7 the pair (a, b) raises the
-    errors of ``stationary_data``; other violated hypotheses raise
+    A zero a raises ZeroInput, as for key6/key7 does an a of level 0 (a
+    layer with no pole), before the pair (a, b) raises the errors of
+    ``stationary_data``; other violated hypotheses raise
     HypothesisViolated, and windows too short to certify a membership raise
     PrecisionExhausted.  Sampled failures of the congruence itself are
     returned in the report, not raised."""
@@ -490,8 +491,10 @@ def congruence_check(which: str, a: WittVector,
     else:
         if b is None or c is None:
             raise InconsistentInput(f"{which} needs both b and c")
+        n = 0 if a.is_zero() else fil_level(a)
+        if n == 0:  # a class of Swan conductor 0 has no stationary scale
+            raise ZeroInput("wild layer is zero: no stationary scale")
         data = stationary_data(a, b)
-        n = fil_level(a)
         if c.is_zero():
             raise HypothesisViolated("c must be nonzero")
         dc = c.derivative()

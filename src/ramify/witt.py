@@ -16,7 +16,7 @@ depth/leading-coefficient invariants read off a reduced vector.
 
 from __future__ import annotations
 
-import threading
+from functools import lru_cache
 from math import comb
 
 from .errors import (
@@ -114,10 +114,6 @@ def _build_tables(p: int, length: int):
     return tables
 
 
-_TABLE_CACHE: dict = {}
-_TABLE_LOCK = threading.Lock()
-
-
 class UniversalWittTable:
     """The universal addition polynomials S_0..S_{length-1} for one p."""
 
@@ -127,16 +123,10 @@ class UniversalWittTable:
         self._sum = sum_terms
 
     @classmethod
-    def get(cls, p: int, length: int) -> "UniversalWittTable":
-        key = (p, length)
-        with _TABLE_LOCK:
-            hit = _TABLE_CACHE.get(key)
-        if hit is not None:
-            return hit
-        table = cls(p, length, _build_tables(p, length))
-        with _TABLE_LOCK:
-            _TABLE_CACHE.setdefault(key, table)
-            return _TABLE_CACHE[key]
+    @lru_cache(maxsize=None)
+    def get(cls, p: int, length: int, /) -> "UniversalWittTable":
+        """The interned table of one (p, length), derived on first use."""
+        return cls(p, length, _build_tables(p, length))
 
     def sum_terms(self, i: int):
         return self._sum[i]

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -249,6 +250,17 @@ class TestCharacterClasses:
             assert code == 1 and json.loads(out)["error"] == "ZeroInput"
             assert results == results[:1] * len(results), (q, wilds)
 
+    @pytest.mark.parametrize("which", ["key6", "key7"])
+    def test_congruence_on_a_layer_with_no_pole_is_the_zero_layer(self, capsys, which):
+        # a constant layer and t^2 have level 0: no window gives them a
+        # stationary scale, so they exit as the zero layer does
+        results = [invoke(capsys, "congruence", "--q", "3", "--which", which,
+                          "--a", json.dumps(a), "--b", '{"1": 1}', "--c", '{"-2": 1}')
+                   for a in ({"terms": {}}, {"0": 1}, {"2": 1})]
+        code, out, _ = results[0]
+        assert code == 1 and json.loads(out)["error"] == "ZeroInput"
+        assert results == results[:1] * len(results)
+
 
 # -- exit codes -------------------------------------------------------------------
 
@@ -485,6 +497,96 @@ class TestExitCodes:
         body = json.loads(out)
         assert body["error"] == "SchemaError"
         assert "job says m = " + m in body["message"]
+
+
+# -- every job answers with one JSON object ------------------------------------------
+
+FUZZ_Q = (3, 5, 7, 9, 25, 27)
+FUZZ_INTS = {"prec": ("12", "24", "40"), "m": ("0", "1", "2"), "r": ("1", "2"),
+             "theta_samples": ("1", "2")}
+FUZZ_MALFORMED = ("{", "[1", "", "null", "true", '"x"', "1.5", "[]", "[[1]]", '{"x": 1}',
+                  '{"1": 1.5}', '{"1": "a"}', '{"terms": 3}', '{"m": 1, "entries": [{}]}',
+                  '{"m": -1, "entries": []}', '{"tame_exponent": "x"}', "-1", "x")
+
+
+def _fuzz_series(rng):
+    # field indices 0, 1, 2 exist in every field
+    return {str(rng.randint(-4, 4)): rng.randint(0, 2) for _ in range(rng.randint(1, 3))}
+
+
+def _fuzz_witt(rng):
+    if rng.random() < 0.7:
+        return _fuzz_series(rng)
+    return {"m": 1, "entries": [_fuzz_series(rng), _fuzz_series(rng)]}
+
+
+def _fuzz_operand(rng, flag):
+    """The text of a well-formed value of one flag (not the field group)."""
+    if flag.kind == "int":
+        return rng.choice(FUZZ_INTS.get(flag.key, ("0", "1", "2", "3")))
+    if isinstance(flag.kind, tuple):
+        return rng.choice(flag.kind)
+    if flag.kind in ("series", "psi"):
+        value = _fuzz_series(rng)
+    elif flag.kind == "witt":
+        value = _fuzz_witt(rng)
+    elif flag.kind == "char":
+        value = {"tame_exponent": rng.randint(-2, 30),
+                 "uniformizer_value": rng.choice((1, -1, [8, rng.randint(-1, 8)], "z4",
+                                                  "1/2-z3")),
+                 "wild": rng.choice((None, _fuzz_witt(rng)))}
+    elif flag.key == "horizontal":
+        value = [[rng.randint(0, 4), rng.randint(-1, 5)] for _ in range(rng.randint(0, 3))]
+    else:
+        value = [[rng.choice(("unramified", "ramified")), rng.randint(-1, 5)]
+                 for _ in range(rng.randint(0, 3))]
+    return json.dumps(value)
+
+
+def _fuzz_argv(rng):
+    """One job of a random command: every flag well-formed, then, for half
+    the jobs, one defect -- a flag left out, a malformed value, a bad field
+    or an unknown flag."""
+    command = rng.choice(list(cli.COMMAND_TABLE))
+    flags = {}
+    for flag in cli.COMMAND_TABLE[command].flags:
+        if flag.kind == "field":
+            q = rng.choice(FUZZ_Q + ((211, 1331, 2003) if command == "gauss" else ()))
+            flags[flag.key] = rng.choice((["--q", str(q)], ["--p", "3", "--f", "2"]))
+        elif flag.kind == "bool":
+            flags[flag.key] = ["--" + flag.key] if rng.random() < 0.5 else []
+        elif flag.required or rng.random() < 0.5:
+            flags[flag.key] = ["--" + flag.key.replace("_", "-"), _fuzz_operand(rng, flag)]
+    if flags and rng.random() < 0.5:
+        key = rng.choice(list(flags))
+        defect = rng.choice(("drop", "malformed", "field", "unknown"))
+        if defect == "drop":
+            del flags[key]
+        elif defect == "field":
+            flags["field"] = rng.choice((["--q", "12"], ["--q", "2"], ["--p", "x"], ["--f", "0"]))
+        elif defect == "unknown":
+            flags["bogus"] = ["--bogus", "1"]
+        elif flags[key] and flags[key][0] not in ("--q", "--p"):
+            flags[key] = [flags[key][0], rng.choice(FUZZ_MALFORMED)]
+    return [command, *(arg for argv in flags.values() for arg in argv)]
+
+
+def test_every_job_exits_with_one_json_object(capsys):
+    # seeded random jobs over all 12 commands, well-formed or malformed: no
+    # exception escapes main, and each job prints one JSON object on stdout
+    rng = random.Random(2024)
+    codes = []
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except Exception as exc:  # the property under test
+            pytest.fail(f"{argv} raised {type(exc).__name__}: {exc}")
+        lines = capsys.readouterr().out.splitlines()
+        assert code in (0, 1, 2), argv
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, lines)
+        codes.append(code)
+    assert codes.count(0) > 50 and codes.count(1) > 50
 
 
 # -- start-up and the one-command parser --------------------------------------------

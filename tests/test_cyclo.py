@@ -18,7 +18,6 @@ from ramify.cyclo import (
     minimal_form,
     pretty,
     root_of_unity,
-    session_level,
 )
 from ramify.errors import DivisionByZero, IncompatibleLevels, LengthMismatch
 
@@ -53,10 +52,26 @@ def reference_cyclotomic_poly(N):
 
 
 def test_cyclotomic_poly_matches_the_divisor_loop():
-    # the prime-by-prime recursion against the divisor-loop definition, at
-    # every level up to 400 and at two levels with four and three primes
+    # the Moebius product against the divisor-loop definition, at every
+    # level up to 400 and at two levels with four and three primes
     for N in [*range(1, 401), 1230, 6588]:
         assert cyclotomic_poly(N) == reference_cyclotomic_poly(N), N
+
+
+def test_from_monomials_builds_at_the_level_its_roots_need():
+    # level N / gcd(N, every exponent), negative exponents and the empty sum
+    # too; at N = 12 against the sum built densely at level 12
+    z12 = root_of_unity(12)
+    for terms, level in (([(4, 1), (8, 2)], 3), ([(-4, 1)], 3), ([(6, 5), (0, 1)], 2),
+                         ([(3, 1), (4, Fraction(1, 2))], 12), ([], 1)):
+        x = CycloNumber.from_monomials(12, terms)
+        assert x.N == level, terms
+        assert x == sum((c * z12 ** k for k, c in terms), CycloNumber.zero(12)), terms
+    # a root of F_211's character level 44310 = 210 * 211 lands at level 210
+    x = CycloNumber.from_monomials(44310, [(-2 * 211, 1), (0, Fraction(1, 2))])
+    assert x.N == 105 and x == root_of_unity(105, -1) + Fraction(1, 2)
+    assert root_of_unity(44310, 211).N == 210
+    assert root_of_unity(44310, 211) == root_of_unity(210)
 
 
 def test_primitive_cube_roots_sum():
@@ -135,21 +150,20 @@ def test_hash_agrees_with_equality_across_levels():
 
 
 def test_psi_tower_compatibility():
-    # psi_m(p^m * a) = psi_0(a), exactly, inside one session level
+    # psi_m(p^m * a) = psi_0(a), exactly, inside one character level
     for p, m in [(3, 1), (3, 2), (5, 1)]:
-        N = session_level(p, p, m)
-        assert N == (p - 1) * p ** (m + 1)
+        N = (p - 1) * p ** (m + 1)
         for a in range(p):
             assert psi_tower(m, p**m * a, p, N) == psi_tower(0, a, p, N)
 
 
 def test_psi_zero():
-    assert psi_tower(0, 0, 3, session_level(3, 3, 0)) == 1
+    assert psi_tower(0, 0, 3, 2 * 3) == 1
 
 
 def test_psi_is_injective_homomorphism():
     p, m = 3, 1
-    N = session_level(p, p, m)
+    N = (p - 1) * p ** (m + 1)
     values = [psi_tower(m, a, p, N) for a in range(p ** (m + 1))]
     assert len(set(values)) == p ** (m + 1)
     rng = random.Random(1)
