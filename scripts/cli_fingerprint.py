@@ -119,6 +119,9 @@ def other_jobs():
     for q in (211, 1331, 2003):
         yield f"gauss-q{q}", ["gauss", "--q", str(q)]
     yield "laumon-q211-s0", ["verify-laumon", "--q", "211", "--seed", "0"]
+    # a value at the large squarefree level 22155 = 3 * 5 * 7 * 211, which
+    # finishes in bounded time only if reducing mod Phi_N is no long division
+    yield "epsilon-q211-t1", ["epsilon", "--q", "211", "--char", '{"tame_exponent":1}']
 
 
 def usage_error(command):

@@ -1,10 +1,12 @@
 """Time the cyclotomic layer on fixed operands: ``*``, ``inverse``, ``pretty``
 and ``hash`` at N = 144, then ``gauss_sum(F_243, 1)`` and its ``pretty``,
-``gauss_sum(F_2003, 0)``, ``root_of_unity(44310, 211)`` (44310 = 210 * 211,
-the character level of F_211) and a cold ``cyclotomic_poly(N)`` at
-N = 14630 and 44310.  Prints one line ``name milliseconds`` per row, the
-first six each the median of a few repeats, the rest one run each.  Run it
-on two checkouts to compare them on the same operands:
+``gauss_sum(F_211, 1)`` and its ``pretty``, ``gauss_sum(F_2003, 0)``,
+``root_of_unity(44310, 211)`` (44310 = 210 * 211, the character level of
+F_211) and zeta_N + zeta_N^-1 at N = 14630, 22155 and 44310, which has a
+term above degree phi(N) and so takes a full reduction mod Phi_N.  Prints
+one line ``name milliseconds`` per row, the first six each the median of a
+few repeats, the rest one run each.  Run it on two checkouts to compare
+them on the same operands:
 
     PYTHONPATH=src python scripts/cyclo_timing.py
 """
@@ -14,7 +16,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from ramify.cyclo import CycloNumber, cyclotomic_poly, embed, euler_phi, pretty, root_of_unity
+from ramify.cyclo import CycloNumber, embed, euler_phi, pretty, root_of_unity
 from ramify.epsilon import gauss_sum
 from ramify.fields import make_field
 
@@ -56,15 +58,15 @@ def main():
     }
     for name, (fn, count) in rows.items():
         print(f"N{N}.{name} {median_ms(fn) / count:.3f}")
-    field = make_field(3, 5)
-    g = once_ms("gauss_sum_F243", lambda: gauss_sum(field, 1))
-    once_ms("gauss_sum_F243.pretty", lambda: pretty(g))
+    for p, f in ((3, 5), (211, 1)):
+        field = make_field(p, f)
+        g = once_ms(f"gauss_sum_F{field.q}", lambda: gauss_sum(field, 1))
+        once_ms(f"gauss_sum_F{field.q}.pretty", lambda: pretty(g))
     field = make_field(2003, 1)
     once_ms("gauss_sum_F2003", lambda: gauss_sum(field, 0))
     once_ms("root_of_unity_44310", lambda: root_of_unity(44310, 211))
-    for n in (14630, 44310):
-        cyclotomic_poly.cache_clear()
-        once_ms(f"cyclotomic_poly_{n}.cold", lambda: cyclotomic_poly(n))
+    for n in (14630, 22155, 44310):
+        once_ms(f"zeta_plus_inverse_{n}", lambda: CycloNumber.from_monomials(n, [(1, 1), (-1, 1)]))
 
 
 if __name__ == "__main__":

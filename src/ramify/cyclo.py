@@ -14,11 +14,13 @@ exponent), the level its own roots need; callers name the root zeta_N they
 write exponents in, not a level to build at.  A binary operation works at
 the lcm of its operands' levels.
 
-Phi_N is cached per level and built as the Moebius product
-prod_{d | N} (1 - X^d)^mu(N/d), a power series cut at degree phi(N), with no
-polynomial division.  As Phi_N(X) = Phi_r(X^s) with r = rad(N) and s = N/r,
-a polynomial mod X^N - 1 is reduced mod Phi_N by long division by Phi_r in
-Y = X^s, on rows of s coefficients at a time.
+A polynomial mod X^N - 1 is reduced mod Phi_N with no polynomial division.
+For N > 1, Phi_N is the Moebius product prod (1 - X^d)^mu(N/d) over the d
+with N/d squarefree, and it is palindromic; so the quotient is the reversed
+top of the polynomial times the power series 1/Phi_N, and the remainder is
+the polynomial minus quotient times Phi_N, both cut at their degrees.  Each
+product takes one shifted subtraction or one running sum per factor, from a
+table of the factors cached per level.
 Two numbers at different levels compare equal iff they agree after embedding
 into the lcm level; ``minimal_form`` finds the smallest level that holds a
 number by dropping one prime from N at a time, and ``pretty``, ``==`` and
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -45,63 +47,49 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(N: int) -> tuple[int, ...]:
-    """Phi_N as a little-endian tuple of integers: for N > 1 the Moebius
-    product prod_{d | N} (1 - X^d)^mu(N/d), taken as a power series cut at
-    degree phi(N).  Only d = N/s with s a squarefree divisor of N count, and
-    d > phi(N) leaves the cut unchanged; each other factor is one shifted
-    subtraction (mu = 1) or one running sum (mu = -1, 1/(1 - X^d))."""
-    if N == 1:
-        return (-1, 1)
+def _moebius_factors(N: int):
+    """(deg, phi, inv): deg = phi(N), and the factors (d, e), standing for
+    (1 - X^d)^e with e = +-1, of Phi_N mod X^deg (phi) and of 1/Phi_N mod
+    X^(N - deg) (inv).  They come from the Moebius product
+    Phi_N = prod (1 - X^d)^mu(N/d) over the d with N/d squarefree (N > 1);
+    a factor whose d is past its cut is 1 there and left out, so at N = 1
+    both lists are empty."""
     deg = euler_phi(N)
-    out = [1] + [0] * deg
     squarefree = [(1, 1)]  # (s, mu(s)) for the squarefree divisors s of N
     for ell in _prime_factors(N):
         squarefree += [(s * ell, -mu) for s, mu in squarefree]
-    for s, mu in squarefree:
-        d = N // s
-        if d > deg:
-            continue
-        if mu == 1:
+    return (deg, tuple((N // s, mu) for s, mu in squarefree if N // s < deg),
+            tuple((N // s, -mu) for s, mu in squarefree if N // s < N - deg))
+
+
+def _times(out: list, factors) -> list:
+    """out, a power series cut at degree len(out), times each factor
+    (1 - X^d)^e in place: a shifted subtraction for e = 1, a running sum
+    for e = -1."""
+    for d, e in factors:
+        if e == 1:
             out[d:] = map(sub, out[d:], out[:-d])
         else:
-            for i in range(d, deg + 1, d):
+            for i in range(d, len(out), d):
                 out[i:i + d] = map(add, out[i:i + d], out[i - d:i])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _slicing(N: int):
-    """(s, r, deg, terms): Phi_N(X) = Phi_r(X^s) with r = rad(N), deg =
-    phi(r), and terms the nonzero (i, c) of Phi_r below its monic top."""
-    r = 1
-    for ell in _prime_factors(N):
-        r *= ell
-    phi_r = cyclotomic_poly(r)
-    deg = len(phi_r) - 1
-    return N // r, r, deg, tuple((i, c) for i, c in enumerate(phi_r[:deg]) if c)
+    return out
 
 
 def _reduce(buf, N: int) -> tuple[int, ...]:
     """A polynomial mod X^N - 1 (a length-N int list) reduced mod Phi_N.
 
-    Row j of buf holds the exponents s*j, ..., s*j + s - 1; as a polynomial
-    in Y = X^s with those rows as coefficients, buf is reduced by long
-    division by Phi_r(Y), one whole row at a time."""
-    s, r, deg, terms = _slicing(N)
-    rows = [buf[j:j + s] for j in range(0, N, s)]
-    for k in range(r - 1, deg - 1, -1):
-        top = rows[k]
-        if any(top):
-            for i, c in terms:
-                t = k - deg + i
-                if c == 1:
-                    rows[t] = list(map(sub, rows[t], top))
-                elif c == -1:
-                    rows[t] = list(map(add, rows[t], top))
-                else:
-                    rows[t] = list(map(sub, rows[t], map(mul, repeat(c), top)))
-    return tuple(chain.from_iterable(rows[:deg]))
+    With buf = Q Phi_N + R and deg R < deg = phi(N): Phi_N is palindromic
+    for N > 1, so the reversed quotient is the reversed top of buf (the
+    degrees >= deg) times 1/Phi_N mod X^(N - deg), and R is buf minus
+    Q Phi_N mod X^deg.  A buf with an all-zero top (at N = 1, always) is
+    returned as it stands."""
+    deg, phi, inv = _moebius_factors(N)
+    top = buf[deg:]
+    if not any(top):
+        return tuple(buf[:deg])
+    quot = _times(top[::-1], inv)[::-1]
+    low = _times(quot[:deg] + [0] * (deg - len(quot)), phi)
+    return tuple(map(sub, buf[:deg], low))
 
 
 def _canonical(num, den: int):

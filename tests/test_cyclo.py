@@ -12,7 +12,6 @@ import pytest
 import ramify.cyclo
 from ramify.cyclo import (
     CycloNumber,
-    cyclotomic_poly,
     embed,
     euler_phi,
     minimal_form,
@@ -22,14 +21,22 @@ from ramify.cyclo import (
 from ramify.errors import DivisionByZero, IncompatibleLevels, LengthMismatch
 
 
+def reduced_phi(N):
+    """Phi_N read back from the reduction as X^phi(N) - (X^phi(N) mod Phi_N)."""
+    deg = euler_phi(N)
+    buf = [0] * N
+    buf[deg % N] = 1  # X^deg mod X^N - 1
+    return tuple(-c for c in ramify.cyclo._reduce(buf, N)) + (1,)
+
+
 def test_cyclotomic_polys_small():
-    assert cyclotomic_poly(1) == (-1, 1)
-    assert cyclotomic_poly(2) == (1, 1)
-    assert cyclotomic_poly(3) == (1, 1, 1)
-    assert cyclotomic_poly(4) == (1, 0, 1)
-    assert cyclotomic_poly(6) == (1, -1, 1)
-    assert cyclotomic_poly(9) == (1, 0, 0, 1, 0, 0, 1)
-    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+    assert reduced_phi(1) == (-1, 1)
+    assert reduced_phi(2) == (1, 1)
+    assert reduced_phi(3) == (1, 1, 1)
+    assert reduced_phi(4) == (1, 0, 1)
+    assert reduced_phi(6) == (1, -1, 1)
+    assert reduced_phi(9) == (1, 0, 0, 1, 0, 0, 1)
+    assert reduced_phi(12) == (1, 0, -1, 0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -52,10 +59,20 @@ def reference_cyclotomic_poly(N):
 
 
 def test_cyclotomic_poly_matches_the_divisor_loop():
-    # the Moebius product against the divisor-loop definition, at every
-    # level up to 400 and at two levels with four and three primes
+    # Phi_N read back from the reduction against the divisor-loop definition,
+    # at every level up to 400 and at two levels with four and three primes
     for N in [*range(1, 401), 1230, 6588]:
-        assert cyclotomic_poly(N) == reference_cyclotomic_poly(N), N
+        assert reduced_phi(N) == reference_cyclotomic_poly(N), N
+    # seeded integer buffers against long division by the reference Phi_N,
+    # at levels with up to four primes: dense, 2% dense, and with nothing at
+    # or above degree phi(N)
+    rng = random.Random(37)
+    for N in (*REF_LEVELS, 210, 330):
+        deg = euler_phi(N)
+        for density, top in ((1.0, N), (0.02, N), (1.0, deg)):
+            buf = [rng.randrange(-9, 10) if i < top and rng.random() < density else 0
+                   for i in range(N)]
+            assert ramify.cyclo._reduce(list(buf), N) == ref_reduce(buf, N), (N, density, top)
 
 
 def test_from_monomials_builds_at_the_level_its_roots_need():
@@ -206,8 +223,9 @@ REF_LEVELS = (1, 2, 3, 4, 8, 9, 12, 16, 21, 24, 40, 144)
 
 
 def ref_reduce(coeffs, N):
-    """Any-length Fraction list reduced mod Phi_N by long division."""
-    phi = cyclotomic_poly(N)
+    """Any-length Fraction list reduced mod Phi_N by long division by the
+    divisor-loop reference."""
+    phi = reference_cyclotomic_poly(N)
     deg = len(phi) - 1
     coeffs = [Fraction(c) for c in coeffs]
     for k in range(len(coeffs) - 1, deg - 1, -1):
