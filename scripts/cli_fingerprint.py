@@ -122,6 +122,10 @@ def other_jobs():
     # a value at the large squarefree level 22155 = 3 * 5 * 7 * 211, which
     # finishes in bounded time only if reducing mod Phi_N is no long division
     yield "epsilon-q211-t1", ["epsilon", "--q", "211", "--char", '{"tame_exponent":1}']
+    # a Laumon job at q = 1009: the inverse of its determinant factor, a value
+    # of level 1009 whose product with its complex conjugate is rational, is
+    # one product by that conjugate, where the tower of levels takes about 1008 products
+    yield "laumon-q1009-s0", ["verify-laumon", "--q", "1009", "--seed", "0"]
 
 
 def usage_error(command):

@@ -1,5 +1,7 @@
-"""Time the cyclotomic layer on fixed operands: ``*``, ``inverse``, ``pretty``
-and ``hash`` at N = 144, then ``gauss_sum(F_243, 1)`` and its ``pretty``,
+"""Time the cyclotomic layer on fixed operands: ``*``, ``inverse`` (down the
+tower of levels), ``pretty`` and ``hash`` at N = 144, ``inverse`` of
+``quad_gauss(F_211)`` and ``quad_gauss(F_1009)`` (by the complex conjugate,
+as G Gbar = q), then ``gauss_sum(F_243, 1)`` and its ``pretty``,
 ``gauss_sum(F_211, 1)`` and its ``pretty``, ``gauss_sum(F_2003, 0)``,
 ``root_of_unity(44310, 211)`` (44310 = 210 * 211, the character level of
 F_211) and zeta_N + zeta_N^-1 at N = 14630, 22155 and 44310, which has a
@@ -17,7 +19,7 @@ import time
 from fractions import Fraction
 
 from ramify.cyclo import CycloNumber, embed, euler_phi, pretty, root_of_unity
-from ramify.epsilon import gauss_sum
+from ramify.epsilon import gauss_sum, quad_gauss
 from ramify.fields import make_field
 
 N = 144
@@ -58,6 +60,9 @@ def main():
     }
     for name, (fn, count) in rows.items():
         print(f"N{N}.{name} {median_ms(fn) / count:.3f}")
+    for q in (211, 1009):
+        G = quad_gauss(make_field(q, 1))
+        once_ms(f"quad_gauss_F{q}.inverse", G.inverse)
     for p, f in ((3, 5), (211, 1)):
         field = make_field(p, f)
         g = once_ms(f"gauss_sum_F{field.q}", lambda: gauss_sum(field, 1))

@@ -23,7 +23,9 @@ from collections import namedtuple
 # Only what every job needs is imported here; each command imports the
 # modules it runs, so a job pays start-up for those alone.
 from . import jsonio
-from .errors import NotLegendre, RamifyError, SchemaError, VerificationFailure
+from .errors import (
+    HypothesisViolated, NotLegendre, RamifyError, SchemaError, VerificationFailure,
+)
 from .fields import field_from_q, make_field
 from .jsonio import DEFAULT_PREC
 
@@ -61,6 +63,12 @@ _FIELD_ARGS = (
 # -- command implementations: each takes the decoded flags -----------------------
 
 
+def _fail(message, failed, **detail):
+    """Exit 2: an asserted identity came out false; the diagnostic names the
+    failing factor under "failed", then gives ``detail`` in order."""
+    raise VerificationFailure(message, detail={"failed": failed, **detail})
+
+
 def _op_swan(job):
     from .witt import refined_swan, swan_conductor
 
@@ -69,11 +77,8 @@ def _op_swan(job):
         result = {"swan": 0, "conductor": 0, "rsw": None}
         return result, "swan 0 (integral class)"
     n, coeff = refined_swan(reduced)
-    result = {
-        "swan": sw,
-        "conductor": sw + 1,
-        "rsw": {"n": n, "coeff": jsonio.element_str(coeff)},
-    }
+    result = {"swan": sw, "conductor": sw + 1,
+              "rsw": {"n": n, "coeff": jsonio.element_str(coeff)}}
     return result, f"swan {sw}, conductor exponent {sw + 1}"
 
 
@@ -98,14 +103,8 @@ def _op_epsilon(job):
         oracle = epsilon_tate_oracle(chi, psi)
         oracle_match = oracle == eps.value
         if not oracle_match:
-            raise VerificationFailure(
-                "closed-form epsilon disagrees with the sum-over-cosets oracle",
-                detail={
-                    "failed": "epsilon-closed-form",
-                    "value": pretty(eps.value),
-                    "oracle": pretty(oracle),
-                },
-            )
+            _fail("closed-form epsilon disagrees with the sum-over-cosets oracle",
+                  "epsilon-closed-form", value=pretty(eps.value), oracle=pretty(oracle))
     result = {
         "value": pretty(eps.value),
         "branch": eps.branch,
@@ -122,12 +121,8 @@ def _op_lambda(job):
 
     ext = TotallyRamifiedExt(job.b)
     lam = lambda_factor(ext)
-    result = {
-        "value": pretty(lam.value),
-        "branch": lam.branch,
-        "degree": ext.degree,
-        "different_ord": ext.different_ord,
-    }
+    result = {"value": pretty(lam.value), "branch": lam.branch, "degree": ext.degree,
+              "different_ord": ext.different_ord}
     return result, f"lambda = {result['value']} for a degree-{ext.degree} extension"
 
 
@@ -147,10 +142,8 @@ def _op_gauss(job):
     G2 = G * G
     identity = G2 == field.kappa0(-field.one) * field.q and gauss_sum(field, 0) == 1
     if not identity:
-        raise VerificationFailure(
-            "quadratic Gauss-sum square identity failed",
-            detail={"failed": "gauss-square", "G": pretty(G), "G2": pretty(G2)},
-        )
+        _fail("quadratic Gauss-sum square identity failed", "gauss-square",
+              G=pretty(G), G2=pretty(G2))
     result = {"G": pretty(G), "G2": pretty(G2), "identity_lef5c": identity}
     return result, f"G = {result['G']}, G^2 = {result['G2']}"
 
@@ -173,21 +166,15 @@ def _op_legendre_check(job):
         if c is None:  # where no default scale exists, a and b stamp alone
             with contextlib.suppress(RamifyError):
                 c = stationary_c(a, b)
-        result = {
-            "ok": False,
-            "first_violation": str(exc),
-            "conductor": None,
-            "guaranteed_mod_t": guaranteed_mod_t(a, b, c),
-        }
+        result = {"ok": False, "first_violation": str(exc), "conductor": None,
+                  "guaranteed_mod_t": guaranteed_mod_t(a, b, c)}
         return result, f"not admissible: {result['first_violation']}"
     cond = triple.conductor
     g = gamma(triple)
     sq = square_class_checks(triple)
     if g.is_zero() or not sq.ok:
-        raise VerificationFailure(
-            "square-class invariant failed on an admissible triple",
-            detail={"failed": "square-class", "conductor": list(cond)},
-        )
+        _fail("square-class invariant failed on an admissible triple", "square-class",
+              conductor=list(cond))
     result = {
         "ok": True,
         "conductor": list(cond),
@@ -219,122 +206,109 @@ def _op_lft(job):
     return result, f"transform: {desc.source} -> {desc.target}, degree {desc.degree}"
 
 
+def _draws(job, command, operand):
+    """None when the job gives its ``operand``, checked against --m; else the
+    seeded job's admissible triples, drawn from random.Random(seed) over its
+    field at its Witt length and window.  A seeded job gives neither b nor c."""
+    from .lft import random_legendre_triple
+
+    given = getattr(job, operand)
+    if given is not None:
+        _check_witt_length(operand, given.m, job)
+        return None
+    if job.b is not None or job.c is not None:
+        raise SchemaError(f"{command}: b and c need an explicit {operand}")
+    rng = random.Random(job.seed)
+    return iter(lambda: random_legendre_triple(job.field, job.m, rng, prec=job.prec), None)
+
+
 def _op_verify_laumon(job):
     from .cyclo import pretty
-    from .lft import character_for_triple, random_legendre_triple, verify_laumon
+    from .lft import character_for_triple, verify_laumon
 
-    if job.char is not None:
-        if job.b is None:
-            raise SchemaError("verify-laumon: explicit char needs b as well")
-        _check_witt_length("char", job.char.m, job)
-        chi, b, c = job.char, job.b, job.c
-    elif job.b is not None or job.c is not None:
-        raise SchemaError("verify-laumon: b and c need an explicit char")
-    else:
-        rng = random.Random(job.seed)
-        triple = random_legendre_triple(job.field, job.m, rng, prec=job.prec)
-        chi = character_for_triple(triple)
-        b, c = triple.b, triple.c
+    if job.char is not None and job.b is None:
+        raise SchemaError("verify-laumon: explicit char needs b as well")
+    chi, b, c = job.char, job.b, job.c
+    draws = _draws(job, "verify-laumon", "char")
+    if draws is not None:
+        triple = next(draws)
+        chi, b, c = character_for_triple(triple), triple.b, triple.c
     report = verify_laumon(chi, b, c, oracle=job.oracle)
+    result = {"product_identity": report.product_identity,
+              "lhs_equals_rhs": report.lhs_equals_rhs}
     if not report.ok:
-        raise VerificationFailure(
-            "stationary-phase factorization identity failed",
-            detail={
-                "failed": report.mismatch,
-                "product_identity": report.product_identity,
-                "lhs_equals_rhs": report.lhs_equals_rhs,
-                "lhs": pretty(report.lhs),
-                "rhs": pretty(report.rhs),
-            },
-        )
-    result = {
-        "product_identity": report.product_identity,
-        "lhs_equals_rhs": report.lhs_equals_rhs,
-    }
+        _fail("stationary-phase factorization identity failed", report.mismatch, **result,
+              lhs=pretty(report.lhs), rhs=pretty(report.rhs))
     if job.oracle:
         result["oracle_match"] = report.oracle_match
-    return result, (
-        f"identity holds: lhs = rhs = {pretty(report.lhs)}, "
-        f"conductor triple {report.conductor}"
-    )
+    return result, (f"identity holds: lhs = rhs = {pretty(report.lhs)}, "
+                    f"conductor triple {report.conductor}")
 
 
 def _op_congruence(job):
-    from .lft import congruence_check, guaranteed_mod_t, random_legendre_triple
+    from .lft import congruence_check, guaranteed_mod_t
 
     which = job.which
-    if job.a is not None:
-        _check_witt_length("a", job.a.m, job)
+    check = functools.partial(congruence_check, which, r=job.r,
+                              theta_samples=job.theta_samples, seed=job.seed)
+    draws = _draws(job, "congruence", "a")
+    if draws is None:
         a, b, c = job.a, job.b, job.c
         if which != "key1" and (b is None or c is None):
             raise SchemaError(f"{which} needs both b and c")
-    elif job.b is not None or job.c is not None:
-        raise SchemaError("congruence: b and c need an explicit a")
+        report = check(a, b, c)
     else:
-        rng = random.Random(job.seed)
-        for _ in range(20):  # key6/key7 redraw until nu(b) + nu(c) < (p-2) r
-            triple = random_legendre_triple(job.field, job.m, rng, prec=job.prec)
-            if which == "key1" or triple.nu_b + triple.nu_c < (job.field.p - 2) * job.r:
+        # up to 20 draws, redrawn while the check rejects a hypothesis, which
+        # it does before any sampling; key6/key7 take the full-window
+        # stationary scale, so the defect of alpha + c b' is certified small
+        for draw, triple in enumerate(draws, 1):
+            a, b, c = ((triple.a, None, None) if which == "key1"
+                       else (triple.a, triple.b, triple.c_full))
+            try:
+                report = check(a, b, c)
                 break
-        a, b = triple.a, triple.b
-        if which == "key1":
-            b = c = None
-        else:
-            # the full-window stationary scale, so the defect of
-            # alpha + c b' is certified small enough for key6/key7
-            c = triple.c_full
-    report = congruence_check(
-        which, a, b, c, r=job.r, theta_samples=job.theta_samples, seed=job.seed,
-    )
+            except HypothesisViolated:
+                if draw == 20:
+                    raise
     stamp = guaranteed_mod_t(*(x for x in (a, b, c) if x is not None))
     if not report.ok:
-        first = report.failures[0]
-        raise VerificationFailure(
-            "congruence defect escaped its filtration level",
-            detail={
-                "failed": which,
-                "first_failure": first,
-                "samples": report.samples,
-            },
-        )
+        _fail("congruence defect escaped its filtration level", which,
+              first_failure=report.failures[0], samples=report.samples)
     result = {"ok": True, **report._asdict(), "guaranteed_mod_t": stamp}
     del result["failures"]  # empty: the report is ok
-    return result, (
-        f"{which}: {report.samples} specializations inside level "
-        f"{report.membership_level}"
-    )
+    return result, (f"{which}: {report.samples} specializations inside level "
+                    f"{report.membership_level}")
 
 
 def _op_dk_dim(job):
     from .lft import DKInput, dk_dimension, dk_phi
 
-    horizontal, vertical = job.horizontal, job.vertical
-    if not isinstance(horizontal, list) or not isinstance(vertical, list):
+    if not isinstance(job.horizontal, list) or not isinstance(job.vertical, list):
         raise SchemaError("dk-dim: horizontal and vertical must be lists")
-    hor = []
-    for row in horizontal:
-        if not isinstance(row, list) or len(row) != 2:
-            raise SchemaError(f"dk-dim: horizontal row {row!r} is not [degree, swan]")
-        hor.append((jsonio.strict_int(row[0], "degree"), jsonio.strict_int(row[1], "swan")))
-    ver = []
-    for row in vertical:
-        if not isinstance(row, list) or len(row) != 2 or not isinstance(row[0], str):
-            raise SchemaError(f"dk-dim: vertical row {row!r} is not [kind, value]")
-        ver.append((row[0], jsonio.strict_int(row[1], "value")))
+
+    def pairs(key, first, second):  # first is None for a str kind
+        out = []
+        for row in getattr(job, key):
+            if (not isinstance(row, list) or len(row) != 2
+                    or first is None and not isinstance(row[0], str)):
+                raise SchemaError(
+                    f"dk-dim: {key} row {row!r} is not [{first or 'kind'}, {second}]")
+            out.append((row[0] if first is None else jsonio.strict_int(row[0], first),
+                        jsonio.strict_int(row[1], second)))
+        return tuple(out)
+
     delta = job.delta
-    inp = DKInput(tuple(hor), tuple(ver), delta)
+    inp = DKInput(pairs("horizontal", "degree", "swan"), pairs("vertical", None, "value"),
+                  delta)
     phi_eta, phi_s = dk_phi(inp)
     dim = dk_dimension(inp)
-    result = {
-        "phi_generic": phi_eta,
-        "phi_special": phi_s,
-        "delta": delta,
-        "dimension": dim,
-    }
+    result = {"phi_generic": phi_eta, "phi_special": phi_s, "delta": delta, "dimension": dim}
     return result, f"dimension {dim} = {phi_eta} + 2*{delta} - {phi_s}"
 
 
 def _op_selftest(job):
+    from .lft import draw_window
+
     seed = job.seed
     # (name, argv, predicate on the result beyond the command's own checks);
     # a laumon step draws its triple at random_legendre_triple's default window
@@ -343,7 +317,7 @@ def _op_selftest(job):
         ("swan-monomial-depth4", ["swan", "--p", "3", "--a", '{"-4": 1}'],
          lambda result: result["swan"] == 4),
         *((f"laumon-q{p}-m{m}", ["verify-laumon", "--p", str(p), "--m", str(m),
-                                 "--seed", str(seed), "--prec", str(4 * (8 + p) + 12)], None)
+                                 "--seed", str(seed), "--prec", str(draw_window(p))], None)
           for p, m in ((3, 0), (5, 0), (3, 1))),
         ("congruence-key1", ["congruence", "--p", "3", "--which", "key1", "--a", '{"-1": 1}',
                              "--theta-samples", "8", "--seed", str(seed)], None),
@@ -359,16 +333,10 @@ def _op_selftest(job):
         except VerificationFailure:
             ok = False
         except RamifyError as exc:
-            raise VerificationFailure(
-                "selftest step raised unexpectedly",
-                detail={"failed": name, "raised": {"error": type(exc).__name__,
-                                                   "message": str(exc)}},
-            )
+            _fail("selftest step raised unexpectedly", name,
+                  raised={"error": type(exc).__name__, "message": str(exc)})
         if not ok:
-            raise VerificationFailure(
-                "selftest step came out false",
-                detail={"failed": name},
-            )
+            _fail("selftest step came out false", name)
     checks = [name for name, *_ in steps]
     result = {"ok": True, "seed": seed, "checks": checks}
     return result, f"{len(checks)} checks passed"

@@ -4,9 +4,10 @@ A number is a tuple ``num`` of integer numerators, the coefficients of
 1, X, ..., X^(phi(N)-1), over one integer denominator ``den`` > 0, kept
 canonical: gcd(den, *num) = 1.  Equal numbers at one level therefore carry
 equal (num, den), and ``==`` is a tuple compare.  Every operation runs on
-integers, ``inverse`` too (by relative norms down the tower of levels);
-``coeffs`` is a read-only Fraction view.  Operands are ints, Fractions or
-CycloNumbers, never floats.
+integers, ``inverse`` too: by the complex conjugate where x times it is
+rational, as it is for roots of unity and Gauss sums, and otherwise by
+relative norms down the tower of levels.  ``coeffs`` is a read-only Fraction
+view.  Operands are ints, Fractions or CycloNumbers, never floats.
 
 This module alone decides where a value lives: ``from_monomials(N, terms)``,
 and so ``root_of_unity``, builds at level N/g with g = gcd(N, every
@@ -236,16 +237,21 @@ class CycloNumber:
         return acc
 
     def inverse(self) -> "CycloNumber":
-        """1/x down the tower of levels.  With M' = M/ell and c the product
-        of the other conjugates of x over Q(zeta_M'), x c is the relative
-        norm, which lies in Q(zeta_M'); so 1/x = c / (x c), the last inverse
-        taken at level M'."""
+        """1/x.  With xbar = x(zeta^-1) the complex conjugate, x xbar is
+        totally positive; where it is rational -- a rational, a root of
+        unity, a Gauss sum, or one of these times another -- 1/x =
+        xbar / (x xbar), one Galois map and one product.  Otherwise down
+        the tower of levels: with M' = M/ell and c the product of the other
+        conjugates of x over Q(zeta_M'), x c is the relative norm, which
+        lies in Q(zeta_M'); so 1/x = c / (x c), the last inverse taken at
+        level M' (and at level 1 at the latest by the first rule)."""
         if self.is_zero():
             raise DivisionByZero("inverse of 0 in Q(zeta_N)")
+        bar = self.galois(-1)
+        norm = self * bar
+        if norm.is_rational():
+            return _number(self.N, (c * norm.den for c in bar.num), bar.den * norm.num[0])
         M = self.N
-        if M == 1:
-            n = self.num[0]
-            return _number(1, (self.den if n > 0 else -self.den,), abs(n))
         ell = _prime_factors(M)[0]
         low = M // ell
         # Gal(Q(zeta_M)/Q(zeta_M')) = {a = 1 + k M' prime to M}

@@ -6,7 +6,9 @@ The quadratic Gauss sum G satisfies G^2 = kappa0(-1) * q, so
 kappa0(-1)^C(k,2) G^(-k) = q^(-floor(k/2)) (kappa0(-1) G / q)^(k mod 2) and
 each closed form reads G at most once; chi^{-1}(c) psi(c) is a power of chi(t)
 times one root of unity (``char_value``) -- no generic cyclotomic inversion
-happens in the evaluation loops, only chi(t) is ever inverted.
+happens in the evaluation loops, only chi(t) is ever inverted: in one product
+by its complex conjugate when chi(t) times that is rational, as for a rational
+times a root of unity, else down the tower of levels (``CycloNumber.inverse``).
 
 The brute-force Tate-integral oracle sums chi^{-1}(x) psi(x) over valuation
 shells with the Haar measure normalized by vol(O) = 1.  Within one shell of

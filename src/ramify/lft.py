@@ -896,6 +896,11 @@ def verify_laumon(chi: QuasiCharacter, b: LaurentSeries,
 # -- random instances ----------------------------------------------------------------------
 
 
+def draw_window(p: int, n_cap: int = 8) -> int:
+    """The series window ``random_legendre_triple`` draws at by default."""
+    return 4 * (n_cap + p) + 12
+
+
 def random_legendre_triple(field, m: int, rng, *, n_cap: int = 8,
                            prec: int | None = None) -> LegendreTriple:
     """Draw an admissible triple: a reduced wild layer of depth n with
@@ -904,7 +909,7 @@ def random_legendre_triple(field, m: int, rng, *, n_cap: int = 8,
     inequalities are rejected and retried, up to 400 times."""
     p, q = field.p, field.q
     if prec is None:
-        prec = 4 * (n_cap + p) + 12
+        prec = draw_window(p, n_cap)
     d_choices = [d for d in (1, 2, 3, 4) if d % p]
     for _ in range(400):
         entries = []

@@ -15,7 +15,9 @@ import pytest
 from ramify import cli, jsonio
 from ramify.cli import main
 from ramify.cyclo import CycloNumber, pretty, root_of_unity
-from ramify.errors import PrecisionExhausted, SchemaError, VerificationFailure
+from ramify.errors import (
+    HypothesisViolated, PrecisionExhausted, SchemaError, VerificationFailure,
+)
 from ramify.fields import make_field
 
 F3 = make_field(3, 1)
@@ -93,6 +95,14 @@ def test_benchmark_hooks_resolve():
     assert isinstance(inspect.getattr_static(table, "get"), classmethod)
 
 
+@pytest.mark.parametrize("script", ["cyclo_timing", "closed_form_timing"])
+def test_timing_scripts_import(script):
+    # the timing scripts import library names that no test otherwise reads;
+    # a rename in the library then fails here, not at the next timing run
+    spec = importlib.util.spec_from_file_location(script, ROOT / "scripts" / f"{script}.py")
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
 def test_cli_fingerprint_is_pinned():
     # every job line of scripts/cli_fingerprint.py, replayed in-process from the
     # script's own job lists; its help and usage pages hash argparse's layout,
@@ -167,25 +177,36 @@ class TestDeterminism:
 
 class TestVerificationFailures:
     """Each command's own check, forced false, exits 2 with the
-    verification-failure head and names what failed."""
+    verification-failure head and names what failed: stdout and stderr
+    pinned byte for byte."""
 
     @staticmethod
     def failure(capsys, *argv):
-        code, out, _ = invoke(capsys, *argv)
+        code, out, err = invoke(capsys, *argv)
         assert code == 2
         body = json.loads(out)
-        assert body["error"] == "verification-failure"
-        return body
+        assert err == f"FAILED: {body['message']}\n"
+        return out
 
     def test_epsilon_oracle_mismatch(self, capsys, monkeypatch):
         import ramify.epsilon
 
         monkeypatch.setattr(ramify.epsilon, "epsilon_tate_oracle",
                             lambda chi, psi: CycloNumber.from_rational(1, 0))
-        body = self.failure(capsys, "epsilon", "--p", "3",
-                            "--char", '{"wild": {"-1": 1}}', "--oracle")
-        assert body["failed"] == "epsilon-closed-form"
-        assert body["oracle"] == "0"
+        out = self.failure(capsys, "epsilon", "--p", "3",
+                           "--char", '{"wild": {"-1": 1}}', "--oracle")
+        assert out == ('{"error":"verification-failure","message":"closed-form epsilon '
+                       'disagrees with the sum-over-cosets oracle","failed":'
+                       '"epsilon-closed-form","value":"3","oracle":"0"}')
+
+    def test_gauss_square(self, capsys, monkeypatch):
+        import ramify.epsilon
+
+        monkeypatch.setattr(ramify.epsilon, "quad_gauss",
+                            lambda field: CycloNumber.from_rational(1, 1))
+        out = self.failure(capsys, "gauss", "--q", "5")
+        assert out == ('{"error":"verification-failure","message":"quadratic Gauss-sum '
+                       'square identity failed","failed":"gauss-square","G":"1","G2":"1"}')
 
     def test_legendre_check_square_class(self, capsys, monkeypatch):
         import ramify.lft
@@ -193,10 +214,11 @@ class TestVerificationFailures:
         real = ramify.lft.square_class_checks
         monkeypatch.setattr(ramify.lft, "square_class_checks",
                             lambda triple: real(triple)._replace(leading_is_square=False))
-        body = self.failure(capsys, "legendre-check", "--p", "3",
-                            "--a", '{"-1": 1}', "--b", '{"1": 1}')
-        assert body["failed"] == "square-class"
-        assert body["conductor"] == [1, 0, 0]
+        out = self.failure(capsys, "legendre-check", "--p", "3",
+                           "--a", '{"-1": 1}', "--b", '{"1": 1}')
+        assert out == ('{"error":"verification-failure","message":"square-class '
+                       'invariant failed on an admissible triple","failed":"square-class",'
+                       '"conductor":[1,0,0]}')
 
     def test_verify_laumon(self, capsys, monkeypatch):
         import ramify.lft
@@ -204,9 +226,11 @@ class TestVerificationFailures:
         real = ramify.lft.verify_laumon
         monkeypatch.setattr(ramify.lft, "verify_laumon", lambda *args, **kwargs: real(
             *args, **kwargs)._replace(lhs_equals_rhs=False, mismatch="determinant-factor"))
-        body = self.failure(capsys, "verify-laumon", "--q", "3")
-        assert body["failed"] == "determinant-factor"
-        assert body["product_identity"] is True and body["lhs_equals_rhs"] is False
+        out = self.failure(capsys, "verify-laumon", "--q", "3")
+        assert out == ('{"error":"verification-failure","message":"stationary-phase '
+                       'factorization identity failed","failed":"determinant-factor",'
+                       '"product_identity":true,"lhs_equals_rhs":false,"lhs":"-81*z3",'
+                       '"rhs":"-81*z3"}')
 
     def test_congruence(self, capsys, monkeypatch):
         import ramify.lft
@@ -214,11 +238,11 @@ class TestVerificationFailures:
         real = ramify.lft.congruence_check
         monkeypatch.setattr(ramify.lft, "congruence_check", lambda *args, **kwargs: real(
             *args, **kwargs)._replace(failures=((3, "membership"),)))
-        body = self.failure(capsys, "congruence", "--q", "5", "--which", "key6",
-                            "--seed", "2")
-        assert body["failed"] == "key6"
-        assert body["first_failure"] == [3, "membership"]
-        assert body["samples"] == 20
+        out = self.failure(capsys, "congruence", "--q", "5", "--which", "key6",
+                           "--seed", "2")
+        assert out == ('{"error":"verification-failure","message":"congruence defect '
+                       'escaped its filtration level","failed":"key6","first_failure":'
+                       '[3,"membership"],"samples":20}')
 
 
 # -- a character is read through its reduced wild layer ----------------------------
@@ -427,6 +451,21 @@ class TestExitCodes:
         assert code == 1
         assert "\n" not in out
         assert json.loads(out)["error"] == "LengthMismatch"
+
+    def test_seeded_congruence_gives_up_after_20_rejected_draws(self, capsys, monkeypatch):
+        import ramify.lft
+
+        draws = []
+
+        def rejects(which, a, b, c, **kwargs):
+            draws.append(a)
+            raise HypothesisViolated(f"draw {len(draws)} rejected")
+
+        monkeypatch.setattr(ramify.lft, "congruence_check", rejects)
+        code, out, _ = invoke(capsys, "congruence", "--q", "5", "--which", "key6")
+        assert code == 1
+        assert json.loads(out) == {"error": "HypothesisViolated", "message": "draw 20 rejected"}
+        assert len(draws) == 20 and len(set(map(id, draws))) == 20
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_empty_congruence_check_is_exit_1(self, capsys, samples):

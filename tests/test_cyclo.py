@@ -354,6 +354,67 @@ def test_canonical_form_divides_out_the_gcd():
     assert (zero.num, zero.den) == ((0, 0, 0, 0), 1) and zero == 0
 
 
+# -- inverse: by the complex conjugate where x xbar is rational, else the tower ----
+
+
+@pytest.fixture
+def tower_calls(monkeypatch):
+    """The level of each tower step that ``inverse`` takes, recorded as it runs."""
+    calls = []
+    real = ramify.cyclo._drop_prime
+
+    def counted(x, ell):
+        calls.append(x.N)
+        return real(x, ell)
+
+    monkeypatch.setattr(ramify.cyclo, "_drop_prime", counted)
+    return calls
+
+
+def unit_norm_values():
+    from ramify.epsilon import gauss_sum, quad_gauss
+    from ramify.fields import field_from_q
+
+    yield "root", root_of_unity(24, 5)
+    yield "root-minus-1", root_of_unity(12, 6)
+    yield "rational", CycloNumber.from_rational(21, Fraction(-7, 3))
+    yield "rational-times-root", root_of_unity(40, 7) * Fraction(5, 6)
+    for q, j, k in ((5, 1, 3), (7, 2, 1), (9, 3, 5)):
+        field = field_from_q(q)
+        yield f"gauss-q{q}-j{j}", gauss_sum(field, j) * root_of_unity((q - 1) * field.p, k)
+    yield "quad-gauss-q7", quad_gauss(field_from_q(7)) * root_of_unity(28, 3) * Fraction(-2)
+
+
+def test_unit_norm_inverse_matches_fraction_reference(tower_calls):
+    for name, x in unit_norm_values():
+        assert (x * x.galois(-1)).is_rational(), name
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert ref_mul(x.coeffs, inv.coeffs, x.N) == ref_reduce([1], x.N), name
+    assert tower_calls == []
+
+
+def test_quadratic_gauss_sum_inverse_at_q_1009():
+    from ramify.epsilon import quad_gauss
+    from ramify.fields import make_field
+
+    field = make_field(1009, 1)
+    G = quad_gauss(field)
+    assert G.inverse() == G * Fraction(field.kappa0(-field.one), field.q)
+
+
+@pytest.mark.parametrize("N, terms", [(5, [(0, 1), (1, 1)]), (144, [(0, 1), (5, 1)]),
+                                      (12, [(0, 2), (1, Fraction(1, 3)), (3, -1)])],
+                         ids=["1+z5", "1+z144^5", "2+z12/3-z12^3"])
+def test_inverse_without_a_rational_norm_takes_the_tower(tower_calls, N, terms):
+    x = CycloNumber.from_monomials(N, terms)
+    assert not (x * x.galois(-1)).is_rational()
+    inv = x.inverse()
+    assert tower_calls
+    assert_canonical(inv)
+    assert ref_mul(x.coeffs, inv.coeffs, N) == ref_reduce([1], N)
+
+
 # -- mixed operands -------------------------------------------------------------
 
 

@@ -48,7 +48,7 @@ from ramify.errors import (
 )
 from ramify.fields import FqElement, WittCoeffRing, field_from_q, make_field
 from ramify.series import LaurentSeries, decompose_over_base
-from ramify.witt import WittVector, witt_differential
+from ramify.witt import WittVector, witt_differential, witt_neg
 from series_composition import compose, reversion
 
 F3 = make_field(3, 1)
@@ -334,6 +334,57 @@ def test_epsilon_twist_scales_by_character_value():
     lhs = epsilon0(chi_w, AdditiveCharacter(psi3.omega * scale3)).value
     rhs = char_eval(chi_w, scale3) * Fraction(1, 3) * epsilon0(chi_w, psi3).value
     assert lhs == rhs
+
+
+# -- the functional equation --------------------------------------------------------
+
+
+def rng_char_of_conductor(field, m, a, rng):
+    """A seeded character of conductor exactly a, with Swan conductor a - 1
+    prime to p when a >= 2: the last Witt entry leads with t^-(a-1), and
+    each entry i < m stays below it at its weight p^(m-i).  chi(t) is a
+    rational times a root of unity.  No draw is rejected: a generator that
+    redraws until the conductor comes out right never returns when p
+    divides the Swan conductor at m = 0."""
+    chi_t = root_of_unity(8, rng.randrange(8)) * rng.choice((1, -2, Fraction(1, 3)))
+    if a <= 1:
+        return QuasiCharacter(field, a * rng.randrange(1, field.q - 1) if a else 0, chi_t)
+    sw, p = a - 1, field.p
+    assert sw % p
+    entries = [rng_series(field, rng, -((sw - 1) // p ** (m - i)), 6, unit_lead=False)
+               for i in range(m)]
+    entries.append(rng_series(field, rng, -sw, 6))
+    chi = QuasiCharacter(field, rng.randrange(field.q - 1), chi_t, WittVector(m, entries))
+    assert conductor(chi) == (a, sw)
+    return chi
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
+def test_functional_equation(q):
+    """eps0(chi, psi) eps0(chi^-1, psi(-x)) = q^(a(chi) + 2 ord(psi)) (Tate,
+    Corvallis 1979, section 3, with chi(-1) chi^-1(-1) = 1), where chi^-1 has
+    tame exponent -j, chi^-1(t) = chi(t)^-1 and wild layer -a, and psi(-x)
+    is given by -omega.  Over m <= 1, a <= 6 and ord(psi) in {-1, 0, 1}.
+
+    The identity is blind to phase: four planted phase errors in the closed
+    forms (dropping kappa0(-1), flipping the sign of the tame form, negating
+    the exponent of psi(c) or of chi(c)) all leave it holding.  So it checks
+    |eps0| and the power of q, and nothing more."""
+    field = field_from_q(q)
+    rng = random.Random(q)
+    branches = set()
+    for m, a, d in itertools.product((0, 1), range(7), (-1, 0, 1)):
+        if (a <= 1 and m) or (a >= 2 and (a - 1) % field.p == 0):
+            continue
+        chi = rng_char_of_conductor(field, m, a, rng)
+        psi = AdditiveCharacter(rng_series(field, rng, d, a + 4))
+        chi_inv = QuasiCharacter(field, -chi.tame_exponent, chi.uniformizer_value.inverse(),
+                                 None if chi.wild is None else witt_neg(chi.wild))
+        eps = epsilon0(chi, psi)
+        branches.add(eps.branch)
+        value = eps.value * epsilon0(chi_inv, AdditiveCharacter(-psi.omega)).value
+        assert value == Fraction(q) ** (a + 2 * d), (m, a, d)
+    assert branches == {"unramified", "tame", "wild-odd", "wild-even"}
 
 
 # -- the stationary-phase scale c ---------------------------------------------------
