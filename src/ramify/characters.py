@@ -30,7 +30,7 @@ writes chi(u) = chi(t)^v * zeta_L^e, L = chi.level() = (q-1) p^(m+1), and
 chi^{-1}(c) psi(c) adds its exponents and calls ``char_value`` once.
 """
 
-from .cyclo import CycloNumber, root_of_unity
+from .cyclo import CycloNumber, power_times
 from .errors import LengthMismatch, ZeroArgument, ZeroInput
 from .fields import WittCoeffRing
 from .series import LaurentSeries, map_coefficients, residue_product
@@ -50,8 +50,15 @@ def pairing_series(z: WittVector):
     """
     field = z.ring
     R = WittCoeffRing.for_field(field, z.m)
-    lifts = [map_coefficients(e, R.lift, R) for e in pairing_window(z.entries, field.p)]
+    lifts = [_lift(e, R) for e in pairing_window(z.entries, field.p)]
     return R, ghost_components(lifts, R, field.p)[-1]
+
+
+def _lift(s: LaurentSeries, R) -> LaurentSeries:
+    """s lifted coefficient-wise into R; at f = 1 the same ints."""
+    if R.f == 1:
+        return LaurentSeries(R, s.val, tuple(R.wrap(s.ring.ints(s.coeffs))), s.prec)
+    return map_coefficients(s, R.lift, R)
 
 
 def witt_pairing(z: WittVector, u: LaurentSeries) -> int:
@@ -78,8 +85,7 @@ def _pair(R, w, u: LaurentSeries) -> int:
     if u.ring is not R.field:
         raise LengthMismatch("unit and Witt vector live over different fields")
     u = u.truncate(u.valuation() + max(1, 1 - w.ord_lower_bound()))
-    u_lift = map_coefficients(u, R.lift, R)
-    return (-R.trace(residue_product(w, u_lift.dlog()))) % R.modulus_int
+    return (-R.trace(residue_product(w, _lift(u, R).dlog()))) % R.modulus_int
 
 
 # -- multiplicative characters ------------------------------------------------
@@ -88,7 +94,7 @@ class QuasiCharacter:
     """chi = (unramified twist) * (tame part) * (wild part), see module doc."""
 
     __slots__ = ("field", "tame_exponent", "uniformizer_value", "wild", "_reduced",
-                 "_pairing")
+                 "_pairing", "_conductor")
 
     def __init__(self, field, tame_exponent: int, uniformizer_value: CycloNumber,
                  wild: WittVector | None = None):
@@ -102,6 +108,7 @@ class QuasiCharacter:
         self.wild = wild
         self._reduced = None
         self._pairing = None
+        self._conductor = None
 
     @property
     def m(self) -> int:
@@ -154,10 +161,9 @@ def char_eval_exponents(chi: QuasiCharacter, u: LaurentSeries):
 
 def char_value(chi: QuasiCharacter, v: int, e: int) -> CycloNumber:
     """chi(t)^v * zeta_L^e with L = chi.level(): the cyclotomic number of an
-    exponent pair from ``char_eval_exponents`` (or a sum of such pairs)."""
-    value = chi.uniformizer_value ** v
-    level = chi.level()
-    return value * root_of_unity(level, e) if e % level else value
+    exponent pair from ``char_eval_exponents`` (or a sum of such pairs):
+    one build at the lcm level when chi(t) is a monomial r zeta_M^i."""
+    return power_times(chi.uniformizer_value, v, chi.level(), [(e, 1)])
 
 
 def char_eval(chi: QuasiCharacter, u: LaurentSeries) -> CycloNumber:
@@ -166,23 +172,26 @@ def char_eval(chi: QuasiCharacter, u: LaurentSeries) -> CycloNumber:
 
 
 def conductor(chi: QuasiCharacter):
-    """(a(chi), sw(chi)) from the filtration level of the reduced wild part.
+    """(a(chi), sw(chi)) from the filtration level of the reduced wild part,
+    memoized on chi next to that part.
 
     sw = fil level of reduce(wild) (0 if the class is integral); then
     a = sw + 1 when sw >= 1, else 1 for tame-ramified, else 0.
     """
-    sw = 0
-    if chi.has_wild_part():
-        red = chi.reduced_wild()
-        if not red.is_zero():
-            sw = fil_level(red)
-    if sw >= 1:
-        a = sw + 1
-    elif chi.tame_exponent != 0:
-        a = 1
-    else:
-        a = 0
-    return a, sw
+    if chi._conductor is None:
+        sw = 0
+        if chi.has_wild_part():
+            red = chi.reduced_wild()
+            if not red.is_zero():
+                sw = fil_level(red)
+        if sw >= 1:
+            a = sw + 1
+        elif chi.tame_exponent != 0:
+            a = 1
+        else:
+            a = 0
+        chi._conductor = (a, sw)
+    return chi._conductor
 
 
 # -- tame symbols --------------------------------------------------------------
@@ -248,12 +257,18 @@ class AdditiveCharacter:
 
     def digit_traces(self, n: int) -> tuple[int, ...]:
         """Tr_{k/F_p}(x g) for x in k in index order, g the coefficient of t^n
-        in omega: the exponent of psi(x t^(-1-n)) in Z/p, memoized per n."""
+        in omega: the exponent of psi(x t^(-1-n)) in Z/p, memoized per n and
+        read off the field's trace table along the powers of its generator."""
         row = self._traces.get(n)
         if row is None:
             field, g = self.field, self.omega.coefficient(n)
-            row = self._traces[n] = (0,) * field.q if g.is_zero() else tuple(
-                field.trace_to_prime(field.from_index(i) * g) for i in range(field.q))
+            if g.is_zero():
+                row = (0,) * field.q
+            else:
+                traces, exp, log, lg = field.traces, field.exp, field.log, field.log[g.idx]
+                row = (0,) + tuple(traces[exp[(log[i] + lg) % (field.q - 1)]]
+                                   for i in range(1, field.q))
+            self._traces[n] = row
         return row
 
     def __repr__(self):

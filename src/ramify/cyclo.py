@@ -6,8 +6,11 @@ canonical: gcd(den, *num) = 1.  Equal numbers at one level therefore carry
 equal (num, den), and ``==`` is a tuple compare.  Every operation runs on
 integers, ``inverse`` too: by the complex conjugate where x times it is
 rational, as it is for roots of unity and Gauss sums, and otherwise by
-relative norms down the tower of levels.  ``coeffs`` is a read-only Fraction
-view.  Operands are ints, Fractions or CycloNumbers, never floats.
+relative norms down the tower of levels.  A monomial r zeta_N^i is raised
+to a power through its exponent, and ``power_times`` multiplies a sum of
+roots of unity by such a power in one build at the lcm level.  ``coeffs``
+is a read-only Fraction view.  Operands are ints, Fractions or
+CycloNumbers, never floats.
 
 This module alone decides where a value lives: ``from_monomials(N, terms)``,
 and so ``root_of_unity``, builds at level N/g with g = gcd(N, every
@@ -225,6 +228,8 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if self.monomial() is not None:
+            return power_times(self, e, 1, [(0, 1)])
         if e < 0:
             return self.inverse() ** (-e)
         acc = CycloNumber.from_rational(self.N, 1)
@@ -241,16 +246,24 @@ class CycloNumber:
         totally positive; where it is rational -- a rational, a root of
         unity, a Gauss sum, or one of these times another -- 1/x =
         xbar / (x xbar), one Galois map and one product.  Otherwise down
-        the tower of levels: with M' = M/ell and c the product of the other
-        conjugates of x over Q(zeta_M'), x c is the relative norm, which
-        lies in Q(zeta_M'); so 1/x = c / (x c), the last inverse taken at
-        level M' (and at level 1 at the latest by the first rule)."""
+        the tower of levels (``_tower_inverse``), with no such test on
+        the way down."""
         if self.is_zero():
             raise DivisionByZero("inverse of 0 in Q(zeta_N)")
         bar = self.galois(-1)
         norm = self * bar
         if norm.is_rational():
             return _number(self.N, (c * norm.den for c in bar.num), bar.den * norm.num[0])
+        return self._tower_inverse()
+
+    def _tower_inverse(self) -> "CycloNumber":
+        """1/x for x != 0 by relative norms: with M' = M/ell and c the
+        product of the other conjugates of x over Q(zeta_M'), x c is the
+        relative norm, which lies in Q(zeta_M'); so 1/x = c / (x c), the
+        last inverse taken at level M', until x is rational."""
+        if self.is_rational():
+            r = self.num[0]
+            return _number(self.N, (self.den if r > 0 else -self.den,) + self.num[1:], abs(r))
         M = self.N
         ell = _prime_factors(M)[0]
         low = M // ell
@@ -259,7 +272,7 @@ class CycloNumber:
         for k in range(1, ell):
             if gcd(1 + k * low, M) == 1:
                 conj = conj * self.galois(1 + k * low)
-        return conj * _drop_prime(self * conj, ell).inverse()
+        return conj * _drop_prime(self * conj, ell)._tower_inverse()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -280,6 +293,15 @@ class CycloNumber:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
+
+    def monomial(self):
+        """(i, r) with x = r zeta_N^i when x has exactly one nonzero
+        coefficient, r a Fraction; else None."""
+        num = self.num
+        if num.count(0) != len(num) - 1:
+            return None
+        i = num.index(max(num, key=abs))
+        return i, Fraction(num[i], self.den)
 
     def galois(self, a: int) -> "CycloNumber":
         """The automorphism zeta -> zeta^a; IncompatibleLevels unless
@@ -309,6 +331,21 @@ class CycloNumber:
 
     def __repr__(self):
         return f"Cyclo(N={self.N}, {pretty(self)})"
+
+
+def power_times(x: CycloNumber, v: int, N: int, terms, scale=1) -> CycloNumber:
+    """x^v * scale * sum of c * zeta_N^k over (k, c) in terms, c ints and
+    scale an int or a Fraction.  For a monomial x = r zeta_M^i this is one
+    ``from_monomials`` at level lcm(M, N), the exponents shifted by i v,
+    scaled by r^v scale; any other x takes x^v times the sum."""
+    mono = x.monomial()
+    if mono is None:
+        return x ** v * CycloNumber.from_monomials(N, terms) * scale
+    i, r = mono
+    L = lcm(x.N, N)
+    y = CycloNumber.from_monomials(L, [(i * v * (L // x.N) + k * (L // N), c) for k, c in terms])
+    rho = r ** v * scale
+    return _number(y.N, (c * rho.numerator for c in y.num), y.den * rho.denominator)
 
 
 def root_of_unity(N: int, k: int = 1) -> CycloNumber:

@@ -22,9 +22,13 @@ is trivial on the cross terms, which land at t^(>= v+A).  The sum over top
 digit k is 0 unless a linear form in the additive digits c_0 ... c_(A-1-k)
 of u vanishes; those digits are final from level A - k of the walk on, so
 form k is tested there and cuts every prefix it rejects.  A shell where no
-coset survives is returned as 0, with no cyclotomic reduction.  The wild
-exponent is v [a, t) plus the pairings [a, 1 + x t^j), tabulated once per
-call from the log series of 1 + x t^j against w_m(a); the tame exponent
+coset survives is returned as 0, with no cyclotomic reduction; otherwise
+its leaves and its scale chi(t)^(-v) q^(-v-h) make one cyclotomic build
+when chi(t) is a monomial (``power_times``).  The wild exponent is v [a, t)
+plus the pairings [a, 1 + x t^j), tabulated once per call from the log
+series of 1 + x t^j against w_m(a): integer dot products of the powers
+x~^k, which the Witt coefficient ring keeps for every character over it,
+with the trace forms of the coefficients of w_m(a).  The tame exponent
 reads dlog u0 and the psi exponent the additive digits of u.  The oracle
 shares no formula with the closed forms, only chi.level() and the memoized
 pairing series.
@@ -32,6 +36,8 @@ pairing series.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .characters import (
     AdditiveCharacter,
@@ -44,7 +50,7 @@ from .characters import (
     hilbert_symbol,
     psi_eval_exponent,
 )
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, power_times
 from .errors import (
     CapExceeded,
     InseparableInput,
@@ -65,16 +71,18 @@ DEFAULT_COSET_CAP = 300_000
 def gauss_sum(field, j: int) -> CycloNumber:
     """tau(chi_j, psi_k) = -sum_{x in k^x} chi_j^{-1}(x) psi_k(x), where
     chi_j(x) = zeta_{q-1}^(j * dlog x) and psi_k = psi_0 o Tr."""
-    q, p = field.q, field.p
+    q, p, traces = field.q, field.p, field.traces
     j = j % (q - 1)
-    terms = ((((-j * field.log[i]) % (q - 1)) * p
-              + field.trace_to_prime(field.from_index(i)) * (q - 1), 1) for i in range(1, q))
+    terms = ((((-j * field.log[i]) % (q - 1)) * p + traces[i] * (q - 1), 1) for i in range(1, q))
     return -CycloNumber.from_monomials((q - 1) * p, terms)
 
 
+@lru_cache(maxsize=None)
 def quad_gauss(field) -> CycloNumber:
-    """G = sum_{x in k} psi_k(x^2)."""
-    terms = ((field.trace_to_prime(x * x), 1) for x in field.elements())
+    """G = sum_{x in k} psi_k(x^2), once per interned field: 0 and the
+    squares g^(2k) of the powers of the generator."""
+    q, traces, exp = field.q, field.traces, field.exp
+    terms = [(0, 1)] + [(traces[exp[2 * k % (q - 1)]], 1) for k in range(q - 1)]
     return CycloNumber.from_monomials(field.p, terms)
 
 
@@ -158,7 +166,10 @@ def _unit_pairings(chi, depth):
 
     With w = w_m(a~), dlog(1 + x t^j) = sum_{k>=1} (-1)^(k-1) j x^k t^(jk-1)
     needs no division, so [a, 1 + x t^j) = -Tr(sum_{jk <= -ord w} (-1)^(k-1)
-    j x~^k w_{-jk}) and [a, t) = -Tr(w_0): a few ring products per entry.
+    j x~^k w_{-jk}) and [a, t) = -Tr(w_0).  The powers x~^k come from the
+    table kept on the Witt coefficient ring, and each trace is an integer
+    dot product with the trace form of w_{-jk}, so one row of P is one dot
+    product per x.
     """
     field = chi.field
     pairing = chi.pairing_series()
@@ -167,19 +178,13 @@ def _unit_pairings(chi, depth):
     R, w = pairing
     M = R.modulus_int
     kmax = -w.ord_lower_bound()  # w_{-jk} = 0 once jk > kmax
-    powers = []  # powers[x][k] = x~^k
-    for x in range(field.q):
-        xt, row = R.lift(field.from_index(x)), [R.one]
-        for _ in range(kmax):
-            row.append(row[-1] * xt)
-        powers.append(row)
-
-    def pair(j, x):
-        return (-j * sum((-1) ** (k - 1) * R.trace(powers[x][k] * w.coefficient(-j * k))
-                         for k in range(1, kmax // j + 1))) % M
-
-    return (-R.trace(w.coefficient(0))) % M, [None] + [
-        [pair(j, x) for x in range(field.q)] for j in range(1, depth)]
+    powers = R.lift_powers(kmax)
+    forms = [R.trace_form(w.coefficient(-n)) for n in range(kmax + 1)]
+    P = [None]
+    for j in range(1, depth):
+        signed = [(-1) ** k * j * t for k in range(1, kmax // j + 1) for t in forms[j * k]]
+        P.append([sum(map(mul, row, signed)) % M for row in powers])
+    return (-R.trace(w.coefficient(0))) % M, P
 
 
 def _shell_sum(chi, psi, v, depth, unit_pairings):
@@ -232,12 +237,8 @@ def _shell_sum(chi, psi, v, depth, unit_pairings):
 
     if not hist:  # no coset survives the forms
         return CycloNumber.zero(level)
-    out = CycloNumber.from_monomials(level, hist.items())
-    if out.is_zero():  # the surviving cosets cancel: no scaling
-        return out
-    if v:
-        out = out * chi.uniformizer_value ** (-v)
-    return out * Fraction(q) ** (-(v + half))  # a leaf weighs q^(A-h) cosets
+    # chi(t)^(-v) times the leaves, each of which weighs q^(A-h) cosets
+    return power_times(chi.uniformizer_value, -v, level, hist.items(), Fraction(q) ** (-(v + half)))
 
 
 def epsilon_tate_oracle(chi: QuasiCharacter, psi: AdditiveCharacter,

@@ -5,6 +5,11 @@ coefficient vector (c_0, ..., c_{f-1}) of the element sum(c_i * x^i) in base p,
 least significant digit = constant term.  Multiplication goes through a dense
 discrete-log table (hence the cap q <= 2^16); addition is digit-wise.
 
+Each digit of either ring is an integer mod ``modulus_int`` (p, or p^(m+1)),
+so at f = 1 both are Z/modulus_int and an element is one int: ``ints`` and
+``wrap`` convert a list of elements to ints and back, and ``series`` picks
+its integer kernels by ``ring.f == 1``.
+
 Everything is deterministic: the modulus is the first irreducible monic
 polynomial in lexicographic coefficient order, the generator is the smallest
 element (by index) of multiplicative order q - 1.  A candidate g passes when
@@ -16,7 +21,7 @@ in a fraction of a second.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     CapExceeded,
@@ -219,6 +224,7 @@ class FiniteField:
         self.p = p
         self.f = f
         self.q = q
+        self.modulus_int = p
 
         self._pow_p = [p**i for i in range(f)]
         # product() runs its last place fastest; the index's fastest digit is c_0
@@ -376,6 +382,20 @@ class FiniteField:
         d = self.digit_table[x.idx]
         return sum(c * t for c, t in zip(d, self._trace_basis)) % self.p
 
+    @cached_property
+    def traces(self) -> tuple[int, ...]:
+        """Tr_{F_q/F_p} of every element in index order, tabulated on first use."""
+        return tuple(sum(c * t for c, t in zip(d, self._trace_basis)) % self.p
+                     for d in self.digit_table)
+
+    def ints(self, elements) -> list[int]:
+        """The values of elements of F_p (f = 1), which are their indices."""
+        return [x.idx for x in elements]
+
+    def wrap(self, values) -> list[FqElement]:
+        """Elements of F_p (f = 1) from ints already reduced mod p."""
+        return [FqElement(self, c) for c in values]
+
     def extension(self, s: int):
         """Return (E, embed) with E = F_{q^s} and embed: F_q -> E a ring embedding."""
         if s == 1:
@@ -526,6 +546,11 @@ class WittCoeffRing:
         self.zero = WittCoeffElement(self, (0,) * self.f)
         self.one = WittCoeffElement(self, (1,) + (0,) * (self.f - 1))
         self._trace_basis = self._basis_traces()
+        # Tr(X^s) for s < 2f - 1, the trace form of the basis
+        self._power_traces = self._trace_basis + [
+            sum(r * t for r, t in zip(row, self._trace_basis)) % self.modulus_int
+            for row in self._reduction_rows[:self.f - 1]]
+        self._lift_powers = None
 
     def _build_reduction(self):
         # rows[j] = coefficient vector of X^(f+j) mod lifted modulus, j in [0, f-1)
@@ -546,6 +571,8 @@ class WittCoeffRing:
 
     def mul(self, a: WittCoeffElement, b: WittCoeffElement) -> WittCoeffElement:
         f, M = self.f, self.modulus_int
+        if f == 1:
+            return WittCoeffElement._reduced(self, (a.coeffs[0] * b.coeffs[0] % M,))
         conv = [0] * (2 * f - 1)
         for i, ai in enumerate(a.coeffs):
             if ai:
@@ -580,6 +607,37 @@ class WittCoeffRing:
 
     def from_int(self, n: int) -> WittCoeffElement:
         return WittCoeffElement(self, (n % self.modulus_int,) + (0,) * (self.f - 1))
+
+    def ints(self, elements) -> list[int]:
+        """The values of elements of Z/p^(m+1) (f = 1)."""
+        return [x.coeffs[0] for x in elements]
+
+    def wrap(self, values) -> list[WittCoeffElement]:
+        """Elements of Z/p^(m+1) (f = 1) from ints already reduced mod p^(m+1)."""
+        reduced = WittCoeffElement._reduced
+        return [reduced(self, (c,)) for c in values]
+
+    def lift_powers(self, k: int) -> list[list[int]]:
+        """table[x] = the coefficients of x~, x~^2, ..., x~^k laid end to end,
+        f ints each, for x in F_q in index order and x~ its representative
+        lift: kept on the ring, so every character over it reads the same
+        rows, and grown on demand."""
+        f, reduced = self.f, WittCoeffElement._reduced
+        if self._lift_powers is None:
+            self._lift_powers = [list(self.lift(x).coeffs) for x in self.field.elements()]
+        table = self._lift_powers
+        while len(table[0]) < k * f:
+            for row in table:
+                last, x = reduced(self, tuple(row[-f:])), reduced(self, tuple(row[:f]))
+                row += self.mul(last, x).coeffs
+        return table
+
+    def trace_form(self, c: WittCoeffElement) -> tuple[int, ...]:
+        """(Tr(X^i c))_{i<f}, so that Tr(a c) is the integer dot product of
+        a.coeffs with it, mod p^(m+1)."""
+        T = self._power_traces
+        return tuple(sum(cl * T[i + l] for l, cl in enumerate(c.coeffs))
+                     for i in range(self.f))
 
     def _basis_traces(self):
         f, M = self.f, self.modulus_int

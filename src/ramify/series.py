@@ -4,7 +4,11 @@ A series is a dense coefficient window: ``val`` is the exponent of the first
 stored coefficient, ``prec`` means "known modulo t^prec", and the window
 always covers [val, prec).  The zero-to-precision series is a distinct state
 (val is None — the +infinity sentinel).  Coefficients live in a FiniteField
-or a WittCoeffRing; the two expose the same element interface.
+or a WittCoeffRing; the two expose the same element interface.  Where the
+ring has f = 1 it is Z/N, N = ring.modulus_int, and ``*``, ``inverse`` (so
+``dlog`` and ``**``), ``derivative`` and ``residue_product`` run on plain
+ints, wrapping each result coefficient once; at f > 1 they loop over the
+elements.  ``ring.f`` alone makes that choice.
 
 All operations are exact on the retained window and propagate precision
 pessimistically.  Nothing here ever truncates silently: a coefficient outside
@@ -12,6 +16,9 @@ the guaranteed window raises PrecisionExhausted.
 """
 
 from __future__ import annotations
+
+from itertools import count, repeat
+from operator import add, mul
 
 from .errors import (
     LengthMismatch,
@@ -45,6 +52,17 @@ class LaurentSeries:
         if i == len(coeffs):
             return LaurentSeries(ring, None, (), prec)
         return LaurentSeries(ring, val + i, tuple(coeffs[i:]), prec)
+
+    @staticmethod
+    def from_ints(ring, val: int, values, prec: int) -> "LaurentSeries":
+        """``make`` over a ring with f = 1 from int coefficients, each
+        reduced mod ring.modulus_int and wrapped once."""
+        N = ring.modulus_int
+        values = [c % N for c in values]
+        for i, c in enumerate(values):
+            if c:
+                return LaurentSeries(ring, val + i, tuple(ring.wrap(values[i:])), prec)
+        return LaurentSeries(ring, None, (), prec)
 
     @staticmethod
     def zero(ring, prec: int) -> "LaurentSeries":
@@ -158,7 +176,16 @@ class LaurentSeries:
             return LaurentSeries.zero(self.ring, prec)
         v = va + vb
         n_out = prec - v
-        out = [self.ring.zero] * n_out
+        ring = self.ring
+        if ring.f == 1:
+            b = ring.ints(other.coeffs[:n_out])
+            out = [0] * n_out
+            for i, a in enumerate(ring.ints(self.coeffs[:n_out])):
+                if a:
+                    k = min(len(b), n_out - i)
+                    out[i:i + k] = map(add, out[i:i + k], map(mul, repeat(a), b))
+            return LaurentSeries.from_ints(ring, v, out, prec)
+        out = [ring.zero] * n_out
         bcoeffs = other.coeffs
         for i, a in enumerate(self.coeffs):
             if a.is_zero() or i >= n_out:
@@ -192,6 +219,14 @@ class LaurentSeries:
             raise NonUnitLeadingCoefficient(f"leading coefficient {lead!r} is not a unit")
         v = self.val
         n = self.prec - v  # window length of the unit part
+        ring = self.ring
+        if ring.f == 1:
+            N = ring.modulus_int
+            u = ring.ints(self.coeffs)
+            out, tail = [pow(u[0], -1, N)], u[1:]
+            for _ in range(1, n):
+                out.append(-out[0] * sum(map(mul, tail, reversed(out))) % N)
+            return LaurentSeries.from_ints(ring, -v, out, self.prec - 2 * v)
         inv0 = lead.inverse()
         u = self.coeffs
         out = [inv0]
@@ -238,6 +273,9 @@ class LaurentSeries:
         """Termwise d/dt; precision drops by one."""
         if self.val is None:
             return LaurentSeries.zero(self.ring, self.prec - 1)
+        if self.ring.f == 1:
+            return LaurentSeries.from_ints(self.ring, self.val - 1, map(
+                mul, self.ring.ints(self.coeffs), count(self.val)), self.prec - 1)
         out = [self.ring.from_int(self.val + i) * c for i, c in enumerate(self.coeffs)]
         return LaurentSeries.make(self.ring, self.val - 1, out, self.prec - 1)
 
@@ -278,8 +316,12 @@ def residue_product(x: LaurentSeries, y: LaurentSeries):
     if x.val is None or y.val is None:
         return x.ring.zero
     k, xs, ys = -1 - x.val - y.val, x.coeffs, y.coeffs
-    return sum((xs[i] * ys[k - i] for i in range(max(0, k - len(ys) + 1), min(len(xs), k + 1))),
-               x.ring.zero)
+    lo, hi = max(0, k - len(ys) + 1), min(len(xs), k + 1)
+    if x.ring.f == 1 and lo < hi:  # xs[lo:hi] against ys[k - lo], ..., ys[k - hi + 1]
+        ints = x.ring.ints
+        return x.ring.from_int(
+            sum(map(mul, ints(xs[lo:hi]), reversed(ints(ys[k - hi + 1:k - lo + 1])))))
+    return sum((xs[i] * ys[k - i] for i in range(lo, hi)), x.ring.zero)
 
 
 def substitute_dilated(s: LaurentSeries, r: int, theta) -> LaurentSeries:

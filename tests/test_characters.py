@@ -674,6 +674,21 @@ def test_additive_character_is_additive():
         assert psi_eval(psi, x + y) == psi_eval(psi, x) * psi_eval(psi, y)
 
 
+@pytest.mark.parametrize("q,seed", [(3, 1), (5, 2), (9, 3), (25, 4)])
+def test_digit_traces_match_trace_of_product(q, seed):
+    # the row read off the field's trace table against Tr(x g) element by
+    # element, for every coefficient g of omega, zero ones included
+    from ramify.fields import field_from_q
+
+    field, rng = field_from_q(q), random.Random(seed)
+    psi = AdditiveCharacter(rng_series(field, rng, -2, 8))
+    for n in range(-2, 6):
+        g = psi.omega.coefficient(n)
+        assert psi.digit_traces(n) == tuple(
+            field.trace_to_prime(field.from_index(i) * g) for i in range(q)), (q, n)
+    assert field.traces == tuple(field.trace_to_prime(x) for x in field.elements())
+
+
 def test_gauge_identity():
     # psi(beta^-1 * a) = psi_k(a0) for integral a with residue a0.
     rng = random.Random(23)

@@ -15,6 +15,7 @@ from ramify.cyclo import (
     embed,
     euler_phi,
     minimal_form,
+    power_times,
     pretty,
     root_of_unity,
 )
@@ -459,3 +460,35 @@ def test_wrong_length_raises_even_under_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, timeout=60)
     assert out.stdout.strip() == "raised", out.stderr
+
+
+MONOMIALS = [(8, 3, 1), (8, 6, -1), (12, 1, Fraction(3, 2)), (15, 7, Fraction(-2, 5)),
+             (144, 37, 2), (1, 0, Fraction(-4, 3))]
+
+
+@pytest.mark.parametrize("N,i,r", MONOMIALS)
+@pytest.mark.parametrize("e", [-3, -1, 0, 1, 2, 5])
+def test_monomial_power_matches_the_product_path(N, i, r, e):
+    # r zeta_N^i raised through its exponent against repeated products of
+    # x, or of its inverse by the complex conjugate, for e < 0, e = 0, e > 0
+    x = CycloNumber.from_monomials(N, [(i, 1)]) * r
+    assert x.monomial() is not None
+    factor = x if e > 0 else x.inverse()
+    want = CycloNumber.from_rational(N, 1)
+    for _ in range(abs(e)):
+        want = want * factor
+    assert x ** e == want
+
+
+@pytest.mark.parametrize("x", [root_of_unity(8, 5) * Fraction(-3, 2), root_of_unity(12, 0) * 7,
+                               root_of_unity(5) + 1, CycloNumber.from_rational(6, 0)])
+@pytest.mark.parametrize("v", [-2, 0, 3])
+def test_power_times_matches_power_then_product(x, v):
+    # one build at the lcm level for a monomial x, the plain route otherwise
+    terms, scale = [(1, 2), (7, -1), (20, 3)], Fraction(5, 9)
+    if x.is_zero() and v < 0:
+        with pytest.raises(DivisionByZero):
+            power_times(x, v, 30, terms, scale)
+        return
+    want = x ** v * CycloNumber.from_monomials(30, terms) * scale
+    assert power_times(x, v, 30, terms, scale) == want

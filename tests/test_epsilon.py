@@ -3,6 +3,7 @@ lambda factors, and for tot. ram. exts. the discriminant class against a
 test-side Bareiss norm, with traces and differents."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -46,7 +47,7 @@ from ramify.errors import (
     WildInput,
     ZeroInput,
 )
-from ramify.fields import FqElement, WittCoeffRing, field_from_q, make_field
+from ramify.fields import FiniteField, FqElement, WittCoeffRing, field_from_q, make_field
 from ramify.series import LaurentSeries, decompose_over_base
 from ramify.witt import WittVector, witt_differential, witt_neg
 from series_composition import compose, reversion
@@ -256,9 +257,11 @@ def test_wild_closed_form_matches_tate_integral(field, m, vals, a_cap, cases, se
 
 
 def _count_ring_muls(monkeypatch):
-    """Patch F_q and Z_q/p^(m+1) multiplication to count their calls."""
+    """Patch F_q and Z_q/p^(m+1) multiplication to count their calls, and
+    the f = 1 integer kernels to count the coefficients they read."""
     calls = Counter()
     fq_mul, witt_mul = FqElement.__mul__, WittCoeffRing.mul
+    fq_ints, witt_ints = FiniteField.ints, WittCoeffRing.ints
 
     def counted_fq(a, b):
         calls["fq"] += 1
@@ -268,8 +271,20 @@ def _count_ring_muls(monkeypatch):
         calls["witt"] += 1
         return witt_mul(ring, a, b)
 
+    def counted_fq_ints(field, elements):
+        out = fq_ints(field, elements)
+        calls["fq"] += len(out)
+        return out
+
+    def counted_witt_ints(ring, elements):
+        out = witt_ints(ring, elements)
+        calls["witt"] += len(out)
+        return out
+
     monkeypatch.setattr(FqElement, "__mul__", counted_fq)
     monkeypatch.setattr(WittCoeffRing, "mul", counted_witt)
+    monkeypatch.setattr(FiniteField, "ints", counted_fq_ints)
+    monkeypatch.setattr(WittCoeffRing, "ints", counted_witt_ints)
     return calls
 
 
@@ -615,13 +630,14 @@ def test_guard_shell_without_a_surviving_coset_is_zero_unreduced(monkeypatch):
 
 def test_guard_shell_whose_cosets_cancel(monkeypatch):
     # tame a = 1, d = 0: on the guard shell v = 0 every u0 survives and the
-    # sum of chi^{-1}(u0) over k^x cancels after the reduction
+    # sum of chi^{-1}(u0) over k^x cancels after the one reduction, made at
+    # the lcm of the levels of chi(t) = zeta_8^3 and of chi
     chi, psi = QuasiCharacter(F5, 1, root_of_unity(8, 3)), psi_dt(F5)
     ref = reference_shell_sum(chi, psi, 0, 1)
     assert ref.is_zero()
     calls = _count_reductions(monkeypatch)
     assert _shell_sum(chi, psi, 0, 1, _unit_pairings(chi, 1)) == ref
-    assert calls == [chi.level()]
+    assert calls == [math.lcm(8, chi.level())]
 
 
 def test_oracle_raises_on_a_nonvanishing_guard_shell(monkeypatch):

@@ -11,7 +11,7 @@ from ramify.errors import (
     PrecisionExhausted,
     ZeroInput,
 )
-from ramify.fields import WittCoeffRing, make_field
+from ramify.fields import FiniteField, WittCoeffRing, make_field
 from ramify.series import (
     LaurentSeries,
     decompose_over_base,
@@ -219,6 +219,76 @@ def test_residue_product_matches_residue_of_product(ring, seed):
             seen["zero operand"] += 1
         seen["nonzero"] += not want.is_zero()
     assert min(seen.values()) >= 20, seen
+
+
+def _naive_mul(x, y):
+    """x * y term by term on coefficient objects, with the precision rule."""
+    ring = x.ring
+    prec = min(x.prec + y.ord_lower_bound(), y.prec + x.ord_lower_bound())
+    terms = {}
+    for e1, a in x.terms():
+        for e2, b in y.terms():
+            if e1 + e2 < prec:
+                terms[e1 + e2] = terms.get(e1 + e2, ring.zero) + a * b
+    return LaurentSeries.from_terms(ring, terms, prec)
+
+
+def _naive_inverse(x):
+    """1/x by the recursion u_0 w_k = -sum_{j>=1} u_j w_(k-j) on coefficient
+    objects, the leading inverse taken by the ring itself."""
+    ring, v, u = x.ring, x.val, x.coeffs
+    out = [u[0].inverse()]
+    for k in range(1, x.prec - v):
+        acc = ring.zero
+        for j in range(1, min(k, len(u) - 1) + 1):
+            acc = acc + u[j] * out[k - j]
+        out.append(-(out[0] * acc))
+    return LaurentSeries.make(ring, -v, out, x.prec - 2 * v)
+
+
+def _state(s):
+    return s.val, s.coeffs, s.prec
+
+
+@pytest.mark.parametrize("ring,seed", [
+    (F3, 1), (F5, 2), (WittCoeffRing(F3, 1), 3), (WittCoeffRing(F5, 1), 4),
+    (WittCoeffRing(F3, 2), 5)], ids=["F3", "F5", "Z/9", "Z/25", "Z/27"])
+def test_integer_kernels_match_coefficient_objects(ring, seed):
+    # at f = 1 the ring is Z/N and *, inverse, derivative and residue_product
+    # run on ints; each against a naive loop on the ring's own elements, on
+    # seeded windows with zero-to-precision operands, non-unit leads and
+    # residue windows that cannot be certified
+    assert ring.f == 1
+    rng = random.Random(seed)
+    N = ring.modulus_int
+    draw = lambda: ring.from_int(rng.randrange(N))
+    seen = {"zero operand": 0, "inverted": 0, "non-unit lead": 0, "raised": 0, "residue": 0}
+    for _ in range(300):
+        x, y = _random_window(ring, rng, draw), _random_window(ring, rng, draw)
+        assert _state(x * y) == _state(_naive_mul(x, y)), (x, y)
+        seen["zero operand"] += x.is_zero() or y.is_zero()
+        dx = LaurentSeries.from_terms(
+            ring, {e - 1: ring.from_int(e) * c for e, c in x.terms()}, x.prec - 1)
+        assert _state(x.derivative()) == _state(dx), x
+        if x.is_zero() or not x.leading_coefficient().is_unit():
+            with pytest.raises(NonUnitLeadingCoefficient):
+                x.inverse()
+            seen["non-unit lead"] += not x.is_zero()
+        else:
+            assert _state(x.inverse()) == _state(_naive_inverse(x)), x
+            seen["inverted"] += 1
+        try:
+            want = _naive_mul(x, y).coefficient(-1)
+        except PrecisionExhausted:
+            with pytest.raises(PrecisionExhausted):
+                residue_product(x, y)
+            seen["raised"] += 1
+            continue
+        assert residue_product(x, y) == want, (x, y)
+        seen["residue"] += not want.is_zero()
+    if isinstance(ring, FiniteField):  # every nonzero lead is a unit
+        assert seen.pop("non-unit lead") == 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_dlog_residue_is_valuation_mod_p():
