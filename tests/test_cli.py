@@ -1,5 +1,7 @@
 """Wire formats and the command-line driver: schemas, exit codes, pinned outputs."""
 
+import builtins
+import dis
 import importlib.util
 import inspect
 import json
@@ -95,13 +97,33 @@ def test_benchmark_hooks_resolve():
     assert isinstance(inspect.getattr_static(table, "get"), classmethod)
 
 
-def test_timing_scripts_import():
+# the timing scripts folded into scripts/bench.py, each with the function
+# that took over its timings
+TIMING_PARTS = {"cyclo_timing": "layer_rows", "closed_form_timing": "class_rows"}
+
+
+def _global_loads(code):
+    """The global names that code, and every function nested in it, reads."""
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname == "LOAD_GLOBAL"}
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _global_loads(const)
+    return names
+
+
+@pytest.mark.parametrize("script", list(TIMING_PARTS))
+def test_timing_scripts_import(script):
     # scripts/bench.py imports library names that no test otherwise reads;
-    # a rename in the library then fails here, not at the next timing run
+    # a rename in the library then fails here, not at the next timing run,
+    # and so does a name the part reads that import_ramify leaves unbound
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    script.import_ramify()
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.import_ramify()
+    part = getattr(bench, TIMING_PARTS[script])
+    unbound = {name for name in _global_loads(part.__code__)
+               if name not in vars(bench) and not hasattr(builtins, name)}
+    assert not unbound, unbound
 
 
 def test_cli_fingerprint_is_pinned():
