@@ -20,7 +20,9 @@ a fresh additive character, and the cyclotomic layer: ``*``, ``inverse``
 and ``quad_gauss(F_1009)`` (by the complex conjugate), then, once each,
 ``gauss_sum`` over F_243, F_211 and F_2003 with the first two ``pretty``,
 ``root_of_unity(44310, 211)`` and zeta_N + zeta_N^-1 at N = 14630, 22155 and
-44310, which takes a full reduction mod Phi_N.
+44310, which takes a full reduction mod Phi_N; last, ``witt_add`` of
+length-(m+1) vectors over F_(p^f) at window 24 for each (p, f, m) in
+WITT_CLASSES.
 
 The class rows time ``epsilon0`` at input windows 24 and 96 and
 ``epsilon_tate_oracle`` at window 24 for each (q, m, a) class, on seeded
@@ -50,6 +52,7 @@ ORACLE_WINDOW = 24
 DRAWS = 7
 REPEATS = 3
 N = 144
+WITT_CLASSES = [(3, 1, 1), (5, 1, 1), (7, 1, 1), (3, 2, 1), (3, 3, 1), (3, 1, 2), (5, 1, 2)]
 
 
 def median_ms(fn, count, repeats=5):
@@ -73,14 +76,14 @@ def import_ramify():
     global AdditiveCharacter, QuasiCharacter, conductor, witt_pairing, CycloNumber, embed
     global euler_phi, pretty, root_of_unity, _unit_pairings, epsilon0, epsilon_tate_oracle
     global gauss_sum, quad_gauss, WittCoeffRing, field_from_q, make_field, LaurentSeries
-    global WittVector
+    global WittVector, witt_add
     from ramify.characters import AdditiveCharacter, QuasiCharacter, conductor, witt_pairing
     from ramify.cyclo import CycloNumber, embed, euler_phi, pretty, root_of_unity
     from ramify.epsilon import (_unit_pairings, epsilon0, epsilon_tate_oracle, gauss_sum,
                                 quad_gauss)
     from ramify.fields import WittCoeffRing, field_from_q, make_field
     from ramify.series import LaurentSeries
-    from ramify.witt import WittVector
+    from ramify.witt import WittVector, witt_add
 
 
 def layer_rows():
@@ -162,6 +165,12 @@ def layer_rows():
     for n in (14630, 22155, 44310):
         rows[f"cyclo.zeta_plus_inverse_{n}"] = once_ms(
             lambda: CycloNumber.from_monomials(n, [(1, 1), (-1, 1)]))
+    for p, f, m in WITT_CLASSES:
+        field = make_field(p, f)
+        pairs = [[WittVector(m, [LaurentSeries.make(field, -4, [draw(field, unit=True)] + [
+            draw(field) for _ in range(27)], 24) for _ in range(m + 1)]) for _ in range(2)]
+            for _ in range(4)]
+        rows[f"witt.add.p{p}f{f}m{m}"] = median_ms(lambda: [witt_add(a, b) for a, b in pairs], 4)
     return rows
 
 

@@ -33,8 +33,9 @@ chi^{-1}(c) psi(c) adds its exponents and calls ``char_value`` once.
 from .cyclo import CycloNumber, power_times
 from .errors import LengthMismatch, ZeroArgument, ZeroInput
 from .fields import WittCoeffRing
-from .series import LaurentSeries, map_coefficients, residue_product
-from .witt import WittVector, fil_level, ghost_components, pairing_window, reduce_vector
+from .series import LaurentSeries, residue_product
+from .witt import (WittVector, fil_level, ghost_components, lift_series, pairing_window,
+                   reduce_vector)
 
 
 # -- residue pairing ---------------------------------------------------------
@@ -50,15 +51,8 @@ def pairing_series(z: WittVector):
     """
     field = z.ring
     R = WittCoeffRing.for_field(field, z.m)
-    lifts = [_lift(e, R) for e in pairing_window(z.entries, field.p)]
+    lifts = [lift_series(e, R) for e in pairing_window(z.entries, field.p)]
     return R, ghost_components(lifts, R, field.p)[-1]
-
-
-def _lift(s: LaurentSeries, R) -> LaurentSeries:
-    """s lifted coefficient-wise into R; at f = 1 the same ints."""
-    if R.f == 1:
-        return LaurentSeries(R, s.val, tuple(R.wrap(s.ring.ints(s.coeffs))), s.prec)
-    return map_coefficients(s, R.lift, R)
 
 
 def witt_pairing(z: WittVector, u: LaurentSeries) -> int:
@@ -85,7 +79,7 @@ def _pair(R, w, u: LaurentSeries) -> int:
     if u.ring is not R.field:
         raise LengthMismatch("unit and Witt vector live over different fields")
     u = u.truncate(u.valuation() + max(1, 1 - w.ord_lower_bound()))
-    return (-R.trace(residue_product(w, _lift(u, R).dlog()))) % R.modulus_int
+    return (-R.trace(residue_product(w, lift_series(u, R).dlog()))) % R.modulus_int
 
 
 # -- multiplicative characters ------------------------------------------------

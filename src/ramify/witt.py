@@ -1,11 +1,14 @@
 """Witt vectors of finite length over Laurent-series fields of odd characteristic.
 
-The group law is evaluated through the universal addition polynomials,
-derived once per (p, length) and process by the ghost recursion in exact
-integer arithmetic (each step asserts exact divisibility by p^n), then
-applied mod p.  The powers S_i^(p^(n-i)) the recursion needs are expanded
-as trinomials, S_i = X_i + Y_i + g_i with g_i free of X_i and Y_i, so only
-powers of the short g_i are ever multiplied out.
+The group law runs the ghost recursion on coefficient-wise lifts to
+Z_q/p^(m+1): entry 0 of a sum is x_0 + y_0 over F_q, and entry n >= 1 is
+read off
+
+    p^n s~_n = w_n(x~) + w_n(y~) - sum_{i<n} p^i s~_i^(p^(n-i)),
+
+w_n the n-th ghost component and s~_i the lifts of the entries already
+found.  Any lift of x, y and s_i gives s_n mod p, and each step asserts
+that the right-hand side is divisible by p^n.
 
 Also here: the weighted-valuation filtration (entry i of a length-(m+1)
 vector carries weight p^(m-i)), the derivation-after-Frobenius map
@@ -16,9 +19,6 @@ depth/leading-coefficient invariants read off a reduced vector.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb
-
 from .errors import (
     CapExceeded,
     LengthMismatch,
@@ -27,145 +27,27 @@ from .errors import (
     TameInput,
     ZeroVector,
 )
-from .series import LaurentSeries
+from .fields import WittCoeffRing
+from .series import LaurentSeries, map_coefficients, substitute_dilated
 
-LENGTH_CAP = 3  # vectors of length m+1 <= 3; the tables grow fast with the length
+# vectors of length m+1 <= 3; with no table to derive, the cap bounds only the
+# cost of the Tate-integral oracle
+LENGTH_CAP = 3
 _REDUCE_ITER_CAP = 4000
 
 
-# -- universal polynomial tables ------------------------------------------------
-
-
-# A polynomial is a dict from exponent tuple to nonzero int coefficient; the
-# tuple lists the exponents of X_0..X_{L-1} and then of Y_0..Y_{L-1}.
-
-
-def _poly_add(acc, a, scale=1):
-    for e, c in a.items():
-        c = acc.get(e, 0) + scale * c
-        if c:
-            acc[e] = c
-        else:
-            acc.pop(e, None)
-
-
-def _poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple([u + v for u, v in zip(ea, eb)])
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _trinomial_pow(g, i, length, k):
-    """(X_i + Y_i + g)^k for g free of X_i and Y_i: the sum over
-    a + b + c = k of k!/(a! b! c!) X_i^a Y_i^b g^c.  The exponents of
-    distinct (a, b) never meet, so each term is written once."""
-    out = {}
-    g_pow = {(0,) * (2 * length): 1}
-    for c in range(k + 1):
-        if c:
-            g_pow = _poly_mul(g_pow, g)
-            if not g_pow:  # g = 0: the binomial case
-                break
-        for a in range(k - c + 1):
-            coef = comb(k, c) * comb(k - c, a)
-            for e, v in g_pow.items():
-                e = list(e)
-                e[i], e[length + i] = a, k - c - a
-                out[tuple(e)] = coef * v
-    return out
-
-
-def _build_tables(p: int, length: int):
-    """Universal addition polynomials by the ghost recursion, in exact
-    integer arithmetic:
-        p^n S_n = sum_{i<=n} p^i (X_i^(p^(n-i)) + Y_i^(p^(n-i)))
-                  - sum_{i<n} p^i S_i^(p^(n-i))."""
-
-    def monomial(pos, k):
-        e = [0] * (2 * length)
-        e[pos] = k
-        return {tuple(e): 1}
-
-    def term_list(poly, n):
-        # (coefficient, X_0..X_n exponents, Y_0..Y_n exponents), sorted
-        # lex-descending on the exponents as one tuple
-        terms = [(c, e[: n + 1], e[length: length + n + 1]) for e, c in poly.items()]
-        terms.sort(key=lambda t: t[1] + t[2], reverse=True)
-        return terms
-
-    tables, gs = [], []  # gs[n] = S_n - X_n - Y_n
-    for n in range(length):
-        acc = {}
-        for i in range(n + 1):
-            _poly_add(acc, monomial(i, p ** (n - i)), p**i)
-            _poly_add(acc, monomial(length + i, p ** (n - i)), p**i)
-        for i, g in enumerate(gs):
-            _poly_add(acc, _trinomial_pow(g, i, length, p ** (n - i)), -p**i)
-        if any(c % p**n for c in acc.values()):
-            raise AssertionError("non-integer coefficient in universal polynomial")
-        s = {e: c // p**n for e, c in acc.items()}
-        tables.append(term_list(s, n))
-        _poly_add(s, monomial(n, 1), -1)
-        _poly_add(s, monomial(length + n, 1), -1)
-        gs.append(s)
-    return tables
+# -- the benchmark's table hook ---------------------------------------------------
 
 
 class UniversalWittTable:
-    """The universal addition polynomials S_0..S_{length-1} for one p."""
-
-    def __init__(self, p: int, length: int, sum_terms):
-        self.p = p
-        self.length = length
-        self._sum = sum_terms
+    """No table: Witt sums run the ghost recursion.  The class stays, with a
+    ``get`` that derives nothing, only because perfbench/workloads.py calls
+    ``get`` at set-up and perfbench/tracing.py wraps it; it goes once they
+    no longer do."""
 
     @classmethod
-    @lru_cache(maxsize=None)
-    def get(cls, p: int, length: int, /) -> "UniversalWittTable":
-        """The interned table of one (p, length), derived on first use."""
-        return cls(p, length, _build_tables(p, length))
-
-    def sum_terms(self, i: int):
-        return self._sum[i]
-
-    def eval_sum(self, i: int, xs, ys) -> LaurentSeries:
-        return _eval_terms(self._sum[i], xs, ys)
-
-
-def _eval_terms(terms, xs, ys) -> LaurentSeries:
-    ring = xs[0].ring
-    pow_cache: dict = {}
-
-    def cached_pow(tag, idx, s, e):
-        key = (tag, idx, e)
-        if key not in pow_cache:
-            pow_cache[key] = s**e
-        return pow_cache[key]
-
-    acc = None
-    for c, ex, ey in terms:
-        cm = ring.from_int(c)
-        if cm.is_zero():
-            continue
-        prod = None
-        for idx, e in enumerate(ex):
-            if e:
-                f = cached_pow("x", idx, xs[idx], e)
-                prod = f if prod is None else prod * f
-        for idx, e in enumerate(ey):
-            if e:
-                f = cached_pow("y", idx, ys[idx], e)
-                prod = f if prod is None else prod * f
-        assert prod is not None, "constant monomial in universal polynomial"
-        term = prod.scale(cm)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        prec = min(s.prec for s in list(xs) + list(ys))
-        return LaurentSeries.zero(ring, prec)
-    return acc
+    def get(cls, p: int, length: int, /) -> None:
+        """Derives nothing."""
 
 
 # -- Witt vectors ---------------------------------------------------------------
@@ -215,18 +97,45 @@ class WittVector:
 
 
 def witt_add(a: WittVector, b: WittVector) -> WittVector:
+    """a + b, by the ghost recursion of the module docstring on the
+    representative lifts x~, y~ of the entries of a and b.
+
+    Windows: entry 0 is known to the shorter window of x_0 and y_0.  Entry
+    n >= 1 is known to the shortest window among the terms of its
+    recursion, p^i x~_i^(p^(n-i)) and p^i y~_i^(p^(n-i)) for i <= n and
+    s~_i^(p^(n-i)) for i < n, where a power N of a series t^v U known mod
+    t^P is known mod t^(P + (N-1) v), and v = P if it is 0 to precision.
+    """
     if a.m != b.m:
         raise LengthMismatch(f"length {a.m + 1} vs {b.m + 1}")
     if a.ring is not b.ring:
         raise LengthMismatch("vectors over different coefficient rings")
-    if a.m == 0:
-        return WittVector(0, (a.entries[0] + b.entries[0],))
-    table = UniversalWittTable.get(a.ring.p, a.m + 1)
-    out = [
-        table.eval_sum(i, a.entries[: i + 1], b.entries[: i + 1])
-        for i in range(a.m + 1)
-    ]
-    return WittVector(a.m, out)
+    field, m = a.ring, a.m
+    p = field.p
+    out = [a.entries[0] + b.entries[0]]
+    if m == 0:
+        return WittVector(0, out)
+    R = WittCoeffRing.for_field(field, m)
+    wx = ghost_components(lift_entries(a, R), R, p)
+    wy = ghost_components(lift_entries(b, R), R, p)
+    powers = []  # s~_i^(p^(n-i)) for i < n
+    for n in range(1, m + 1):
+        powers = [y**p for y in powers + [lift_series(out[-1], R)]]
+        acc = wx[n] + wy[n] - powers[0]
+        for i in range(1, n):
+            acc = acc - powers[i].scale(R.from_int(p**i))
+        out.append(_divide_reduce(acc, p**n, field))
+    return WittVector(m, out)
+
+
+def _divide_reduce(s: LaurentSeries, pn: int, field) -> LaurentSeries:
+    """s / pn mod p, over F_q, for s over Z_q/p^(m+1) divisible by pn."""
+    if s.val is None:
+        return LaurentSeries.zero(field, s.prec)
+    if any(d % pn for c in s.coeffs for d in c.coeffs):
+        raise AssertionError(f"ghost recursion: a coefficient is not divisible by {pn}")
+    return LaurentSeries.make(
+        field, s.val, [field.element([d // pn for d in c.coeffs]) for c in s.coeffs], s.prec)
 
 
 def witt_neg(a: WittVector) -> WittVector:
@@ -367,8 +276,6 @@ def witt_differential(a: WittVector) -> LaurentSeries:
 
 def dilate(a: WittVector, r: int, theta) -> WittVector:
     """Apply t -> t (1 + theta t^r) to every entry."""
-    from .series import substitute_dilated
-
     return WittVector(
         a.m, [substitute_dilated(e, r, theta) for e in a.entries]
     )
@@ -391,11 +298,17 @@ def dilation_defect_sum(alpha: LaurentSeries, r: int, theta) -> LaurentSeries:
 # -- lifts and ghost components --------------------------------------------------
 
 
+def lift_series(s: LaurentSeries, R) -> LaurentSeries:
+    """s lifted coefficient-wise into R by representatives; at f = 1 the
+    same ints."""
+    if R.f == 1:
+        return LaurentSeries(R, s.val, tuple(R.wrap(s.ring.ints(s.coeffs))), s.prec)
+    return map_coefficients(s, R.lift, R)
+
+
 def lift_entries(a: WittVector, R):
     """Coefficient-wise representative lift of every entry into series over R."""
-    from .series import map_coefficients
-
-    return [map_coefficients(e, R.lift, R) for e in a.entries]
+    return [lift_series(e, R) for e in a.entries]
 
 
 def ghost_components(lifted, R, p: int):

@@ -1,5 +1,6 @@
 """Witt-vector group law, filtration, differential, and reduction."""
 
+import functools
 import json
 import os
 import random
@@ -20,8 +21,6 @@ from ramify.errors import (
 from ramify.fields import WittCoeffRing, make_field
 from ramify.series import LaurentSeries, map_coefficients
 from ramify.witt import (
-    UniversalWittTable,
-    _build_tables,
     WittVector,
     dilate,
     dilation_defect_sum,
@@ -76,65 +75,18 @@ def witt_vec(field, m):
     )
 
 
-# -- universal tables ---------------------------------------------------------
+# -- reference addition tables -------------------------------------------------
+# witt_add derives no table.  The universal addition polynomials, built here
+# by the ghost recursion on whole polynomials, are the reference it must
+# equal, and sympy is the reference for them.
 
 
-def test_addition_polynomials_frozen_p3():
-    tab = UniversalWittTable.get(3, 2)
-    assert sorted(tab.sum_terms(0)) == [(1, (0,), (1,)), (1, (1,), (0,))]
-    assert sorted(tab.sum_terms(1)) == [
-        (-1, (1, 0), (2, 0)),
-        (-1, (2, 0), (1, 0)),
-        (1, (0, 0), (0, 1)),
-        (1, (0, 1), (0, 0)),
-    ]
-
-
-def test_addition_polynomials_frozen_p5():
-    tab = UniversalWittTable.get(5, 2)
-    assert sorted(tab.sum_terms(1)) == [
-        (-2, (2, 0), (3, 0)),
-        (-2, (3, 0), (2, 0)),
-        (-1, (1, 0), (4, 0)),
-        (-1, (4, 0), (1, 0)),
-        (1, (0, 0), (0, 1)),
-        (1, (0, 1), (0, 0)),
-    ]
-
-
-def sympy_tables(p, length):
-    """The universal addition table by a symbolic ghost recursion over Q:
-    the reference for the integer derivation, term order included."""
-    sympy = pytest.importorskip("sympy")
-    xs = list(sympy.symbols([f"X{i}" for i in range(length)]))
-    ys = list(sympy.symbols([f"Y{i}" for i in range(length)]))
-
-    def ghost(zs, n):
-        return sum(p**i * zs[i] ** (p ** (n - i)) for i in range(n + 1))
-
-    exprs, tables = [], []
-    for n in range(length):
-        known = sum(p**i * exprs[i] ** (p ** (n - i)) for i in range(n))
-        expr = sympy.expand((ghost(xs, n) + ghost(ys, n) - known) / sympy.Integer(p) ** n)
-        exprs.append(expr)
-        terms = []
-        for exps, c in sympy.Poly(expr, *xs[: n + 1], *ys[: n + 1]).terms():
-            assert sympy.Rational(c).q == 1
-            terms.append((int(c), tuple(exps[: n + 1]), tuple(exps[n + 1:])))
-        tables.append(terms)
-    return tables
-
-
-@pytest.mark.parametrize("length", [1, 2, 3])
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_integer_tables_match_sympy(p, length):
-    assert _build_tables(p, length) == sympy_tables(p, length)
-
-
+@functools.lru_cache(maxsize=None)
 def squaring_tables(p, length):
     """The universal addition table by the ghost recursion in integers, with
     each power S_i^(p^(n-i)) taken by repeated squaring of whole
-    polynomials: the reference past sympy's reach, term order included."""
+    polynomials: per n, the terms (coefficient, X_0..X_n exponents,
+    Y_0..Y_n exponents) of S_n, lex-descending on the exponents."""
 
     def add(acc, a, scale):
         for e, c in a.items():
@@ -183,15 +135,154 @@ def squaring_tables(p, length):
     return tables
 
 
-def test_integer_tables_match_repeated_squaring():
+def sympy_tables(p, length):
+    """The universal addition table by a symbolic ghost recursion over Q:
+    the reference for the integer derivation, term order included."""
+    sympy = pytest.importorskip("sympy")
+    xs = list(sympy.symbols([f"X{i}" for i in range(length)]))
+    ys = list(sympy.symbols([f"Y{i}" for i in range(length)]))
+
+    def ghost(zs, n):
+        return sum(p**i * zs[i] ** (p ** (n - i)) for i in range(n + 1))
+
+    exprs, tables = [], []
+    for n in range(length):
+        known = sum(p**i * exprs[i] ** (p ** (n - i)) for i in range(n))
+        expr = sympy.expand((ghost(xs, n) + ghost(ys, n) - known) / sympy.Integer(p) ** n)
+        exprs.append(expr)
+        terms = []
+        for exps, c in sympy.Poly(expr, *xs[: n + 1], *ys[: n + 1]).terms():
+            assert sympy.Rational(c).q == 1
+            terms.append((int(c), tuple(exps[: n + 1]), tuple(exps[n + 1:])))
+        tables.append(terms)
+    return tables
+
+
+def test_addition_polynomials_frozen_p3():
+    tab = squaring_tables(3, 2)
+    assert sorted(tab[0]) == [(1, (0,), (1,)), (1, (1,), (0,))]
+    assert sorted(tab[1]) == [
+        (-1, (1, 0), (2, 0)),
+        (-1, (2, 0), (1, 0)),
+        (1, (0, 0), (0, 1)),
+        (1, (0, 1), (0, 0)),
+    ]
+
+
+def test_addition_polynomials_frozen_p5():
+    tab = squaring_tables(5, 2)
+    assert sorted(tab[1]) == [
+        (-2, (2, 0), (3, 0)),
+        (-2, (3, 0), (2, 0)),
+        (-1, (1, 0), (4, 0)),
+        (-1, (4, 0), (1, 0)),
+        (1, (0, 0), (0, 1)),
+        (1, (0, 1), (0, 0)),
+    ]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_tables_match_sympy(p, length):
+    assert squaring_tables(p, length) == sympy_tables(p, length)
+
+
+def reference_sum(a, b):
+    """a + b by the reference tables, each S_n evaluated term by term on
+    the entries over F_q."""
+    field = a.ring
+    powers = {}  # (x or y entry, exponent) -> power
+
+    def power(s, e):
+        if (id(s), e) not in powers:
+            powers[id(s), e] = s**e
+        return powers[id(s), e]
+
+    out = []
+    for n, terms in enumerate(squaring_tables(field.p, a.m + 1)):
+        entries = a.entries[: n + 1] + b.entries[: n + 1]
+        acc = None
+        for c, ex, ey in terms:
+            c = field.from_int(c)
+            if c.is_zero():
+                continue
+            prod = None
+            for s, e in zip(entries, ex + ey):
+                if e:
+                    f = power(s, e)
+                    prod = f if prod is None else prod * f
+            term = prod.scale(c)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return WittVector(a.m, out)
+
+
+def random_vector(field, m, rng):
+    """Entries with windows t^3..t^30, some of them zero to precision."""
+    entries = []
+    for _ in range(m + 1):
+        prec = rng.randint(3, 30)
+        if rng.random() < 0.15:
+            entries.append(LaurentSeries.zero(field, prec))
+            continue
+        v = rng.randint(-6, 2)
+        entries.append(LaurentSeries.make(
+            field, v, [field.from_index(rng.randrange(field.q)) for _ in range(prec - v)], prec))
+    return WittVector(m, entries)
+
+
+REFERENCE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("p,f", REFERENCE_FIELDS, ids=[f"q{p**f}" for p, f in REFERENCE_FIELDS])
+def test_witt_add_matches_the_reference_tables(p, f, m):
+    field, rng = make_field(p, f), random.Random(f"{p} {f} {m}")
+    for _ in range(6):
+        a, b = random_vector(field, m, rng), random_vector(field, m, rng)
+        assert witt_add(a, b) == reference_sum(a, b)
+
+
+def test_witt_add_matches_the_reference_tables_at_p11():
     # p = 11 at length 3 is out of sympy's reach in test time
-    assert _build_tables(11, 3) == squaring_tables(11, 3)
+    F11, rng = make_field(11, 1), random.Random(11)
+    for _ in range(2):
+        a, b = (WittVector(2, [LaurentSeries.make(F11, -1, [F11.from_index(rng.randrange(11))
+                                                             for _ in range(5)], 4)
+                               for _ in range(3)]) for _ in range(2))
+        assert witt_add(a, b) == reference_sum(a, b)
+
+
+def complete(s, rng, extra=12):
+    """s with random coefficients filling t^prec..t^(prec+extra)."""
+    field = s.ring
+    start = s.prec if s.val is None else s.val
+    known = [s.coefficient(e) for e in range(start, s.prec)]
+    return LaurentSeries.make(field, start, known + [
+        field.from_index(rng.randrange(field.q)) for _ in range(extra)], s.prec + extra)
+
+
+@pytest.mark.parametrize("p,f", REFERENCE_FIELDS, ids=[f"q{p**f}" for p, f in REFERENCE_FIELDS])
+def test_witt_add_windows_are_sound(p, f):
+    # each entry of a sum is exact below the window witt_add reports, however
+    # the summands go on past theirs
+    field, rng = make_field(p, f), random.Random(f"windows {p} {f}")
+    for _ in range(6):
+        m = rng.randint(1, 2)
+        a, b = random_vector(field, m, rng), random_vector(field, m, rng)
+        s = witt_add(a, b)
+        for _ in range(2):
+            full = witt_add(*(WittVector(m, [complete(e, rng) for e in v.entries])
+                              for v in (a, b)))
+            for e, e_full in zip(s.entries, full.entries):
+                assert e_full.prec >= e.prec
+                assert e_full.truncate(e.prec) == e
 
 
 def test_cold_start_does_not_import_sympy(tmp_path):
-    # a job that derives its Witt tables runs on the standard library alone
-    # and writes no table to disk, even where RAMIFY_WITT_CACHE names a
-    # directory (seed 3 draws a triple that adds Witt vectors)
+    # a job that adds Witt vectors runs on the standard library alone and
+    # writes nothing to disk, even where RAMIFY_WITT_CACHE names a directory
+    # (seed 3 draws a triple that adds Witt vectors)
     code = (
         "import sys\n"
         "from ramify import cli\n"
