@@ -11,8 +11,10 @@ repository), whether it has uncommitted changes, a digest of the package
 and every row; and once, the host's ``nproc`` and the Python version.
 
 The layer rows are ms per call, each the median of a few repeats of a fixed
-batch on seeded operands: F_p, F_9 and Z/p^(m+1) products, series ``*`` and
-``inverse`` over F_5, Z/25 (f = 1) and F_9 (f = 2), the residue pairing
+batch on seeded operands: F_p, F_9 and Z/p^(m+1) products, series ``*``,
+``inverse`` and ``derivative`` over F_5 and Z/25 (f = 1), over F_9 and its
+Witt coefficient ring Z9[X]/h at m = 1 (f = 2), and over F_6561 (f = 8, the
+field of ``swan --q 6561``), the residue pairing
 ``witt_pairing``, the oracle's table of unit pairings, ``digit_traces`` on
 a fresh additive character, and the cyclotomic layer: ``*``, ``inverse``
 (down the tower of levels), ``**`` of a monomial and of a dense number,
@@ -104,13 +106,15 @@ def layer_rows():
     for name, ring in rings.items():
         xs = [draw(ring) for _ in range(200)]
         rows[f"fields.mul.{name}"] = median_ms(lambda: [a * b for a, b in zip(xs, xs[1:])], 199)
-    for name in ("F5", "Z25", "F9"):
-        ring = rings[name]
+    for name in ("F5", "Z25", "F9", "Z9[X]/h", "F6561"):
+        ring = rings.get(name) or make_field(3, 8)
         series = [LaurentSeries.make(ring, -3, [draw(ring, unit=True)] + [
             draw(ring) for _ in range(23)], 21) for _ in range(8)]
         rows[f"series.mul.{name}"] = median_ms(
             lambda: [a * b for a, b in zip(series, series[1:])], 7)
         rows[f"series.inverse.{name}"] = median_ms(lambda: [a.inverse() for a in series], 8)
+        rows[f"series.derivative.{name}"] = median_ms(
+            lambda: [a.derivative() for a in series], 8)
 
     def wild_char(field, m):
         entries = [LaurentSeries.make(field, -6 + 2 * i, [draw(field, unit=True)] + [

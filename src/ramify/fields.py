@@ -5,10 +5,16 @@ coefficient vector (c_0, ..., c_{f-1}) of the element sum(c_i * x^i) in base p,
 least significant digit = constant term.  Multiplication goes through a dense
 discrete-log table (hence the cap q <= 2^16); addition is digit-wise.
 
-Each digit of either ring is an integer mod ``modulus_int`` (p, or p^(m+1)),
-so at f = 1 both are Z/modulus_int and an element is one int: ``ints`` and
-``wrap`` convert a list of elements to ints and back, and ``series`` picks
-its integer kernels by ``ring.f == 1``.
+Both rings pack an element into one int for the series kernels: its f digits
+mod M (``modulus_int``: p, or p^(m+1)) go into slots of ``bits`` bits, constant
+term lowest (Kronecker substitution at X = 2^bits); at f = 1 the int is the
+value.  ``ints`` packs, ``wrap`` unpacks canonical ints, and ``canon`` makes a
+sum of products canonical: slots from f up are folded by the rows X^(f+j) mod
+h, then each slot is reduced mod M.  The width depends on p alone, so F_q and
+every Witt coefficient ring over it share their ints.  The bound: with f <= F
+(p^F <= the q cap) and M <= p^LENGTH_CAP, a slot of a sum of fewer than 2^24
+products of three canonical factors is below S = 2^24 F^2 (M-1)^3, and below
+S (2F-1)(M-1) after the fold by at most 2F - 2 rows; ``bits`` is its length.
 
 Everything is deterministic: the modulus is the first irreducible monic
 polynomial in lexicographic coefficient order, the generator is the smallest
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache
+from operator import lshift
 
 from .errors import (
     CapExceeded,
@@ -33,6 +40,7 @@ from .errors import (
 )
 
 DEFAULT_Q_CAP = 1 << 16
+LENGTH_CAP = 3  # Witt vectors of length <= 3, so a digit is mod p^3 at most
 
 
 @lru_cache(maxsize=None)
@@ -131,6 +139,67 @@ def _is_irreducible(h, p):
 
 
 # ---------------------------------------------------------------------------
+# the packing of the module docstring, shared by both coefficient rings
+# ---------------------------------------------------------------------------
+
+def _reduction_rows(h, M: int, count: int):
+    """rows[j] = the coefficients of X^(f+j) mod the monic h, mod M, j < count."""
+    rows = [tuple((-c) % M for c in h[:-1])]  # X^f
+    while len(rows) < count:
+        lead = rows[-1][-1]
+        rows.append(tuple((c - lead * hc) % M for c, hc in zip((0,) + rows[-1][:-1], h)))
+    return rows[:count]
+
+
+def _power_sums(h, count: int, M: int) -> list[int]:
+    """[Tr(X^k) for k < count] in (Z/M)[X]/(h), h monic: the power sums of
+    the roots of h, by Newton's identities."""
+    f = len(h) - 1
+    sums = [f % M]
+    for k in range(1, count):
+        acc = sum(h[f - i] * sums[k - i] for i in range(1, min(k - 1, f) + 1))
+        sums.append(-(acc + (k * h[f - k] if k <= f else 0)) % M)
+    return sums
+
+
+class _Packing:
+    """The slot layout and ``canon`` of a ring, set up by ``_pack_by``."""
+
+    def _pack_by(self, p: int, h):
+        f, M = len(h) - 1, self.modulus_int
+        F = next(k for k in itertools.count(1) if p ** (k + 1) > DEFAULT_Q_CAP)  # f <= F
+        S = (1 << 24) * F * F * (p**LENGTH_CAP - 1) ** 3  # the bound of the module docstring
+        self._bits = bits = (S * (2 * F - 1) * (p**LENGTH_CAP - 1)).bit_length()
+        self._mask, self._top, self._shifts = (1 << bits) - 1, f * bits, range(0, f * bits, bits)
+        self._low = (1 << f * bits) - 1
+        self._rows = [self._pack(row) for row in _reduction_rows(h, M, 2 * f - 2)]
+        if f == 1:  # the packed int is the value: canon reduces it mod M
+            self.canon = M.__rmod__
+
+    def _pack(self, digits) -> int:
+        return sum(map(lshift, digits, self._shifts))
+
+    def canon(self, x: int) -> int:
+        """The canonical packed int of x, a sum of products of at most three
+        packed ints: slots from f up folded by the rows, each reduced mod M."""
+        mask, M, bits = self._mask, self.modulus_int, self._bits
+        low, high, out, s = x & self._low, x >> self._top, 0, 0
+        for row in self._rows:
+            if not high:
+                break
+            low += (high & mask) * row
+            high >>= bits
+        while low:
+            out, low, s = out | (low & mask) % M << s, low >> bits, s + bits
+        return out
+
+    def unit_inverse(self, x: int) -> int:
+        """The packed inverse of a canonical packed unit."""
+        return (pow(x, -1, self.modulus_int) if self.f == 1
+                else self.ints([self.wrap([x])[0].inverse()])[0])
+
+
+# ---------------------------------------------------------------------------
 # F_q
 # ---------------------------------------------------------------------------
 
@@ -208,7 +277,7 @@ class FqElement:
         return f"F{f.q}{list(self.digits())}"
 
 
-class FiniteField:
+class FiniteField(_Packing):
     """F_q with q = p^f, p an odd prime, built deterministically."""
 
     def __init__(self, p: int, f: int):
@@ -240,7 +309,14 @@ class FiniteField:
         self.one = FqElement(self, 1)
         self.generator = FqElement(self, self.generator_idx)
         # trace of multiplication by x^j, as an F_p scalar, for Tr_{F_q/F_p}
-        self._trace_basis = self._basis_traces()
+        self._trace_basis = _power_sums(self.modulus, f, p)
+        self._pack_by(p, self.modulus)
+        if f > 1:  # packed ints of the low and high halves of an index, and back
+            ph, self._half = p ** ((f + 1) // 2), self._shifts[(f + 1) // 2]
+            self._pack_lo = [self._pack(self.digit_table[a]) for a in range(ph)]
+            self._pack_hi = [self._pack(self.digit_table[a]) for a in range(0, q, ph)]
+            self._unpack_lo = {c: a for a, c in enumerate(self._pack_lo)}
+            self._unpack_hi = {c >> self._half: a * ph for a, c in enumerate(self._pack_hi)}
 
     # -- construction helpers -------------------------------------------
 
@@ -324,18 +400,6 @@ class FiniteField:
             exp[k] = a
         return exp
 
-    def _basis_traces(self):
-        # Tr(x^j) = trace of the multiplication-by-x^j matrix over F_p;
-        # column i of that matrix is x^{i+j} mod h
-        f = self.f
-        if f == 1:
-            return [1]
-        powers = [tuple(1 if k == 0 else 0 for k in range(f))]
-        x = tuple(1 if k == 1 else 0 for k in range(f))
-        for _ in range(2 * f - 2):
-            powers.append(self._mul_raw(powers[-1], x))
-        return [sum(powers[i + j][i] for i in range(f)) % self.p for j in range(f)]
-
     # -- element-level services ------------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
@@ -389,12 +453,18 @@ class FiniteField:
                      for d in self.digit_table)
 
     def ints(self, elements) -> list[int]:
-        """The values of elements of F_p (f = 1), which are their indices."""
-        return [x.idx for x in elements]
+        """The packed ints of elements: their indices at f = 1."""
+        if self.f == 1:
+            return [x.idx for x in elements]
+        lo, hi, ph = self._pack_lo, self._pack_hi, len(self._pack_lo)
+        return [lo[x.idx % ph] + hi[x.idx // ph] for x in elements]
 
     def wrap(self, values) -> list[FqElement]:
-        """Elements of F_p (f = 1) from ints already reduced mod p."""
-        return [FqElement(self, c) for c in values]
+        """Elements from canonical packed ints."""
+        if self.f == 1:
+            return [FqElement(self, c) for c in values]
+        lo, hi, half, mask = self._unpack_lo, self._unpack_hi, self._half, (1 << self._half) - 1
+        return [FqElement(self, lo[c & mask] + hi[c >> half]) for c in values]
 
     def extension(self, s: int):
         """Return (E, embed) with E = F_{q^s} and embed: F_q -> E a ring embedding."""
@@ -532,73 +602,40 @@ class WittCoeffElement:
         return f"W{self.ring.modulus_int}{list(self.coeffs)}"
 
 
-class WittCoeffRing:
+class WittCoeffRing(_Packing):
     """(Z/p^(m+1))[X] / (coefficient-wise lift of the field modulus)."""
 
     def __init__(self, field: FiniteField, m: int):
+        if m + 1 > LENGTH_CAP:
+            raise CapExceeded(f"length {m + 1} exceeds cap {LENGTH_CAP}")
         self.field = field
         self.m = m
         self.modulus_int = field.p ** (m + 1)
         self.f = field.f
         # lifted modulus: same digit representatives, now read mod p^(m+1)
         self.lifted_modulus = list(field.modulus)
-        self._reduction_rows = self._build_reduction()
+        self._pack_by(field.p, self.lifted_modulus)
         self.zero = WittCoeffElement(self, (0,) * self.f)
         self.one = WittCoeffElement(self, (1,) + (0,) * (self.f - 1))
-        self._trace_basis = self._basis_traces()
         # Tr(X^s) for s < 2f - 1, the trace form of the basis
-        self._power_traces = self._trace_basis + [
-            sum(r * t for r, t in zip(row, self._trace_basis)) % self.modulus_int
-            for row in self._reduction_rows[:self.f - 1]]
+        self._power_traces = _power_sums(self.lifted_modulus, 2 * self.f - 1, self.modulus_int)
         self._lift_powers = None
 
-    def _build_reduction(self):
-        # rows[j] = coefficient vector of X^(f+j) mod lifted modulus, j in [0, f-1)
-        f, M = self.f, self.modulus_int
-        h = self.lifted_modulus
-        rows = []
-        cur = [(-h[i]) % M for i in range(f)]  # X^f
-        rows.append(tuple(cur))
-        for _ in range(f - 2):
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i in range(f):
-                    nxt[i] = (nxt[i] - lead * h[i]) % M
-            cur = nxt
-            rows.append(tuple(cur))
-        return rows
-
     def mul(self, a: WittCoeffElement, b: WittCoeffElement) -> WittCoeffElement:
-        f, M = self.f, self.modulus_int
-        if f == 1:
-            return WittCoeffElement._reduced(self, (a.coeffs[0] * b.coeffs[0] % M,))
-        conv = [0] * (2 * f - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    conv[i + j] += ai * bj
-        out = conv[:f]
-        for j in range(f - 1):
-            c = conv[f + j]
-            if c:
-                row = self._reduction_rows[j]
-                for i in range(f):
-                    out[i] += c * row[i]
-        return WittCoeffElement._reduced(self, tuple(c % M for c in out))
+        if self.f == 1:
+            return WittCoeffElement._reduced(self, (a.coeffs[0] * b.coeffs[0] % self.modulus_int,))
+        return self.wrap([self.canon(self._pack(a.coeffs) * self._pack(b.coeffs))])[0]
 
     def inverse(self, a: WittCoeffElement) -> WittCoeffElement:
+        """Newton's step b -> b (2 - a b) on packed ints, from the inverse of
+        the reduction; each step doubles the power of p that b is exact to."""
         red = a.reduce()
         if red.is_zero():
             raise ZeroInput("not a unit in the Witt coefficient ring")
-        b = self.lift(red.inverse())
-        # Hensel: quadratic convergence, m+1 <= 3 needs at most 2 corrections
-        for _ in range(4):
-            err = a * b - self.one
-            if err.is_zero():
-                return b
-            b = b * (self.one + self.one - a * b)
-        raise AssertionError("Hensel inversion failed to converge (unreachable)")
+        x, b, canon = self._pack(a.coeffs), self.field.ints([red.inverse()])[0], self.canon
+        for _ in range(self.m.bit_length()):  # 2^steps >= m + 1
+            b = canon(b * canon(2 + (self.modulus_int - 1) * canon(x * b)))
+        return self.wrap([b])[0]
 
     def lift(self, x: FqElement) -> WittCoeffElement:
         """Coefficient-wise representative lift in [0, p^(m+1))."""
@@ -609,27 +646,35 @@ class WittCoeffRing:
         return WittCoeffElement(self, (n % self.modulus_int,) + (0,) * (self.f - 1))
 
     def ints(self, elements) -> list[int]:
-        """The values of elements of Z/p^(m+1) (f = 1)."""
-        return [x.coeffs[0] for x in elements]
+        """The packed ints of elements: their values at f = 1."""
+        if self.f == 1:
+            return [x.coeffs[0] for x in elements]
+        return [self._pack(x.coeffs) for x in elements]
 
     def wrap(self, values) -> list[WittCoeffElement]:
-        """Elements of Z/p^(m+1) (f = 1) from ints already reduced mod p^(m+1)."""
+        """Elements from canonical packed ints."""
         reduced = WittCoeffElement._reduced
-        return [reduced(self, (c,)) for c in values]
+        if self.f == 1:
+            return [reduced(self, (c,)) for c in values]
+        mask, shifts, out = self._mask, self._shifts, []
+        for c in values:
+            digits = []
+            for s in shifts:
+                digits.append((c >> s) & mask)
+            out.append(reduced(self, tuple(digits)))
+        return out
 
     def lift_powers(self, k: int) -> list[list[int]]:
         """table[x] = the coefficients of x~, x~^2, ..., x~^k laid end to end,
         f ints each, for x in F_q in index order and x~ its representative
         lift: kept on the ring, so every character over it reads the same
         rows, and grown on demand."""
-        f, reduced = self.f, WittCoeffElement._reduced
         if self._lift_powers is None:
             self._lift_powers = [list(self.lift(x).coeffs) for x in self.field.elements()]
-        table = self._lift_powers
+        table, f = self._lift_powers, self.f
         while len(table[0]) < k * f:
-            for row in table:
-                last, x = reduced(self, tuple(row[-f:])), reduced(self, tuple(row[:f]))
-                row += self.mul(last, x).coeffs
+            for row in table:  # the next power is the last one times x~
+                row += self.mul(*self.wrap([self._pack(row[-f:]), self._pack(row[:f])])).coeffs
         return table
 
     def trace_form(self, c: WittCoeffElement) -> tuple[int, ...]:
@@ -639,27 +684,14 @@ class WittCoeffRing:
         return tuple(sum(cl * T[i + l] for l, cl in enumerate(c.coeffs))
                      for i in range(self.f))
 
-    def _basis_traces(self):
-        f, M = self.f, self.modulus_int
-        traces = []
-        for j in range(f):
-            xj = WittCoeffElement(self, tuple(1 if i == j else 0 for i in range(f)))
-            t = 0
-            for i in range(f):
-                xi = WittCoeffElement(self, tuple(1 if k == i else 0 for k in range(f)))
-                col = self.mul(xj, xi)
-                t = (t + col.coeffs[i]) % M
-            traces.append(t)
-        return traces
-
     def trace(self, a: WittCoeffElement) -> int:
         """Matrix trace of multiplication-by-a, an integer mod p^(m+1)."""
-        return sum(c * t for c, t in zip(a.coeffs, self._trace_basis)) % self.modulus_int
+        return sum(c * t for c, t in zip(a.coeffs, self._power_traces)) % self.modulus_int
 
     @staticmethod
     @lru_cache(maxsize=None)
     def for_field(field: FiniteField, m: int, /) -> "WittCoeffRing":
-        """Memoized constructor (reduction rows + trace basis are reused)."""
+        """Memoized constructor (packing, trace form and lift powers are reused)."""
         return WittCoeffRing(field, m)
 
     def __repr__(self):

@@ -4,11 +4,11 @@ A series is a dense coefficient window: ``val`` is the exponent of the first
 stored coefficient, ``prec`` means "known modulo t^prec", and the window
 always covers [val, prec).  The zero-to-precision series is a distinct state
 (val is None — the +infinity sentinel).  Coefficients live in a FiniteField
-or a WittCoeffRing; the two expose the same element interface.  Where the
-ring has f = 1 it is Z/N, N = ring.modulus_int, and ``*``, ``inverse`` (so
-``dlog`` and ``**``), ``derivative`` and ``residue_product`` run on plain
-ints, wrapping each result coefficient once; at f > 1 they loop over the
-elements.  ``ring.f`` alone makes that choice.
+or a WittCoeffRing; the two expose the same element interface, and the same
+packing into ints (see ``fields``).  ``*``, ``scale``, ``inverse`` (so
+``dlog`` and ``**``), ``derivative`` and ``residue_product`` run on the packed
+ints at every residue degree, each result coefficient brought back by
+``ring.canon`` and wrapped once.
 
 All operations are exact on the retained window and propagate precision
 pessimistically.  Nothing here ever truncates silently: a coefficient outside
@@ -55,10 +55,8 @@ class LaurentSeries:
 
     @staticmethod
     def from_ints(ring, val: int, values, prec: int) -> "LaurentSeries":
-        """``make`` over a ring with f = 1 from int coefficients, each
-        reduced mod ring.modulus_int and wrapped once."""
-        N = ring.modulus_int
-        values = [c % N for c in values]
+        """``make`` from sums of products of packed ints, each made canonical and wrapped once."""
+        values = list(map(ring.canon, values))
         for i, c in enumerate(values):
             if c:
                 return LaurentSeries(ring, val + i, tuple(ring.wrap(values[i:])), prec)
@@ -177,33 +175,21 @@ class LaurentSeries:
         v = va + vb
         n_out = prec - v
         ring = self.ring
-        if ring.f == 1:
-            b = ring.ints(other.coeffs[:n_out])
-            out = [0] * n_out
-            for i, a in enumerate(ring.ints(self.coeffs[:n_out])):
-                if a:
-                    k = min(len(b), n_out - i)
-                    out[i:i + k] = map(add, out[i:i + k], map(mul, repeat(a), b))
-            return LaurentSeries.from_ints(ring, v, out, prec)
-        out = [ring.zero] * n_out
-        bcoeffs = other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero() or i >= n_out:
-                continue
-            jmax = min(len(bcoeffs), n_out - i)
-            for j in range(jmax):
-                b = bcoeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return LaurentSeries.make(self.ring, v, out, prec)
+        b = ring.ints(other.coeffs[:n_out])
+        out = [0] * n_out
+        for i, a in enumerate(ring.ints(self.coeffs[:n_out])):
+            if a:
+                k = min(len(b), n_out - i)
+                out[i:i + k] = map(add, out[i:i + k], map(mul, repeat(a), b))
+        return LaurentSeries.from_ints(ring, v, out, prec)
 
     def scale(self, c) -> "LaurentSeries":
-        """Multiply by a coefficient-ring scalar."""
+        """Multiply by a coefficient-ring scalar, on packed ints."""
         if self.val is None or c.is_zero():
             return LaurentSeries.zero(self.ring, self.prec)
-        return LaurentSeries.make(
-            self.ring, self.val, [c * a for a in self.coeffs], self.prec
-        )
+        ints = self.ring.ints
+        return LaurentSeries.from_ints(self.ring, self.val, map(
+            mul, repeat(ints([c])[0]), ints(self.coeffs)), self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k (exact)."""
@@ -219,26 +205,12 @@ class LaurentSeries:
             raise NonUnitLeadingCoefficient(f"leading coefficient {lead!r} is not a unit")
         v = self.val
         n = self.prec - v  # window length of the unit part
-        ring = self.ring
-        if ring.f == 1:
-            N = ring.modulus_int
-            u = ring.ints(self.coeffs)
-            out, tail = [pow(u[0], -1, N)], u[1:]
-            for _ in range(1, n):
-                out.append(-out[0] * sum(map(mul, tail, reversed(out))) % N)
-            return LaurentSeries.from_ints(ring, -v, out, self.prec - 2 * v)
-        inv0 = lead.inverse()
-        u = self.coeffs
-        out = [inv0]
-        zero = self.ring.zero
-        for k in range(1, n):
-            acc = zero
-            for j in range(1, min(k, len(u) - 1) + 1):
-                uj = u[j]
-                if not uj.is_zero():
-                    acc = acc + uj * out[k - j]
-            out.append(-(inv0 * acc))
-        return LaurentSeries.make(self.ring, -v, out, self.prec - 2 * v)
+        ring, canon, u = self.ring, self.ring.canon, self.ring.ints(self.coeffs)
+        out, tail = [ring.unit_inverse(u[0])], u[1:]  # a unit: no leading zero to strip
+        neg = canon(out[0] * (ring.modulus_int - 1))
+        for _ in range(1, n):
+            out.append(canon(neg * sum(map(mul, tail, reversed(out)))))
+        return LaurentSeries(ring, -v, tuple(ring.wrap(out)), self.prec - 2 * v)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -273,11 +245,9 @@ class LaurentSeries:
         """Termwise d/dt; precision drops by one."""
         if self.val is None:
             return LaurentSeries.zero(self.ring, self.prec - 1)
-        if self.ring.f == 1:
-            return LaurentSeries.from_ints(self.ring, self.val - 1, map(
-                mul, self.ring.ints(self.coeffs), count(self.val)), self.prec - 1)
-        out = [self.ring.from_int(self.val + i) * c for i, c in enumerate(self.coeffs)]
-        return LaurentSeries.make(self.ring, self.val - 1, out, self.prec - 1)
+        return LaurentSeries.from_ints(self.ring, self.val - 1, map(
+            mul, self.ring.ints(self.coeffs), count(self.val % self.ring.modulus_int)),
+            self.prec - 1)
 
     def iterated_derivative(self, i: int) -> "LaurentSeries":
         s = self
@@ -315,13 +285,12 @@ def residue_product(x: LaurentSeries, y: LaurentSeries):
         raise PrecisionExhausted("residue window not guaranteed")
     if x.val is None or y.val is None:
         return x.ring.zero
-    k, xs, ys = -1 - x.val - y.val, x.coeffs, y.coeffs
+    ring, k, xs, ys = x.ring, -1 - x.val - y.val, x.coeffs, y.coeffs
     lo, hi = max(0, k - len(ys) + 1), min(len(xs), k + 1)
-    if x.ring.f == 1 and lo < hi:  # xs[lo:hi] against ys[k - lo], ..., ys[k - hi + 1]
-        ints = x.ring.ints
-        return x.ring.from_int(
-            sum(map(mul, ints(xs[lo:hi]), reversed(ints(ys[k - hi + 1:k - lo + 1])))))
-    return sum((xs[i] * ys[k - i] for i in range(lo, hi)), x.ring.zero)
+    if lo >= hi:
+        return ring.zero
+    return ring.wrap([ring.canon(sum(map(  # xs[lo:hi] against ys[k - lo], ..., ys[k - hi + 1]
+        mul, ring.ints(xs[lo:hi]), reversed(ring.ints(ys[k - hi + 1:k - lo + 1])))))])[0]
 
 
 def substitute_dilated(s: LaurentSeries, r: int, theta) -> LaurentSeries:

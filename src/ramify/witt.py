@@ -27,12 +27,11 @@ from .errors import (
     TameInput,
     ZeroVector,
 )
-from .fields import WittCoeffRing
-from .series import LaurentSeries, map_coefficients, substitute_dilated
+from .fields import LENGTH_CAP, WittCoeffRing
+from .series import LaurentSeries, substitute_dilated
 
-# vectors of length m+1 <= 3; with no table to derive, the cap bounds only the
-# cost of the Tate-integral oracle
-LENGTH_CAP = 3
+# vectors of length m+1 <= LENGTH_CAP: the cap bounds the cost of the Tate-integral
+# oracle and the digits the coefficient rings pack (see fields)
 _REDUCE_ITER_CAP = 4000
 
 
@@ -299,11 +298,8 @@ def dilation_defect_sum(alpha: LaurentSeries, r: int, theta) -> LaurentSeries:
 
 
 def lift_series(s: LaurentSeries, R) -> LaurentSeries:
-    """s lifted coefficient-wise into R by representatives; at f = 1 the
-    same ints."""
-    if R.f == 1:
-        return LaurentSeries(R, s.val, tuple(R.wrap(s.ring.ints(s.coeffs))), s.prec)
-    return map_coefficients(s, R.lift, R)
+    """s lifted coefficient-wise into R by representatives: its packed ints, canonical in R."""
+    return LaurentSeries(R, s.val, tuple(R.wrap(s.ring.ints(s.coeffs))), s.prec)
 
 
 def lift_entries(a: WittVector, R):

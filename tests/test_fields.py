@@ -89,6 +89,9 @@ def test_cap():
     # 3^11 = 177147 > 2^16, rejected before any table is built
     with pytest.raises(CapExceeded):
         FiniteField(3, 11)
+    # digits mod p^4 and up are past the slot width of the packing
+    with pytest.raises(CapExceeded):
+        WittCoeffRing(make_field(3, 2), 3)
 
 
 def _decoded_field(monkeypatch, *flags):
@@ -185,6 +188,32 @@ def test_square_criterion_is_euler():
         a = F.from_index(rng.randrange(1, F.q))
         b = F.from_index(rng.randrange(1, F.q))
         assert F.kappa0(a * b) == F.kappa0(a) * F.kappa0(b)
+
+
+def _matrix_traces(h, count, M):
+    """Tr(X^j) for j < count in (Z/M)[X]/(h), h monic: the trace of the
+    matrix of multiplication by X^j, whose column i is X^(i+j) mod h."""
+    f = len(h) - 1
+    powers = [[int(i == 0) for i in range(f)]]
+    for _ in range(f + count - 2):
+        lead, prev = powers[-1][-1], powers[-1]
+        powers.append([((prev[i - 1] if i else 0) - lead * h[i]) % M for i in range(f)])
+    return [sum(powers[i + j][i] for i in range(f)) % M for j in range(count)]
+
+
+@pytest.mark.parametrize("p, f", [
+    (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (3, 10), (5, 1), (5, 2),
+    (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_power_sums_are_the_matrix_traces(p, f):
+    # Newton's identities against the matrix traces, for the field's trace
+    # basis and for the trace form of each Witt coefficient ring over it
+    F = make_field(p, f)
+    assert F._trace_basis == _matrix_traces(F.modulus, f, p)
+    for m in (0, 1, 2):
+        R = WittCoeffRing.for_field(F, m)
+        assert R._power_traces == _matrix_traces(R.lifted_modulus, 2 * f - 1, R.modulus_int)
+        assert [R.trace(R.lift(F.element([int(i == j) for i in range(f)])))
+                for j in range(f)] == R._power_traces[:f]
 
 
 def test_constructed_square_in_f9():

@@ -11,7 +11,7 @@ from ramify.errors import (
     PrecisionExhausted,
     ZeroInput,
 )
-from ramify.fields import FiniteField, WittCoeffRing, make_field
+from ramify.fields import FiniteField, WittCoeffElement, WittCoeffRing, make_field
 from ramify.series import (
     LaurentSeries,
     decompose_over_base,
@@ -20,6 +20,7 @@ from ramify.series import (
     residue_product,
     substitute_dilated,
 )
+from ramify.witt import lift_series
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -221,6 +222,25 @@ def test_residue_product_matches_residue_of_product(ring, seed):
     assert min(seen.values()) >= 20, seen
 
 
+def _coeff_mul(a, b):
+    """a * b on coefficient objects, apart from the packing: F_q elements by
+    their log tables; Witt coefficients by the schoolbook product of their
+    digit tuples, reduced by the lifted modulus h from the top down."""
+    if not isinstance(a, WittCoeffElement):
+        return a * b
+    ring = a.ring
+    f, h = ring.f, ring.lifted_modulus
+    conv = [0] * (2 * f - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            conv[i + j] += ai * bj
+    for top in range(2 * f - 2, f - 1, -1):  # X^top = -sum h_i X^(top - f + i)
+        c = conv.pop()
+        for i in range(f):
+            conv[top - f + i] -= c * h[i]
+    return WittCoeffElement(ring, conv)
+
+
 def _naive_mul(x, y):
     """x * y term by term on coefficient objects, with the precision rule."""
     ring = x.ring
@@ -229,20 +249,21 @@ def _naive_mul(x, y):
     for e1, a in x.terms():
         for e2, b in y.terms():
             if e1 + e2 < prec:
-                terms[e1 + e2] = terms.get(e1 + e2, ring.zero) + a * b
+                terms[e1 + e2] = terms.get(e1 + e2, ring.zero) + _coeff_mul(a, b)
     return LaurentSeries.from_terms(ring, terms, prec)
 
 
 def _naive_inverse(x):
     """1/x by the recursion u_0 w_k = -sum_{j>=1} u_j w_(k-j) on coefficient
-    objects, the leading inverse taken by the ring itself."""
+    objects, the leading inverse taken by the ring itself and checked."""
     ring, v, u = x.ring, x.val, x.coeffs
     out = [u[0].inverse()]
+    assert _coeff_mul(u[0], out[0]) == ring.one
     for k in range(1, x.prec - v):
         acc = ring.zero
         for j in range(1, min(k, len(u) - 1) + 1):
-            acc = acc + u[j] * out[k - j]
-        out.append(-(out[0] * acc))
+            acc = acc + _coeff_mul(u[j], out[k - j])
+        out.append(-_coeff_mul(out[0], acc))
     return LaurentSeries.make(ring, -v, out, x.prec - 2 * v)
 
 
@@ -250,25 +271,45 @@ def _state(s):
     return s.val, s.coeffs, s.prec
 
 
-@pytest.mark.parametrize("ring,seed", [
-    (F3, 1), (F5, 2), (WittCoeffRing(F3, 1), 3), (WittCoeffRing(F5, 1), 4),
-    (WittCoeffRing(F3, 2), 5)], ids=["F3", "F5", "Z/9", "Z/25", "Z/27"])
-def test_integer_kernels_match_coefficient_objects(ring, seed):
-    # at f = 1 the ring is Z/N and *, inverse, derivative and residue_product
-    # run on ints; each against a naive loop on the ring's own elements, on
-    # seeded windows with zero-to-precision operands, non-unit leads and
+def _draw_element(ring, rng):
+    """A seeded element: over a Witt ring every digit is drawn, and one draw
+    in four is a multiple of p, so that non-unit leads turn up at any q."""
+    if isinstance(ring, FiniteField):
+        return ring.from_index(rng.randrange(ring.q))
+    p, M = ring.field.p, ring.modulus_int
+    if rng.random() < 0.25:
+        return WittCoeffElement(ring, [p * rng.randrange(M // p) for _ in range(ring.f)])
+    return WittCoeffElement(ring, [rng.randrange(M) for _ in range(ring.f)])
+
+
+F9, F27, F6561 = make_field(3, 2), make_field(3, 3), make_field(3, 8)
+KERNEL_RINGS = {  # id: (ring, seed)
+    "F3": (F3, 1), "F5": (F5, 2), "Z/9": (WittCoeffRing(F3, 1), 3),
+    "Z/25": (WittCoeffRing(F5, 1), 4), "Z/27": (WittCoeffRing(F3, 2), 5),
+    "F9": (F9, 6), "F25": (make_field(5, 2), 7), "F27": (F27, 8), "F6561": (F6561, 9),
+    "W2(F9)": (WittCoeffRing(F9, 1), 10), "W3(F9)": (WittCoeffRing(F9, 2), 11),
+    "W2(F343)": (WittCoeffRing(make_field(7, 3), 1), 12)}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_RINGS))
+def test_integer_kernels_match_coefficient_objects(name):
+    # *, scale, inverse, derivative and residue_product run on packed ints at
+    # every residue degree; each against a naive loop on the ring's own elements,
+    # on seeded windows with zero-to-precision operands, non-unit leads and
     # residue windows that cannot be certified
-    assert ring.f == 1
+    ring, seed = KERNEL_RINGS[name]
     rng = random.Random(seed)
-    N = ring.modulus_int
-    draw = lambda: ring.from_int(rng.randrange(N))
+    draw = lambda: _draw_element(ring, rng)
     seen = {"zero operand": 0, "inverted": 0, "non-unit lead": 0, "raised": 0, "residue": 0}
     for _ in range(300):
         x, y = _random_window(ring, rng, draw), _random_window(ring, rng, draw)
         assert _state(x * y) == _state(_naive_mul(x, y)), (x, y)
         seen["zero operand"] += x.is_zero() or y.is_zero()
+        c = draw()
+        assert _state(x.scale(c)) == _state(LaurentSeries.from_terms(
+            ring, {e: _coeff_mul(c, a) for e, a in x.terms()}, x.prec)), (x, c)
         dx = LaurentSeries.from_terms(
-            ring, {e - 1: ring.from_int(e) * c for e, c in x.terms()}, x.prec - 1)
+            ring, {e - 1: _coeff_mul(ring.from_int(e), c) for e, c in x.terms()}, x.prec - 1)
         assert _state(x.derivative()) == _state(dx), x
         if x.is_zero() or not x.leading_coefficient().is_unit():
             with pytest.raises(NonUnitLeadingCoefficient):
@@ -289,6 +330,51 @@ def test_integer_kernels_match_coefficient_objects(ring, seed):
     if isinstance(ring, FiniteField):  # every nonzero lead is a unit
         assert seen.pop("non-unit lead") == 0
     assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("ring", [WittCoeffRing(F9, 2), WittCoeffRing(F27, 2)],
+                         ids=["W3(F9)", "W3(F27)"])
+def test_integer_kernels_on_a_long_window_of_top_digits(ring):
+    # every digit M - 1 on a window of 120 coefficients: the largest slot
+    # sums the kernels make on that window, products of three factors in
+    # inverse included, against the naive loops
+    top = WittCoeffElement(ring, [ring.modulus_int - 1] * ring.f)
+    x = LaurentSeries.make(ring, -60, [top] * 120, 60)
+    assert _state(x * x) == _state(_naive_mul(x, x))
+    assert _state(x.inverse()) == _state(_naive_inverse(x))
+    assert residue_product(x, x) == _naive_mul(x, x).coefficient(-1)
+    dx = LaurentSeries.from_terms(
+        ring, {e - 1: _coeff_mul(ring.from_int(e), c) for e, c in x.terms()}, x.prec - 1)
+    assert _state(x.derivative()) == _state(dx)
+
+
+PACKED_FIELDS = {"F9": F9, "F27": F27, "F6561": F6561}
+PACKED_RINGS = {**PACKED_FIELDS, **{f"W{m + 1}({name})": WittCoeffRing(F, m)
+                                    for name, F in PACKED_FIELDS.items() for m in (0, 1, 2)}}
+
+
+@pytest.mark.parametrize("name", list(PACKED_RINGS))
+def test_packing_round_trips(name):
+    # wrap inverts ints, canon fixes the canonical ints, and a canonical int
+    # is canon of any int that differs from it by M in one slot
+    ring, rng = PACKED_RINGS[name], random.Random(name)
+    xs = [_draw_element(ring, rng) for _ in range(200)]
+    packed = ring.ints(xs)
+    assert ring.wrap(packed) == xs
+    assert [ring.canon(c) for c in packed] == packed
+    shifted = [c + (ring.modulus_int << rng.choice(ring._shifts)) for c in packed]
+    assert [ring.canon(c) for c in shifted] == packed
+
+
+@pytest.mark.parametrize("name", list(PACKED_FIELDS))
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_lift_series_is_the_coefficient_wise_lift(name, m):
+    # the packed ints of a series over F_q are canonical over the Witt ring
+    field = PACKED_FIELDS[name]
+    R, rng = WittCoeffRing.for_field(field, m), random.Random(f"{name} {m}")
+    for _ in range(20):
+        s = _random_window(field, rng, lambda: _draw_element(field, rng))
+        assert _state(lift_series(s, R)) == _state(map_coefficients(s, R.lift, R))
 
 
 def test_dlog_residue_is_valuation_mod_p():
